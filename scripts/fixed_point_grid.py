@@ -10,8 +10,7 @@ brute scan over the absolute coordinate field (small q only).
 import argparse
 
 from ffverify import (BudgetExceededError, blind_fixed_point_count,
-                      build_tower, closed_form_fixed_count,
-                      fixed_points_surface)
+                      build_tower, fixed_point_grid)
 
 
 def main():
@@ -29,25 +28,24 @@ def main():
     print(header)
     print("-" * len(header))
     for with_u in (True, False):
-        for zeta in ctx.enumerate_mu(q + 1):
-            for eta in ctx.enumerate_level(1):
-                rep = fixed_points_surface(ctx, eta, zeta, with_u)
+        for (eta, zeta), cell in fixed_point_grid(ctx, with_u).items():
+            want, match = "-", "-"
+            if cell.closed_form is not None:
+                want = cell.closed_form
+                match = "ok" if cell.matches else "MISMATCH"
+            strata = ",".join(f"{k}={v}" for k, v in
+                              sorted(cell.sigma_counts.items()))
+            print(f"{str(with_u):5} {eta:4} {zeta:5} "
+                  f"{cell.total:6} {strata:26} {str(want):>6}  {match}")
+            if args.blind:
                 try:
-                    want = closed_form_fixed_count(ctx, eta, zeta, with_u)
-                    match = "ok" if rep.total == want else "MISMATCH"
-                except Exception:
-                    want, match = "-", "-"
-                strata = ",".join(f"{k}={v}" for k, v in
-                                  sorted(rep.sigma_counts.items()))
-                print(f"{str(with_u):5} {eta.encoding():4} {zeta.encoding():5} "
-                      f"{rep.total:6} {strata:26} {str(want):>6}  {match}")
-                if args.blind:
-                    try:
-                        blind = blind_fixed_point_count(ctx, eta, zeta, with_u)
-                        tag = "ok" if blind == rep.total else "MISMATCH"
-                        print(f"      blind scan: {blind}  {tag}")
-                    except BudgetExceededError:
-                        print("      blind scan: skipped (field too large)")
+                    blind = blind_fixed_point_count(
+                        ctx, ctx.from_encoding(1, eta),
+                        ctx.from_encoding(2, zeta), with_u)
+                    tag = "ok" if blind == cell.total else "MISMATCH"
+                    print(f"      blind scan: {blind}  {tag}")
+                except BudgetExceededError:
+                    print("      blind scan: skipped (field too large)")
 
 
 if __name__ == "__main__":

@@ -9,9 +9,10 @@ from .cyclotomic import (AdditiveCharacter, CentralCharacter, CycError,
 from .varieties import (BudgetExceededError, VarietySpec, count_points,
                         count_points_naive, counts_to_csv,
                         dickson_sl2_quotient_count, dickson_u_quotient_count)
-from .fixed_points import (EndoSpec, FixedPointReport,
+from .fixed_points import (FixedPointReport, GridCell,
                            blind_fixed_point_count, closed_form_fixed_count,
-                           differential_vanishes, fixed_points_surface)
+                           differential_vanishes, fixed_point_grid,
+                           fixed_points_surface)
 from .traces import (averaged_unipotent_trace,
                      character_difference_at_unipotent,
                      expected_character_difference, sheaf_trace_A2)

@@ -18,7 +18,7 @@ from .fields import FieldError, build_tower
 from .cyclotomic import AdditiveCharacter, CycError, conductor, gauss_sum
 from .varieties import (BudgetExceededError, VarietySpec, VARIETY_KINDS,
                         count_points, counts_to_csv)
-from .fixed_points import closed_form_fixed_count, fixed_points_surface
+from .fixed_points import fixed_point_grid
 from .howe import (report_to_markdown, theta_mod_ell, theta_ordinary,
                    verify_all)
 from .characters import CharacterError
@@ -136,27 +136,17 @@ def cmd_gauss(args) -> int:
 def cmd_fixed_points(args) -> int:
     ctx = build_tower(args.p, args.e)
     q = ctx.q
-    rows = []
-    all_ok = True
-    for with_u in (True, False):
-        for zeta in ctx.enumerate_mu(q + 1):
-            for eta in ctx.enumerate_level(1):
-                rep = fixed_points_surface(ctx, eta, zeta, with_u)
-                try:
-                    expected = closed_form_fixed_count(ctx, eta, zeta, with_u)
-                    ok = rep.total == expected
-                except FieldError:
-                    expected, ok = None, True
-                all_ok = all_ok and ok
-                rows.append({
-                    "with_unipotent": with_u,
-                    "eta": eta.encoding(),
-                    "zeta": zeta.encoding(),
-                    "total": rep.total,
-                    "strata": rep.sigma_counts,
-                    "closed_form": expected,
-                    "match": ok,
-                })
+    rows = [{
+        "with_unipotent": with_u,
+        "eta": eta,
+        "zeta": zeta,
+        "total": cell.total,
+        "strata": cell.sigma_counts,
+        "closed_form": cell.closed_form,
+        "match": cell.matches,
+    } for with_u in (True, False)
+        for (eta, zeta), cell in fixed_point_grid(ctx, with_u).items()]
+    all_ok = all(r["match"] for r in rows)
     if args.format == "csv":
         lines = ["with_unipotent,eta,zeta,total,closed_form,match"]
         lines += [f"{r['with_unipotent']},{r['eta']},{r['zeta']},"
@@ -189,9 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "csv", "md"),
                        default="json")
         p.add_argument("--output", help="write to file instead of stdout")
-        p.add_argument("--workers", type=int, default=1,
-                       help="accepted for interface stability; kernels "
-                            "are deterministic and run serially")
 
     pc = sub.add_parser("count", help="point counts over tower levels")
     common(pc)
@@ -234,9 +221,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    if args.workers < 1:
-        sys.stderr.write("error: --workers must be positive\n")
-        return 2
     try:
         return args.func(args)
     except (BudgetExceededError, UsageError, FieldError, CycError,

@@ -166,7 +166,6 @@ class Level:
         self.one = self._pad((1,))
         # x^(degree+k) mod modulus for k = 0 .. degree-2, used by mul.
         red = []
-        cur = _trim(self.modulus[:-1])
         cur = tuple((-c) % p for c in self.modulus[:-1])
         for _ in range(max(degree - 1, 0)):
             red.append(cur)
@@ -251,29 +250,12 @@ class Level:
     def elements(self):
         return (self.decode(k) for k in range(self.size))
 
-    def eval_intpoly(self, f, a):
-        """Evaluate a polynomial with F_p integer coefficients at a."""
-        acc = self.zero
-        for c in reversed(f):
-            acc = self.mul(acc, self._pad((0, 1))[:self.degree] or (0,)) if False else acc
-        # Horner, kept explicit for clarity.
-        acc = self.zero
-        for c in reversed(f):
-            acc = self.add(self.mul(acc, self.gen()), self._pad((c % self.p,)))
-        return acc
-
     def eval_intpoly_at(self, f, a):
+        """Evaluate a polynomial with F_p integer coefficients at a."""
         acc = self.zero
         for c in reversed(f):
             acc = self.add(self.mul(acc, a), self._pad((c % self.p,)))
         return acc
-
-    def gen(self):
-        """The residue class of x."""
-        if self.degree == 1:
-            # F_p model: x is congruent to -c_0.
-            return self._pad(((-self.modulus[0]) % self.p,))
-        return self._pad((0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -350,8 +332,8 @@ class FieldElement:
 class TowerContext:
     """The tower F_p < F_q < F_{q^2} < F_{q^4} with cached embeddings.
 
-    Immutable after construction; all operations are pure.  Level keys
-    are the degree over F_q: 1, 2 and 4.
+    Immutable after construction apart from its caches; all operations
+    are pure.  Level keys are the degree over F_q: 1, 2 and 4.
     """
 
     KEYS = (1, 2, 4)
@@ -380,6 +362,12 @@ class TowerContext:
         self._down = {}
         self._mu_cache = {}
         self._dlog_cache = {}
+        # Filled on first use by fixed_points: the Artin-Schreier
+        # coordinate field, the blind scan's absolute field and the
+        # fixed point grid of each endomorphism variant.
+        self._coordinate_ext = None
+        self._abs_field = None
+        self._grid_cache = {}
 
     def __repr__(self):
         return f"TowerContext(p={self.p}, e={self.e})"

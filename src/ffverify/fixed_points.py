@@ -24,14 +24,6 @@ from .cyclotomic import nu_sign
 from .varieties import BudgetExceededError
 
 
-@dataclass(frozen=True)
-class EndoSpec:
-    """Parameters of a twisted endomorphism of the surface."""
-    eta: FieldElement
-    zeta: FieldElement
-    with_unipotent: bool
-
-
 @dataclass
 class FixedPointReport:
     total: int
@@ -40,14 +32,22 @@ class FixedPointReport:
     field_degree: int  # degree of the coordinate field over F_p
 
 
-_EXT_CACHE: dict = {}
+@dataclass(frozen=True)
+class GridCell:
+    """One (eta, zeta) cell of the fixed point grid, without its points."""
+    total: int
+    sigma_counts: dict
+    closed_form: int | None  # None where closed_form_fixed_count has none
+
+    @property
+    def matches(self) -> bool:
+        return self.closed_form is None or self.total == self.closed_form
 
 
 def coordinate_extension(ctx: TowerContext) -> ArtinSchreierExtension:
-    key = (ctx.p, ctx.e)
-    if key not in _EXT_CACHE:
-        _EXT_CACHE[key] = ArtinSchreierExtension(ctx)
-    return _EXT_CACHE[key]
+    if ctx._coordinate_ext is None:
+        ctx._coordinate_ext = ArtinSchreierExtension(ctx)
+    return ctx._coordinate_ext
 
 
 def _surface_holds(K: ArtinSchreierExtension, q: int, P) -> bool:
@@ -105,10 +105,11 @@ def fixed_points_surface(ctx: TowerContext, eta, zeta,
     points = []
     sigma_counts = {}
 
+    # In the chart Z3 = 1 both variants need z^q - z = -eta.
+    z_solutions = K.solve_affine(lambda a: K.sub(frob_q(a), a), neg_eta_k)
     if with_unipotent:
         # Stratum 1 (chart Z3 = 1): y^q = zeta y, zeta y^2 = -eta,
-        # x^q - zeta x = -zeta y, z^q - z = -eta.
-        z_solutions = K.solve_affine(lambda a: K.sub(frob_q(a), a), neg_eta_k)
+        # x^q - zeta x = -zeta y.
         s1 = []
         for y in ctx.enumerate_level(2):
             if ctx.frobenius_q(y) != zeta * y:
@@ -131,8 +132,7 @@ def fixed_points_surface(ctx: TowerContext, eta, zeta,
         strata = {"sigma1": s1, "sigma2": s2}
     else:
         # Stratum 1 (chart Z3 = 1): x^q = zeta x, y^q = zeta y,
-        # x y^q - x^q y = -eta, z^q - z = -eta.
-        z_solutions = K.solve_affine(lambda a: K.sub(frob_q(a), a), neg_eta_k)
+        # x y^q - x^q y = -eta.
         coset = [a for a in ctx.enumerate_level(2)
                  if ctx.frobenius_q(a) == zeta * a]
         s1 = []
@@ -185,6 +185,29 @@ def closed_form_fixed_count(ctx: TowerContext, eta, zeta,
         raise FieldError("the closed form for eta != 0 needs p odd")
     solvable = nu_sign(ctx, zeta) * ctx.legendre(-eta) == 1
     return (2 * q * q + q + 1) if solvable else (q + 1)
+
+
+def fixed_point_grid(ctx: TowerContext, with_unipotent: bool) -> dict:
+    """{(eta encoding, zeta encoding): GridCell} over all eta in F_q and
+    zeta in mu_{q+1}, zeta-major and eta-minor.
+
+    The only enumerator of the grid: each cell is solved (and its
+    points re-verified) once per tower, then cached on the tower.
+    """
+    key = bool(with_unipotent)
+    if key not in ctx._grid_cache:
+        grid = {}
+        for zeta in ctx.enumerate_mu(ctx.q + 1):
+            for eta in ctx.enumerate_level(1):
+                rep = fixed_points_surface(ctx, eta, zeta, key)
+                try:
+                    expected = closed_form_fixed_count(ctx, eta, zeta, key)
+                except FieldError:
+                    expected = None
+                grid[(eta.encoding(), zeta.encoding())] = GridCell(
+                    rep.total, rep.sigma_counts, expected)
+        ctx._grid_cache[key] = grid
+    return ctx._grid_cache[key]
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +273,6 @@ class _AbsoluteField:
             self.exp.append(lv.encode(cur))
             cur = lv.mul(cur, gen)
         self.log = {v: i for i, v in enumerate(self.exp)}
-        self.add_table = None
 
     def addk(self, i, j):
         lv = self.level
@@ -299,9 +321,6 @@ class _AbsoluteField:
         return emb
 
 
-_ABS_CACHE: dict = {}
-
-
 def blind_fixed_point_count(ctx: TowerContext, eta, zeta,
                             with_unipotent: bool,
                             max_field_size: int = 4096) -> int:
@@ -314,10 +333,9 @@ def blind_fixed_point_count(ctx: TowerContext, eta, zeta,
     d = 2 * ctx.e * p
     if p ** d > max_field_size:
         raise BudgetExceededError("blind enumeration field too large")
-    key = (p, d)
-    if key not in _ABS_CACHE:
-        _ABS_CACHE[key] = _AbsoluteField(p, d)
-    F = _ABS_CACHE[key]
+    if ctx._abs_field is None:
+        ctx._abs_field = _AbsoluteField(p, d)
+    F = ctx._abs_field
     emb = F.embed_from_level2(ctx)
     if not isinstance(eta, FieldElement):
         eta = ctx.element(1, eta)

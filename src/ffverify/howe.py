@@ -206,8 +206,7 @@ def verify_all(n: int, p: int, e: int, ell: int) -> dict:
     from .cyclotomic import (AdditiveCharacter, CycNumber, conductor,
                              gauss_sum)
     from .varieties import VarietySpec, count_points
-    from .fixed_points import closed_form_fixed_count, differential_vanishes, \
-        fixed_points_surface
+    from .fixed_points import differential_vanishes, fixed_point_grid
     from .traces import (averaged_unipotent_trace,
                          character_difference_at_unipotent,
                          expected_character_difference, sheaf_trace_A2)
@@ -288,13 +287,8 @@ def verify_all(n: int, p: int, e: int, ell: int) -> dict:
                 f"character-difference-n{nn}",
                 expected_character_difference(ctx, nn, psi),
                 character_difference_at_unipotent(ctx, nn, psi)))
-        grid_ok = True
-        for zeta in ctx.enumerate_mu(q + 1):
-            for eta in ctx.enumerate_level(1):
-                for with_u in (True, False):
-                    rep = fixed_points_surface(ctx, eta, zeta, with_u)
-                    if rep.total != closed_form_fixed_count(ctx, eta, zeta, with_u):
-                        grid_ok = False
+        grid_ok = all(cell.matches for with_u in (True, False)
+                      for cell in fixed_point_grid(ctx, with_u).values())
         checks.append(_check("fixed-point-grid-closed-form", True, grid_ok))
         checks.append(_check("endomorphism-differential-vanishes", True,
                              differential_vanishes(ctx, True)

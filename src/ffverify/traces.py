@@ -18,22 +18,7 @@ from fractions import Fraction
 from .fields import TowerContext, FieldError, FieldElement
 from .cyclotomic import (AdditiveCharacter, CycNumber, conductor,
                          gauss_sum, nu_sign)
-from .fixed_points import fixed_points_surface
-
-_GRID_CACHE: dict = {}
-
-
-def fixed_count_grid(ctx: TowerContext, with_unipotent: bool) -> dict:
-    """{(eta encoding, zeta encoding): #Fix} over all eta, zeta."""
-    key = (ctx.p, ctx.e, with_unipotent)
-    if key not in _GRID_CACHE:
-        grid = {}
-        for zeta in ctx.enumerate_mu(ctx.q + 1):
-            for eta in ctx.enumerate_level(1):
-                rep = fixed_points_surface(ctx, eta, zeta, with_unipotent)
-                grid[(eta.encoding(), zeta.encoding())] = rep.total
-        _GRID_CACHE[key] = grid
-    return _GRID_CACHE[key]
+from .fixed_points import fixed_point_grid
 
 
 def sheaf_trace_A2(ctx: TowerContext, zeta: FieldElement,
@@ -42,12 +27,12 @@ def sheaf_trace_A2(ctx: TowerContext, zeta: FieldElement,
     cohomology, Tate-normalized; exact value in Q(zeta_{p(q+1)})."""
     if psi.is_trivial():
         raise FieldError("psi must be nontrivial")
-    grid = fixed_count_grid(ctx, with_unipotent)
+    grid = fixed_point_grid(ctx, with_unipotent)
     m = conductor(ctx)
     zk = ctx.embed(zeta, 2).encoding()
     total = CycNumber.from_rational(m, 0)
     for eta in ctx.enumerate_level(1):
-        total = total + psi.inverse_value(eta) * grid[(eta.encoding(), zk)]
+        total = total + psi.inverse_value(eta) * grid[(eta.encoding(), zk)].total
     return total * Fraction(1, ctx.q ** 2)
 
 

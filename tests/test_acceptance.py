@@ -17,10 +17,10 @@ from ffverify import (AdditiveCharacter, CycNumber, IsotypicLabel,
                       o_minus_table, ordinary_irreps, theta_mod_ell,
                       theta_ordinary, compare_semisimplifications)
 from ffverify.characters import DihedralIrrep, char_of
+from ffverify.fixed_points import fixed_point_grid
 from ffverify.traces import (averaged_unipotent_trace,
                              character_difference_at_unipotent,
-                             expected_character_difference,
-                             fixed_count_grid, sheaf_trace_A2)
+                             expected_character_difference, sheaf_trace_A2)
 
 
 def _report(num: int, name: str, ok: bool):
@@ -35,10 +35,10 @@ TOWERS = {3: (3, 1), 5: (5, 1), 7: (7, 1), 9: (3, 2), 2: (2, 1), 4: (2, 2)}
 
 def _grid_vs_closed_form(q: int, with_unipotent: bool) -> bool:
     ctx = build_tower(*TOWERS[q])
-    grid = fixed_count_grid(ctx, with_unipotent)
+    grid = fixed_point_grid(ctx, with_unipotent)
     for zeta in ctx.enumerate_mu(q + 1):
         for eta in ctx.enumerate_level(1):
-            got = grid[(eta.encoding(), zeta.encoding())]
+            got = grid[(eta.encoding(), zeta.encoding())].total
             want = closed_form_fixed_count(ctx, eta, zeta, with_unipotent)
             if got != want:
                 return False

@@ -110,11 +110,6 @@ def test_fixed_points_csv(capsys):
     assert len(lines) == 1 + 2 * 3 * 4
 
 
-def test_workers_must_be_positive(capsys):
-    code, _, _ = run(capsys, ["count", "--p", "3", "--workers", "0"])
-    assert code == 2
-
-
 def test_output_is_deterministic(capsys):
     argv = ["howe", "--p", "2", "--n", "2", "--ell", "3"]
     _, first, _ = run(capsys, argv)

@@ -1,0 +1,54 @@
+"""Byte-identical stdout for a fixed matrix of CLI and script calls.
+
+The files under `tests/golden/` pin the exact output; a refactor that
+changes a single byte of it fails here.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from ffverify.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
+
+CLI_CASES = [
+    ("fixed-points_p3.json", ["fixed-points", "--p", "3", "--format", "json"]),
+    ("fixed-points_p3.csv", ["fixed-points", "--p", "3", "--format", "csv"]),
+    ("fixed-points_p3.md", ["fixed-points", "--p", "3", "--format", "md"]),
+    ("fixed-points_p2.json", ["fixed-points", "--p", "2", "--format", "json"]),
+    ("verify_p3_n2_ell5.json",
+     ["verify", "--p", "3", "--n", "2", "--ell", "5", "--format", "json"]),
+    ("verify_p3_n2_ell5.md",
+     ["verify", "--p", "3", "--n", "2", "--ell", "5", "--format", "md"]),
+]
+
+SCRIPT_CASES = [
+    ("fixed_point_grid_p3_blind.txt", ["--p", "3", "--blind"]),
+    ("fixed_point_grid_p2.txt", ["--p", "2"]),
+]
+
+
+@pytest.mark.parametrize("name,argv", CLI_CASES, ids=[c[0] for c in CLI_CASES])
+def test_cli_stdout_matches_golden(name, argv, capsys):
+    code = main(argv)
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out == (GOLDEN / name).read_text()
+
+
+@pytest.mark.parametrize("name,argv", SCRIPT_CASES,
+                         ids=[c[0] for c in SCRIPT_CASES])
+def test_fixed_point_grid_script_matches_golden(name, argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "fixed_point_grid.py")] + argv,
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (GOLDEN / name).read_text()

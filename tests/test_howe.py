@@ -1,5 +1,7 @@
 """Theta tables, semisimplification comparison and the global verifier."""
 
+import sys
+
 import pytest
 
 from ffverify import (CharacterError, brauer_irreps,
@@ -118,6 +120,29 @@ def test_verifier_passes_odd_characteristic():
     assert "gauss-square" in names
     assert "fixed-point-grid-closed-form" in names
     assert "torsor-ratio-n2" in names
+
+
+def test_verifier_enumerates_the_fixed_point_grid_once(monkeypatch):
+    import ffverify
+    from ffverify import build_tower, fixed_points
+
+    build_tower.cache_clear()
+    real = fixed_points.fixed_points_surface
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    # rebind every module-level reference, so a second enumerator that
+    # imported the solver by name is counted too
+    for mod in [ffverify] + [m for name, m in sys.modules.items()
+                             if name.startswith("ffverify.")]:
+        if getattr(mod, "fixed_points_surface", None) is real:
+            monkeypatch.setattr(mod, "fixed_points_surface", counting)
+    verify_all(2, 3, 1, 5)
+    q = 3
+    assert len(calls) == 2 * q * (q + 1)
 
 
 def test_verifier_passes_characteristic_two():

@@ -6,10 +6,10 @@ from fractions import Fraction
 from ffverify import (AdditiveCharacter, CycNumber, build_tower, conductor,
                       gauss_sum)
 from ffverify.fields import FieldError
+from ffverify.fixed_points import fixed_point_grid
 from ffverify.traces import (averaged_unipotent_trace,
                              character_difference_at_unipotent,
-                             expected_character_difference,
-                             fixed_count_grid, sheaf_trace_A2)
+                             expected_character_difference, sheaf_trace_A2)
 
 
 @pytest.mark.parametrize("p,e", [(3, 1), (5, 1)])
@@ -71,8 +71,8 @@ def test_character_difference_for_other_psi():
 
 def test_grid_shape_and_cache():
     ctx = build_tower(3, 1)
-    g1 = fixed_count_grid(ctx, True)
-    g2 = fixed_count_grid(ctx, True)
+    g1 = fixed_point_grid(ctx, True)
+    g2 = fixed_point_grid(ctx, True)
     assert g1 is g2
     assert len(g1) == (ctx.q + 1) * ctx.q
 
@@ -81,12 +81,12 @@ def test_untwisted_trace_unrolls_to_the_eta_sum():
     # q = 3 sanity: (1/9) (40 * 1 + 13 * sum_{eta != 0} psi^{-1}(eta))
     # = (40 - 13) / 9 = 3
     ctx = build_tower(3, 1)
-    grid = fixed_count_grid(ctx, False)
+    grid = fixed_point_grid(ctx, False)
     zk = ctx.one(2).encoding()
-    assert grid[(ctx.zero(1).encoding(), zk)] == 40
+    assert grid[(ctx.zero(1).encoding(), zk)].total == 40
     for eta in ctx.enumerate_level(1):
         if not eta.is_zero():
-            assert grid[(eta.encoding(), zk)] == 13
+            assert grid[(eta.encoding(), zk)].total == 13
     psi = AdditiveCharacter(ctx, 1)
     v = sheaf_trace_A2(ctx, ctx.one(2), False, psi)
     assert v == CycNumber.from_rational(conductor(ctx), 3)
