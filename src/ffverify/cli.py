@@ -2,7 +2,8 @@
 
 Subcommands: count, verify, howe, gauss, fixed-points.  Output is
 deterministic (byte-identical across runs for the same arguments).
-Exit codes: 0 success, 1 verification failure, 2 usage or budget error.
+Exit codes: 0 success, 1 verification failure, 2 usage or budget error,
+3 internal error (an exception the tool does not expect).
 The environment variable FFVERIFY_OUTDIR sets the default directory for
 --output paths that are not absolute.
 """
@@ -44,6 +45,9 @@ def _json_dumps(obj) -> str:
 
 
 def cmd_count(args) -> int:
+    if args.torsor and args.level != 2:
+        raise UsageError("--torsor checks the count ratio q+1, which "
+                         "holds over F_{q^2} only: use --level 2")
     ctx = build_tower(args.p, args.e)
     rows = []
     if args.torsor:
@@ -227,6 +231,9 @@ def main(argv=None) -> int:
             CharacterError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except Exception as exc:
+        sys.stderr.write(f"internal error: {exc}\n")
+        return 3
 
 
 if __name__ == "__main__":

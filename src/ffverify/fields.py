@@ -11,6 +11,7 @@ integer encoding sum(c_i * p^i) fixes a total order used everywhere a
 from __future__ import annotations
 
 import itertools
+import struct
 from functools import lru_cache
 
 
@@ -562,7 +563,17 @@ class ArtinSchreierExtension:
 
     Elements are tuples of length p of level-2 coefficient tuples
     (coefficients of powers of t, low degree first).
+
+    mul and frob work on packed vectors: the flattened F_p-coordinates
+    of an element (see flatten) as one integer with a _SLOT-bit slot
+    per coordinate.  A sum of packed vectors is one integer addition;
+    the slots are reduced mod p once, when the result is unpacked.  No
+    slot can overflow, since p <= 13 in every tower: in mul it sums at
+    most p^2 table entries of at most 2(p - 1) each, in frob dim terms
+    of at most (p - 1)^2 each.
     """
+
+    _SLOT = 32  # bits, read back as the little-endian "I" fields of _slots
 
     def __init__(self, tower: TowerContext):
         self.tower = tower
@@ -580,6 +591,42 @@ class ArtinSchreierExtension:
         self.dim = self.p * self.base.degree  # F_p-dimension
         self.zero = tuple(self.base.zero for _ in range(self.p))
         self.one = (self.base.one,) + tuple(self.base.zero for _ in range(self.p - 1))
+        self._slots = struct.Struct(f"<{self.dim}I")
+        self._build_product_tables()
+        self._frob_cols = None  # the matrix of x -> x^q, built by frob
+
+    def _build_product_tables(self):
+        """Log table of F_{q^2}^* and the packed products for mul.
+
+        With g the tower's generator of F_{q^2}^* = mu_{q^2-1},
+        _log[g^w] = w and _products[k][w] is the packed vector of
+        g^w t^k for k < 2p - 1, reduced by t^p = t + c.
+        """
+        base, p = self.base, self.p
+        order = base.size - 1
+        g = self.tower.mu_generator(order).coeffs
+        exp = [base.one]
+        for _ in range(order - 1):
+            exp.append(base.mul(exp[-1], g))
+        self._log = {a: w for w, a in enumerate(exp)}
+        log_c = self._log[self.c]
+        shift = self._SLOT * base.degree
+
+        def term(k, w):
+            if k < p:
+                return self._pack(exp[w % order]) << (shift * k)
+            return term(k - p + 1, w) + term(k - p, w + log_c)
+
+        self._products = [[term(k, w) for w in range(2 * order - 1)]
+                          for k in range(2 * p - 1)]
+
+    def _pack(self, vec):
+        return sum(v << (self._SLOT * i) for i, v in enumerate(vec))
+
+    def _unpack(self, acc):
+        p = self.p
+        slots = self._slots.unpack(acc.to_bytes(self._slots.size, "little"))
+        return self.unflatten([v % p for v in slots])
 
     def from_base(self, x: FieldElement):
         x = self.tower.embed(x, 2)
@@ -591,29 +638,30 @@ class ArtinSchreierExtension:
         return tuple(out)
 
     def add(self, a, b):
-        return tuple(self.base.add(x, y) for x, y in zip(a, b))
+        p = self.p
+        return self.unflatten([(x + y) % p
+                               for x, y in zip(self.flatten(a), self.flatten(b))])
 
     def sub(self, a, b):
-        return tuple(self.base.sub(x, y) for x, y in zip(a, b))
+        p = self.p
+        return self.unflatten([(x - y) % p
+                               for x, y in zip(self.flatten(a), self.flatten(b))])
 
     def neg(self, a):
-        return tuple(self.base.neg(x) for x in a)
+        p = self.p
+        return self.unflatten([-x % p for x in self.flatten(a)])
 
     def mul(self, a, b):
-        p = self.p
-        out = [self.base.zero] * (2 * p - 1)
-        for i, ai in enumerate(a):
-            if ai != self.base.zero:
-                for j, bj in enumerate(b):
-                    out[i + j] = self.base.add(out[i + j], self.base.mul(ai, bj))
-        # reduce with t^p = t + c
-        for k in range(2 * p - 2, p - 1, -1):
-            coeff = out[k]
-            if coeff != self.base.zero:
-                out[k] = self.base.zero
-                out[k - p + 1] = self.base.add(out[k - p + 1], coeff)
-                out[k - p] = self.base.add(out[k - p], self.base.mul(coeff, self.c))
-        return tuple(out[:p])
+        """Schoolbook product through the log table of F_{q^2},
+        skipping zero coefficients on both sides."""
+        log, products = self._log.get, self._products
+        lb = [(j, v) for j, v in enumerate(map(log, b)) if v is not None]
+        acc = 0
+        for i, u in enumerate(map(log, a)):
+            if u is not None:
+                for j, v in lb:
+                    acc += products[i + j][u + v]
+        return self._unpack(acc)
 
     def pow(self, a, n):
         result = self.one
@@ -624,17 +672,29 @@ class ArtinSchreierExtension:
             n >>= 1
         return result
 
+    def frob(self, a):
+        """a^q, as the F_p-linear map x -> x^q applied by its matrix.
+
+        The matrix is built once, from pow on the standard basis, and
+        kept as its packed columns.
+        """
+        if self._frob_cols is None:
+            self._frob_cols = [self._pack(self.flatten(self.pow(b, self.tower.q)))
+                               for b in self.basis()]
+        acc = 0
+        for c, col in zip(self.flatten(a), self._frob_cols):
+            if c:
+                acc += c * col
+        return self._unpack(acc)
+
     # -- F_p-linear algebra ---------------------------------------------------
 
     def flatten(self, a):
-        out = []
-        for coeff in a:
-            out.extend(coeff)
-        return out
+        return list(itertools.chain.from_iterable(a))
 
     def unflatten(self, vec):
-        d = self.base.degree
-        return tuple(tuple(vec[i * d:(i + 1) * d]) for i in range(self.p))
+        # p consecutive runs of base.degree entries
+        return tuple(zip(*[iter(vec)] * self.base.degree))
 
     def basis(self):
         for i in range(self.dim):

@@ -50,33 +50,35 @@ def coordinate_extension(ctx: TowerContext) -> ArtinSchreierExtension:
     return ctx._coordinate_ext
 
 
-def _surface_holds(K: ArtinSchreierExtension, q: int, P) -> bool:
+def _surface_holds(K: ArtinSchreierExtension, P) -> bool:
     z0, z1, z2, z3 = P
-    lhs = K.sub(K.mul(K.pow(z2, q), z3), K.mul(z2, K.pow(z3, q)))
-    rhs = K.sub(K.mul(z0, K.pow(z1, q)), K.mul(K.pow(z0, q), z1))
+    lhs = K.sub(K.mul(K.frob(z2), z3), K.mul(z2, K.frob(z3)))
+    rhs = K.sub(K.mul(z0, K.frob(z1)), K.mul(K.frob(z0), z1))
     return lhs == rhs
 
 
-def _apply_endo(K: ArtinSchreierExtension, q: int, zeta_k, eta_k, with_u: bool, P):
+def _apply_endo(K: ArtinSchreierExtension, zeta_k, eta_k, with_u: bool, P):
     z0, z1, z2, z3 = P
-    if with_u:
-        w0 = K.pow(K.add(z0, z1), q)
-    else:
-        w0 = K.pow(z0, q)
-    w1 = K.pow(z1, q)
-    w2 = K.mul(zeta_k, K.pow(K.add(z2, K.mul(eta_k, z3)), q))
-    w3 = K.mul(zeta_k, K.pow(z3, q))
+    w0 = K.frob(K.add(z0, z1) if with_u else z0)
+    w1 = K.frob(z1)
+    w2 = K.mul(zeta_k, K.frob(K.add(z2, K.mul(eta_k, z3))))
+    w3 = K.mul(zeta_k, K.frob(z3))
     return (w0, w1, w2, w3)
 
 
 def _projectively_equal(K: ArtinSchreierExtension, P, Q) -> bool:
-    # all 2x2 minors of the 2x4 matrix (P; Q) vanish
+    """All 2x2 minors of the 2x4 matrix (P; Q) vanish.
+
+    For P != 0 the three minors through the first nonzero coordinate i
+    of P suffice: they give Q = (Q[i] / P[i]) P, and then every minor
+    vanishes.  For P = 0 all six are tested.
+    """
     for i in range(4):
-        for j in range(i + 1, 4):
-            m = K.sub(K.mul(P[i], Q[j]), K.mul(P[j], Q[i]))
-            if m != K.zero:
-                return False
-    return True
+        if P[i] != K.zero:
+            return all(K.mul(P[i], Q[j]) == K.mul(P[j], Q[i])
+                       for j in range(4) if j != i)
+    return all(K.mul(P[i], Q[j]) == K.mul(P[j], Q[i])
+               for i in range(4) for j in range(i + 1, 4))
 
 
 def fixed_points_surface(ctx: TowerContext, eta, zeta,
@@ -99,51 +101,49 @@ def fixed_points_surface(ctx: TowerContext, eta, zeta,
     zeta_k = K.from_base(zeta)
     neg_eta_k = K.neg(eta_k)
 
-    def frob_q(a):
-        return K.pow(a, q)
-
     points = []
     sigma_counts = {}
 
     # In the chart Z3 = 1 both variants need z^q - z = -eta.
-    z_solutions = K.solve_affine(lambda a: K.sub(frob_q(a), a), neg_eta_k)
+    z_solutions = K.solve_affine(lambda a: K.sub(K.frob(a), a), neg_eta_k)
+    # Both variants use the coset {a in F_{q^2} : a^q = zeta a}, kept
+    # as pairs (a, a^q).
+    neg_eta = -ctx.embed(eta, 2)
+    coset = []
+    for a in ctx.enumerate_level(2):
+        a_q = ctx.frobenius_q(a)
+        if a_q == zeta * a:
+            coset.append((a, a_q))
     if with_unipotent:
         # Stratum 1 (chart Z3 = 1): y^q = zeta y, zeta y^2 = -eta,
         # x^q - zeta x = -zeta y.
         s1 = []
-        for y in ctx.enumerate_level(2):
-            if ctx.frobenius_q(y) != zeta * y:
-                continue
-            if zeta * y * y != -ctx.embed(eta, 2):
+        for y, _ in coset:
+            if zeta * y * y != neg_eta:
                 continue
             y_k = K.from_base(y)
             rhs = K.neg(K.mul(zeta_k, y_k))
-            xs = K.solve_affine(lambda a: K.sub(frob_q(a), K.mul(zeta_k, a)), rhs)
+            xs = K.solve_affine(lambda a: K.sub(K.frob(a), K.mul(zeta_k, a)), rhs)
             for x in xs:
                 for z in z_solutions:
                     s1.append((x, y_k, z, K.one))
         # Stratum 2 (boundary): [z : 0 : 1 : 0] with z^q = zeta z,
         # together with [1 : 0 : 0 : 0].
-        s2 = []
-        for z in ctx.enumerate_level(2):
-            if ctx.frobenius_q(z) == zeta * z:
-                s2.append((K.from_base(z), K.zero, K.one, K.zero))
+        s2 = [(K.from_base(z), K.zero, K.one, K.zero) for z, _ in coset]
         s2.append((K.one, K.zero, K.zero, K.zero))
         strata = {"sigma1": s1, "sigma2": s2}
     else:
         # Stratum 1 (chart Z3 = 1): x^q = zeta x, y^q = zeta y,
         # x y^q - x^q y = -eta.
-        coset = [a for a in ctx.enumerate_level(2)
-                 if ctx.frobenius_q(a) == zeta * a]
         s1 = []
-        for x in coset:
-            for y in coset:
-                if x * ctx.frobenius_q(y) - ctx.frobenius_q(x) * y == -ctx.embed(eta, 2):
+        for x, x_q in coset:
+            for y, y_q in coset:
+                if x * y_q - x_q * y == neg_eta:
                     for z in z_solutions:
                         s1.append((K.from_base(x), K.from_base(y), z, K.one))
         # Stratum 2: [x : y : 1 : 0] with x, y in the same coset.
         s2 = [(K.from_base(x), K.from_base(y), K.one, K.zero)
-              for x in coset for y in coset]
+              for x, _ in coset for y, _ in coset]
         # Stratum 3: the rational line [Z0 : Z1 : 0 : 0] over F_q.
         s3 = [(K.one, K.from_base(ctx.embed(a, 2)), K.zero, K.zero)
               for a in ctx.enumerate_level(1)]
@@ -152,9 +152,9 @@ def fixed_points_surface(ctx: TowerContext, eta, zeta,
 
     for name, pts in strata.items():
         for P in pts:
-            if not _surface_holds(K, q, P):
+            if not _surface_holds(K, P):
                 raise FieldError(f"reported point violates the surface equation ({name})")
-            img = _apply_endo(K, q, zeta_k, eta_k, with_unipotent, P)
+            img = _apply_endo(K, zeta_k, eta_k, with_unipotent, P)
             if not _projectively_equal(K, P, img):
                 raise FieldError(f"reported point is not fixed ({name})")
         sigma_counts[name] = len(pts)

@@ -267,8 +267,8 @@ def verify_all(n: int, p: int, e: int, ell: int) -> dict:
     yt2 = count_points(ctx, VarietySpec("Ytilde", 2), 2)
     checks.append(_check("torsor-ratio-n2", (q + 1) * y2, yt2))
 
-    # trace identities (odd characteristic, small q)
-    if p != 2 and q <= 7:
+    # trace identities (odd characteristic: q = 3, 5, 7, 9, 11, 13)
+    if p != 2:
         psi = AdditiveCharacter(ctx, 1)
         m = conductor(ctx)
         g = gauss_sum(ctx, psi)

@@ -42,6 +42,16 @@ def test_count_torsor(capsys):
     assert blob["ratio"] == 4
 
 
+@pytest.mark.parametrize("level", ["1", "4"])
+def test_count_torsor_needs_level_two(capsys, level):
+    code, out, err = run(capsys, ["count", "--p", "3", "--torsor", "--n", "2",
+                                  "--level", level])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --torsor")
+    assert "F_{q^2}" in err
+
+
 def test_count_budget_exceeded_exits_2(capsys):
     code, _, err = run(capsys, ["count", "--p", "3", "--variety", "Ytilde",
                                 "--n", "3", "--level", "4", "--budget", "10"])
@@ -134,6 +144,19 @@ def test_output_file_and_outdir_env(tmp_path, capsys, monkeypatch):
     assert code == 0 and out == ""
     blob = json.loads((tmp_path / "g.json").read_text())
     assert blob["identity_holds"] is True
+
+
+def test_internal_error_exits_3(capsys, monkeypatch):
+    import ffverify.cli as cli
+
+    def crash(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_gauss", crash)
+    code, out, err = run(capsys, ["gauss", "--p", "5"])
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: boom\n"
 
 
 def test_console_script_is_installed():

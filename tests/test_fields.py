@@ -1,5 +1,8 @@
 """Field tower arithmetic: axioms, embeddings, traces and norms."""
 
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -254,3 +257,65 @@ def test_artin_schreier_solve_affine(p, e):
     assert len(sols) == q
     for s in sols:
         assert art(s) == rhs
+
+
+def _every_element(K):
+    return [K.unflatten(list(v))
+            for v in itertools.product(range(K.p), repeat=K.dim)]
+
+
+def _sample_elements(K, count, seed=0):
+    """A fixed sample: zero, one, t, an element of the base, then
+    pseudo-random dense elements."""
+    rnd = random.Random(seed)
+    sample = [K.zero, K.one, K.t(), K.from_base(K.tower.element(2, 3))]
+    sample += [K.unflatten([rnd.randrange(K.p) for _ in range(K.dim)])
+               for _ in range(count)]
+    return sample
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2)])
+def test_frobenius_matrix_is_the_q_power_everywhere(p, e):
+    K = ArtinSchreierExtension(build_tower(p, e))
+    q = K.tower.q
+    for a in _every_element(K):
+        assert K.frob(a) == K.pow(a, q)
+
+
+@pytest.mark.parametrize("p,e", [(5, 1), (3, 2)])
+def test_frobenius_matrix_is_the_q_power_on_a_sample(p, e):
+    K = ArtinSchreierExtension(build_tower(p, e))
+    q = K.tower.q
+    for a in _sample_elements(K, 60):
+        assert K.frob(a) == K.pow(a, q)
+
+
+def _schoolbook_mul(K, a, b):
+    """Product in K from Level.mul alone: the independent route."""
+    base, p = K.base, K.p
+    out = [base.zero] * (2 * p - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = base.add(out[i + j], base.mul(x, y))
+    for k in range(2 * p - 2, p - 1, -1):  # t^k = t^(k-p+1) + c t^(k-p)
+        out[k - p + 1] = base.add(out[k - p + 1], out[k])
+        out[k - p] = base.add(out[k - p], base.mul(out[k], K.c))
+    return tuple(out[:p])
+
+
+def test_mul_matches_schoolbook_on_every_pair():
+    K = ArtinSchreierExtension(build_tower(2, 1))
+    elements = _every_element(K)
+    for a in elements:
+        for b in elements:
+            assert K.mul(a, b) == _schoolbook_mul(K, a, b)
+
+
+@pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (2, 2), (3, 2), (2, 3),
+                                 (13, 1)])
+def test_mul_matches_schoolbook_on_a_sample(p, e):
+    K = ArtinSchreierExtension(build_tower(p, e))
+    sample = _sample_elements(K, 12, seed=p * 10 + e)
+    for a in sample:
+        for b in sample:
+            assert K.mul(a, b) == _schoolbook_mul(K, a, b)

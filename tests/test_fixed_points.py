@@ -23,7 +23,6 @@ def test_report_is_internally_consistent():
 def test_every_point_satisfies_all_equations():
     ctx = build_tower(3, 1)
     K = coordinate_extension(ctx)
-    q = ctx.q
     for with_u in (True, False):
         for zeta in ctx.enumerate_mu(4):
             for eta in ctx.enumerate_level(1):
@@ -31,8 +30,8 @@ def test_every_point_satisfies_all_equations():
                 ek = K.from_base(ctx.embed(eta, 2))
                 rep = fixed_points_surface(ctx, eta, zeta, with_u)
                 for P in rep.points:
-                    assert _surface_holds(K, q, P)
-                    Q = _apply_endo(K, q, zk, ek, with_u, P)
+                    assert _surface_holds(K, P)
+                    Q = _apply_endo(K, zk, ek, with_u, P)
                     assert _projectively_equal(K, P, Q)
 
 
@@ -130,3 +129,37 @@ def test_differential_of_displacement_is_invertible(p, e):
     ctx = build_tower(p, e)
     assert differential_vanishes(ctx, True)
     assert differential_vanishes(ctx, False)
+
+
+def _six_minors_vanish(K, P, Q):
+    """The definition: every 2x2 minor of (P; Q) is zero."""
+    return all(K.sub(K.mul(P[i], Q[j]), K.mul(P[j], Q[i])) == K.zero
+               for i in range(4) for j in range(i + 1, 4))
+
+
+def test_projective_equality_matches_the_six_minors():
+    ctx = build_tower(3, 1)
+    K = coordinate_extension(ctx)
+    a = K.from_base(ctx.element(2, 5))
+    b = K.add(K.t(), K.one)
+    c = K.mul(K.t(), K.t())
+    lam = K.add(K.t(), a)
+    points = [(K.one, a, b, c), (K.zero, a, K.zero, c), (K.zero, K.zero, b, K.zero),
+              (a, K.zero, K.zero, K.zero), (K.zero,) * 4]
+    pairs = []
+    for P in points:
+        pairs.append((P, P))
+        pairs.append((P, tuple(K.mul(lam, x) for x in P)))      # scalar multiple
+        pairs.append((P, tuple(K.mul(K.zero, x) for x in P)))   # Q = 0
+        for k in range(4):                                      # break one entry
+            Q = list(P)
+            Q[k] = K.add(Q[k], K.one)
+            pairs.append((P, tuple(Q)))
+        for R in points:
+            pairs.append((P, R))
+    outcomes = set()
+    for P, Q in pairs:
+        expected = _six_minors_vanish(K, P, Q)
+        assert _projectively_equal(K, P, Q) == expected
+        outcomes.add(expected)
+    assert outcomes == {True, False}

@@ -25,6 +25,19 @@ CLI_CASES = [
      ["verify", "--p", "3", "--n", "2", "--ell", "5", "--format", "json"]),
     ("verify_p3_n2_ell5.md",
      ["verify", "--p", "3", "--n", "2", "--ell", "5", "--format", "md"]),
+    ("count_p3_n2_level2.csv",
+     ["count", "--p", "3", "--variety", "Ytilde", "X", "S", "Y", "--n", "2",
+      "--level", "2", "--format", "csv"]),
+    ("count_p3_torsor_n2_level2.csv",
+     ["count", "--p", "3", "--torsor", "--n", "2", "--level", "2",
+      "--format", "csv"]),
+    ("count_p3_torsor_n2_level2.json",
+     ["count", "--p", "3", "--torsor", "--n", "2", "--level", "2",
+      "--format", "json"]),
+    ("howe_p5_n2_ell3.md",
+     ["howe", "--p", "5", "--n", "2", "--ell", "3", "--format", "md"]),
+    ("gauss_p5.json", ["gauss", "--p", "5", "--format", "json"]),
+    ("gauss_p5.md", ["gauss", "--p", "5", "--format", "md"]),
 ]
 
 SCRIPT_CASES = [

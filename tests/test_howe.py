@@ -122,6 +122,17 @@ def test_verifier_passes_odd_characteristic():
     assert "torsor-ratio-n2" in names
 
 
+def test_verifier_runs_the_trace_and_grid_checks_at_q9():
+    report = verify_all(2, 3, 2, 5)
+    checks = {c["name"]: c["pass"] for c in report["checks"]}
+    for name in ("gauss-square", "plain-trace-constant-q",
+                 "averaged-unipotent-trace-gauss", "character-difference-n1",
+                 "character-difference-n2", "fixed-point-grid-closed-form",
+                 "endomorphism-differential-vanishes"):
+        assert checks.get(name) is True, name
+    assert report["all_passed"]
+
+
 def test_verifier_enumerates_the_fixed_point_grid_once(monkeypatch):
     import ffverify
     from ffverify import build_tower, fixed_points
