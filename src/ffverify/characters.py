@@ -199,24 +199,18 @@ def ell_regular_classes(q: int, ell: int) -> list[DihedralClass]:
     return [c for c in conjugacy_classes(q) if c.element_order % ell != 0]
 
 
-def irrep_value(q: int, irrep: DihedralIrrep, cls: DihedralClass,
-                conductor: int | None = None) -> CycNumber:
-    """Exact character value; lives in Q(zeta_{p(q+1)}) by default."""
-    m_small = q + 1
-    m = conductor if conductor is not None else char_of(q) * m_small
-    step = m // m_small  # zeta_{q+1} = zeta_m^step
+def irrep_value(q: int, irrep: DihedralIrrep, cls: DihedralClass) -> CycNumber:
+    """Exact character value, in Q(zeta_{q+1})."""
+    m = q + 1
     if irrep.kind == "one":
-        sign = 1
-        if irrep.xi:  # the order-2 character
-            sign = (-1) ** cls.rep if cls.kind == "rot" else (-1) ** cls.rep
+        sign = (-1) ** cls.rep if irrep.xi else 1  # xi != 0: the order-2 character
         if cls.kind == "refl":
             sign *= 1 if irrep.kappa == "+" else -1
         return CycNumber.from_rational(m, sign)
     if cls.kind == "refl":
         return CycNumber.from_rational(m, 0)
-    e = (irrep.xi * cls.rep) % m_small
-    return (CycNumber.root_of_unity(m, step * e)
-            + CycNumber.root_of_unity(m, (-step * e) % m))
+    e = (irrep.xi * cls.rep) % m
+    return CycNumber.root_of_unity(m, e) + CycNumber.root_of_unity(m, -e % m)
 
 
 @dataclass
@@ -283,9 +277,8 @@ def o_minus_table(q: int, mode: str = "ordinary",
                   ell: int | None = None) -> CharacterTable:
     """Character table of the dihedral group of order 2(q+1).
 
-    mode "ordinary": full table over Q(zeta); mode "mod-ell": Brauer
-    character table on l-regular classes."""
-    m = char_of(q) * (q + 1)
+    mode "ordinary": full table over Q(zeta_{q+1}); mode "mod-ell":
+    Brauer character table on l-regular classes."""
     if mode == "ordinary":
         classes = conjugacy_classes(q)
         irreps = ordinary_irreps(q)
@@ -298,9 +291,9 @@ def o_minus_table(q: int, mode: str = "ordinary",
             raise CharacterError("Brauer table is not square")
     else:
         raise CharacterError(f"unknown mode {mode!r}")
-    values = [[irrep_value(q, r, c, m) for c in classes] for r in irreps]
+    values = [[irrep_value(q, r, c) for c in classes] for r in irreps]
     return CharacterTable(q, mode, ell if mode == "mod-ell" else None,
-                          m, classes, irreps, values)
+                          q + 1, classes, irreps, values)
 
 
 def brauer_decompose(q: int, ell: int, irrep: DihedralIrrep) -> list:
@@ -317,7 +310,7 @@ def brauer_decompose(q: int, ell: int, irrep: DihedralIrrep) -> list:
     # augmented matrix: columns are Brauer rows transposed, rhs is the
     # restricted ordinary character
     aug = [[table.values[j][i] for j in range(len(cols))]
-           + [irrep_value(q, irrep, classes[i], m)]
+           + [irrep_value(q, irrep, classes[i])]
            for i in range(nrow)]
     ncol = len(cols)
     row = 0

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import struct
 from functools import lru_cache
+from math import gcd
 
 
 class FieldError(ValueError):
@@ -172,6 +173,7 @@ class Level:
             red.append(cur)
             cur = self._shift_reduce(cur)
         self._red = red
+        self._log_tables = None  # built by log_tables
 
     def _shift_reduce(self, c):
         shifted = (0,) + tuple(c)
@@ -218,6 +220,31 @@ class Level:
                 for i, r in enumerate(self._red[k - d]):
                     low[i] = (low[i] + c * r) % p
         return self._pad(_trim(low))
+
+    def log_tables(self):
+        """(exp, log) for g, the primitive element of least encoding.
+
+        exp[w] is the encoding of g^w for 0 <= w < size - 1, and log[k]
+        is the exponent of the element with encoding k (None at k = 0).
+        Built on first use and kept on the level.
+        """
+        if self._log_tables is None:
+            order = self.size - 1
+            for k in range(1, self.size):
+                g = self.decode(k)
+                if all(self.pow(g, order // t) != self.one
+                       for t in prime_factors(order)):
+                    break
+            exp = [self.encode(self.one)]
+            cur = self.one
+            for _ in range(order - 1):
+                cur = self.mul(cur, g)
+                exp.append(self.encode(cur))
+            log = [None] * self.size
+            for w, k in enumerate(exp):
+                log[k] = w
+            self._log_tables = (exp, log)
+        return self._log_tables
 
     def pow(self, a, n):
         if n < 0:
@@ -361,10 +388,8 @@ class TowerContext:
             (2, 4): self._powers(r24, self.levels[4], self.levels[2].degree),
         }
         self._down = {}
-        self._mu_cache = {}
-        self._dlog_cache = {}
         # Filled on first use by fixed_points: the Artin-Schreier
-        # coordinate field, the blind scan's absolute field and the
+        # coordinate field, the blind scan's absolute model and the
         # fixed point grid of each endomorphism variant.
         self._coordinate_ext = None
         self._abs_field = None
@@ -484,41 +509,35 @@ class TowerContext:
         lv = self.levels[key]
         return [FieldElement(self, key, a) for a in lv.elements()]
 
-    def enumerate_mu(self, m: int) -> list[FieldElement]:
-        if m < 1 or (self.q * self.q - 1) % m != 0:
+    def _mu_step(self, m: int) -> int:
+        """(q^2 - 1) / m: mu_m is generated by g^step, g the primitive
+        element of F_{q^2} read off log_tables."""
+        order = self.q * self.q - 1
+        if m < 1 or order % m != 0:
             raise FieldError(f"m = {m} does not divide q^2 - 1")
-        if m not in self._mu_cache:
-            lv = self.levels[2]
-            out = []
-            for k in range(lv.size):
-                a = lv.decode(k)
-                if a != lv.zero and lv.pow(a, m) == lv.one:
-                    out.append(FieldElement(self, 2, a))
-            if len(out) != m:
-                raise FieldError("mu enumeration failed")
-            self._mu_cache[m] = out
-        return list(self._mu_cache[m])
+        return order // m
+
+    def enumerate_mu(self, m: int) -> list[FieldElement]:
+        """mu_m in encoding order."""
+        exp, _ = self.levels[2].log_tables()
+        return [self.from_encoding(2, k) for k in sorted(exp[::self._mu_step(m)])]
 
     def mu_generator(self, m: int) -> FieldElement:
-        for a in self.enumerate_mu(m):
-            if all((a ** (m // t)).coeffs != self.levels[2].one for t in prime_factors(m)) or m == 1:
-                return a
-        raise FieldError("no generator found")
+        """The generator of mu_m of least encoding."""
+        step = self._mu_step(m)
+        exp, _ = self.levels[2].log_tables()
+        return self.from_encoding(
+            2, min(exp[j * step] for j in range(m) if gcd(j, m) == 1))
 
     def discrete_log_mu(self, zeta: FieldElement, m: int) -> int:
-        if m not in self._dlog_cache:
-            g = self.mu_generator(m)
-            table = {}
-            cur = self.one(2)
-            for k in range(m):
-                table[cur.coeffs] = k
-                cur = cur * g
-            self._dlog_cache[m] = table
-        z = self.embed(zeta, 2)
-        try:
-            return self._dlog_cache[m][z.coeffs]
-        except KeyError:
+        """k with mu_generator(m)^k = zeta."""
+        step = self._mu_step(m)
+        _, log = self.levels[2].log_tables()
+        w = log[self.embed(zeta, 2).encoding()]
+        if w is None or w % step:
             raise FieldError("element is not in mu_m")
+        j = log[self.mu_generator(m).encoding()] // step
+        return w // step * pow(j, -1, m) % m
 
     def f_q_epsilon_set(self, eps: int) -> list[FieldElement]:
         if eps not in (1, -1):
@@ -598,16 +617,13 @@ class ArtinSchreierExtension:
     def _build_product_tables(self):
         """Log table of F_{q^2}^* and the packed products for mul.
 
-        With g the tower's generator of F_{q^2}^* = mu_{q^2-1},
-        _log[g^w] = w and _products[k][w] is the packed vector of
-        g^w t^k for k < 2p - 1, reduced by t^p = t + c.
+        With g the primitive element of base.log_tables, _log[g^w] = w
+        and _products[k][w] is the packed vector of g^w t^k for
+        k < 2p - 1, reduced by t^p = t + c.
         """
         base, p = self.base, self.p
-        order = base.size - 1
-        g = self.tower.mu_generator(order).coeffs
-        exp = [base.one]
-        for _ in range(order - 1):
-            exp.append(base.mul(exp[-1], g))
+        exp = [base.decode(k) for k in base.log_tables()[0]]
+        order = len(exp)
         self._log = {a: w for w, a in enumerate(exp)}
         log_c = self._log[self.c]
         shift = self._SLOT * base.degree

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .fields import (ArtinSchreierExtension, FieldElement, FieldError,
-                     TowerContext, Level, prime_factors)
+                     TowerContext, Level)
 from .cyclotomic import nu_sign
 from .varieties import BudgetExceededError
 
@@ -93,7 +93,9 @@ def fixed_points_surface(ctx: TowerContext, eta, zeta,
         eta = ctx.element(1, eta)
     eta = ctx.project(eta, 1)
     zeta = ctx.embed(zeta, 2)
-    if (zeta ** (q + 1)) != ctx.one(2):
+    exp, log = ctx.levels[2].log_tables()
+    w_zeta = log[zeta.encoding()]
+    if w_zeta is None or w_zeta % (q - 1):  # mu_{q+1} = <g^{q-1}>
         raise FieldError("zeta must lie in mu_{q+1}")
 
     K = coordinate_extension(ctx)
@@ -107,13 +109,14 @@ def fixed_points_surface(ctx: TowerContext, eta, zeta,
     # In the chart Z3 = 1 both variants need z^q - z = -eta.
     z_solutions = K.solve_affine(lambda a: K.sub(K.frob(a), a), neg_eta_k)
     # Both variants use the coset {a in F_{q^2} : a^q = zeta a}, kept
-    # as pairs (a, a^q).
+    # as pairs (a, a^q) in encoding order.  For a = g^w != 0 the
+    # condition reads (q - 1) w = log zeta mod q^2 - 1.
     neg_eta = -ctx.embed(eta, 2)
-    coset = []
-    for a in ctx.enumerate_level(2):
-        a_q = ctx.frobenius_q(a)
-        if a_q == zeta * a:
-            coset.append((a, a_q))
+    order = len(exp)
+    ws = sorted(range(w_zeta // (q - 1), order, q + 1), key=exp.__getitem__)
+    coset = [(ctx.zero(2), ctx.zero(2))] + [
+        (ctx.from_encoding(2, exp[w]), ctx.from_encoding(2, exp[w * q % order]))
+        for w in ws]
     if with_unipotent:
         # Stratum 1 (chart Z3 = 1): y^q = zeta y, zeta y^2 = -eta,
         # x^q - zeta x = -zeta y.
@@ -249,76 +252,20 @@ def differential_vanishes(ctx: TowerContext, with_unipotent: bool) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Blind cross-check at q = 3: enumerate the surface over an absolute
-# model of F_{q^{2p}} (built independently of the Artin-Schreier
-# extension) and test each point for fixedness directly.
+# Blind cross-check at q = 2, 3 and 4: enumerate the surface over an
+# absolute model of F_{q^{2p}}, F_p[x]/(lex-least irreducible of degree
+# 2ep), built independently of the Artin-Schreier extension, and test
+# each point for fixedness directly.
 
-class _AbsoluteField:
-    """F_{p^d} as an absolute extension with log tables for speed."""
-
-    def __init__(self, p: int, d: int):
-        self.level = Level(p, d)
-        self.N = self.level.size
-        lv = self.level
-        gen = None
-        for k in range(1, self.N):
-            a = lv.decode(k)
-            if all(lv.pow(a, (self.N - 1) // t) != lv.one
-                   for t in prime_factors(self.N - 1)):
-                gen = a
-                break
-        self.exp = []
-        cur = lv.one
-        for _ in range(self.N - 1):
-            self.exp.append(lv.encode(cur))
-            cur = lv.mul(cur, gen)
-        self.log = {v: i for i, v in enumerate(self.exp)}
-
-    def addk(self, i, j):
-        lv = self.level
-        return lv.encode(lv.add(lv.decode(i), lv.decode(j)))
-
-    def mulk(self, i, j):
-        if i == 0 or j == 0:
-            return 0
-        return self.exp[(self.log[i] + self.log[j]) % (self.N - 1)]
-
-    def powk(self, i, n):
-        if i == 0:
-            return 0
-        return self.exp[(self.log[i] * n) % (self.N - 1)]
-
-    def negk(self, i):
-        lv = self.level
-        return lv.encode(lv.neg(lv.decode(i)))
-
-    def subk(self, i, j):
-        return self.addk(i, self.negk(j))
-
-    def embed_from_level2(self, ctx: TowerContext):
-        """Map from the tower's F_{q^2} by root-finding in this field."""
-        lv = self.level
-        f = ctx.levels[2].modulus
-        root = None
-        for k in range(self.N):
-            if lv.eval_intpoly_at(f, lv.decode(k)) == lv.zero:
-                root = lv.decode(k)
-                break
-        if root is None:
-            raise FieldError("subfield modulus has no root here")
-        pows = [lv.one]
-        for _ in range(ctx.levels[2].degree - 1):
-            pows.append(lv.mul(pows[-1], root))
-
-        def emb(x: FieldElement) -> int:
-            x = ctx.embed(x, 2)
-            acc = lv.zero
-            for c, rp in zip(x.coeffs, pows):
-                if c:
-                    acc = lv.add(acc, lv.scalar(c, rp))
-            return lv.encode(acc)
-
-        return emb
+def _absolute_model(ctx: TowerContext, d: int):
+    """The level F_{p^d} and the powers of the lex-least root there of
+    the modulus of F_{q^2}, which give the embedding of F_{q^2}; cached
+    on the tower."""
+    if ctx._abs_field is None:
+        F = Level(ctx.p, d)
+        root = TowerContext._find_root(ctx.levels[2].modulus, F)
+        ctx._abs_field = (F, TowerContext._powers(root, F, ctx.levels[2].degree))
+    return ctx._abs_field
 
 
 def blind_fixed_point_count(ctx: TowerContext, eta, zeta,
@@ -327,56 +274,73 @@ def blind_fixed_point_count(ctx: TowerContext, eta, zeta,
     """Independent count: scan the whole surface over F_{q^{2p}}.
 
     Only feasible for tiny q (the field has q^{2p} elements); intended
-    as a cross-check of the structured solver at q = 3.
+    as a cross-check of the structured solver at q = 2, 3 and 4.
     """
     p, q = ctx.p, ctx.q
     d = 2 * ctx.e * p
     if p ** d > max_field_size:
         raise BudgetExceededError("blind enumeration field too large")
-    if ctx._abs_field is None:
-        ctx._abs_field = _AbsoluteField(p, d)
-    F = ctx._abs_field
-    emb = F.embed_from_level2(ctx)
+    F, pows = _absolute_model(ctx, d)
+    exp, log = F.log_tables()
+    N = F.size
+
+    def emb(x: FieldElement) -> int:
+        acc = F.zero
+        for c, rp in zip(ctx.embed(x, 2).coeffs, pows):
+            if c:
+                acc = F.add(acc, F.scalar(c, rp))
+        return F.encode(acc)
+
+    def mulk(i, j):
+        if i == 0 or j == 0:
+            return 0
+        return exp[(log[i] + log[j]) % (N - 1)]
+
+    def addk(i, j):
+        return F.encode(F.add(F.decode(i), F.decode(j)))
+
+    def subk(i, j):
+        return F.encode(F.sub(F.decode(i), F.decode(j)))
+
     if not isinstance(eta, FieldElement):
         eta = ctx.element(1, eta)
-    ek = emb(ctx.embed(ctx.project(eta, 1), 2))
-    zk = emb(ctx.embed(zeta, 2))
-    N = F.N
+    ek = emb(ctx.project(eta, 1))
+    zk = emb(zeta)
 
-    frob = [F.powk(i, q) for i in range(N)]
+    frob = [0] + [exp[log[i] * q % (N - 1)] for i in range(1, N)]
     # preimages of z -> z^q - z
     from collections import defaultdict
     pre = defaultdict(list)
     for z in range(N):
-        pre[F.subk(frob[z], z)].append(z)
+        pre[subk(frob[z], z)].append(z)
 
     def image(P):
         z0, z1, z2, z3 = P
-        w0 = frob[F.addk(z0, z1)] if with_unipotent else frob[z0]
+        w0 = frob[addk(z0, z1)] if with_unipotent else frob[z0]
         w1 = frob[z1]
-        w2 = F.mulk(zk, frob[F.addk(z2, F.mulk(ek, z3))])
-        w3 = F.mulk(zk, frob[z3])
+        w2 = mulk(zk, frob[addk(z2, mulk(ek, z3))])
+        w3 = mulk(zk, frob[z3])
         return (w0, w1, w2, w3)
 
     def proj_eq(P, Q):
         for i in range(4):
             for j in range(i + 1, 4):
-                if F.subk(F.mulk(P[i], Q[j]), F.mulk(P[j], Q[i])) != 0:
+                if subk(mulk(P[i], Q[j]), mulk(P[j], Q[i])) != 0:
                     return False
         return True
 
     count = 0
-    one = F.level.encode(F.level.one)
+    one = exp[0]
     # Necessary condition for fixedness wherever the image has a
     # nonzero last or third coordinate: the second image coordinate
     # y^q must be proportional to y with ratio zeta.  This prunes the
     # scan; every survivor still gets the full projective check.
-    y_ok = [y for y in range(N) if frob[y] == F.mulk(zk, y)]
+    y_ok = [y for y in range(N) if frob[y] == mulk(zk, y)]
     # chart Z3 = 1
     for y in y_ok:
         fy = frob[y]
         for x in range(N):
-            v = F.subk(F.mulk(x, fy), F.mulk(frob[x], y))
+            v = subk(mulk(x, fy), mulk(frob[x], y))
             for z in pre.get(v, ()):
                 P = (x, y, z, one)
                 if proj_eq(P, image(P)):
@@ -385,13 +349,13 @@ def blind_fixed_point_count(ctx: TowerContext, eta, zeta,
     for y in y_ok:
         fy = frob[y]
         for x in range(N):
-            if F.subk(F.mulk(x, fy), F.mulk(frob[x], y)) == 0:
+            if subk(mulk(x, fy), mulk(frob[x], y)) == 0:
                 P = (x, y, one, 0)
                 if proj_eq(P, image(P)):
                     count += 1
     # boundary line Z2 = Z3 = 0
     for y in range(N):  # [1 : y : 0 : 0]
-        if F.subk(frob[y], y) == 0:
+        if frob[y] == y:
             P = (one, y, 0, 0)
             if proj_eq(P, image(P)):
                 count += 1

@@ -59,9 +59,10 @@ class _LevelArith:
         self.ops = 0
         self._spend(self.N)
         lv = self.level
-        q = ctx.q
+        self._exp, self._log = lv.log_tables()
         self.elems = [lv.decode(k) for k in range(self.N)]
-        self.frob = [lv.encode(lv.pow(a, q)) for a in self.elems]
+        self.frob = [0] + [self._exp[w * ctx.q % (self.N - 1)]
+                           for w in self._log[1:]]
         self.neg = [lv.encode(lv.neg(a)) for a in self.elems]
         self.enc_one = lv.encode(lv.one)
 
@@ -76,8 +77,9 @@ class _LevelArith:
         return lv.encode(lv.add(self.elems[i], self.elems[j]))
 
     def mulk(self, i: int, j: int) -> int:
-        lv = self.level
-        return lv.encode(lv.mul(self.elems[i], self.elems[j]))
+        if i == 0 or j == 0:
+            return 0
+        return self._exp[(self._log[i] + self._log[j]) % (self.N - 1)]
 
     def dist_hermitian(self) -> Counter:
         """Distribution of x -> x^{q+1}."""
@@ -96,8 +98,8 @@ class _LevelArith:
         for i in range(self.N):
             fi = self.frob[i]
             for j in range(self.N):
-                v = lv.sub(lv.mul(self.elems[fi], self.elems[j]),
-                           lv.mul(self.elems[i], self.elems[self.frob[j]]))
+                v = lv.sub(self.elems[self.mulk(fi, j)],
+                           self.elems[self.mulk(i, self.frob[j])])
                 out[lv.encode(v)] += 1
         if sign == -1:
             out = Counter({self.neg[v]: c for v, c in out.items()})

@@ -181,6 +181,14 @@ def test_irrep_values_are_algebraic_integers_on_rotations():
                 assert v.is_zero()
 
 
+@pytest.mark.parametrize("q", QS)
+def test_tables_live_in_q_zeta_q_plus_1(q):
+    ell = 3 if q % 3 else 5
+    for table in (o_minus_table(q, "ordinary"), o_minus_table(q, "mod-ell", ell)):
+        assert table.conductor == q + 1
+        assert {v.m for row in table.values for v in row} == {q + 1}
+
+
 def test_table_json_schema():
     blob = o_minus_table(3, "ordinary").to_json()
     assert set(blob) >= {"q", "mode", "classes", "irreps", "values"}

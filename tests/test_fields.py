@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ffverify import FieldError, build_tower
-from ffverify.fields import (ArtinSchreierExtension, is_prime,
+from ffverify.fields import (ArtinSchreierExtension, Level, is_prime,
                              least_irreducible, poly_mod, poly_powmod,
                              prime_factors)
 
@@ -179,6 +179,65 @@ def test_mu_enumeration_and_discrete_log(p, e):
         assert g ** k == z
         seen.add(k)
     assert seen == set(range(q + 1))
+
+
+def _multiplicative_order(lv, a):
+    cur, order = a, 1
+    while cur != lv.one:
+        cur = lv.mul(cur, a)
+        order += 1
+    return order
+
+
+@pytest.mark.parametrize("field", [(2, 1, 1), (3, 1, 1), (3, 1, 2), (3, 1, 4),
+                                   (5, 1, 2), (2, 2, 4), (3, 2, 2),
+                                   (3, 6), (2, 8)],
+                         ids=str)
+def test_log_tables_against_a_brute_scan(field):
+    """(p, e, key) names a tower level, (p, d) a standalone Level."""
+    lv = build_tower(*field[:2]).levels[field[2]] if len(field) == 3 \
+        else Level(*field)
+    exp, log = lv.log_tables()
+    assert lv.log_tables() is lv.log_tables()  # kept on the level
+    order = lv.size - 1
+    g = next(k for k in range(1, lv.size)
+             if _multiplicative_order(lv, lv.decode(k)) == order)
+    assert exp[0] == 1 and exp[1 % order] == g
+    assert sorted(exp) == list(range(1, lv.size))
+    assert log[0] is None
+    for w, k in enumerate(exp):
+        assert log[k] == w
+        assert lv.decode(exp[(w + 1) % order]) == lv.mul(lv.decode(k), lv.decode(g))
+
+
+def _divisors(n):
+    return [m for m in range(1, n + 1) if n % m == 0]
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)])
+def test_mu_helpers_match_their_scan_definitions(p, e):
+    ctx = build_tower(p, e)
+    lv = ctx.levels[2]
+    nonzero = [lv.decode(k) for k in range(1, lv.size)]
+    order = lv.size - 1
+    for m in _divisors(order):
+        mu = [a for a in nonzero if lv.pow(a, m) == lv.one]
+        gen = next(a for a in mu if m == 1 or all(
+            lv.pow(a, m // t) != lv.one for t in prime_factors(m)))
+        assert [z.coeffs for z in ctx.enumerate_mu(m)] == mu
+        assert ctx.mu_generator(m).coeffs == gen
+        for k, z in enumerate(itertools.accumulate(
+                [lv.one] + [gen] * (m - 1), lv.mul)):
+            assert ctx.discrete_log_mu(ctx.from_encoding(2, lv.encode(z)), m) == k
+        outsider = next((a for a in nonzero if a not in mu), lv.zero)
+        for bad in {lv.zero, outsider}:
+            with pytest.raises(FieldError):
+                ctx.discrete_log_mu(ctx.from_encoding(2, lv.encode(bad)), m)
+    for m in (0, order + 1, 2 * order):
+        for call in (ctx.enumerate_mu, ctx.mu_generator,
+                     lambda m: ctx.discrete_log_mu(ctx.one(2), m)):
+            with pytest.raises(FieldError):
+                call(m)
 
 
 @pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (7, 1), (3, 2)])

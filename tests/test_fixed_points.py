@@ -105,14 +105,18 @@ def test_zeta_outside_mu_is_rejected():
         fixed_points_surface(ctx, ctx.zero(1), bad, True)
 
 
-def test_blind_scan_agrees_with_structured_solver():
-    ctx = build_tower(3, 1)
+@pytest.mark.parametrize("p,e,cells", [(3, 1, 24), (2, 1, 12), (2, 2, 40)])
+def test_blind_scan_agrees_with_structured_solver(p, e, cells):
+    ctx = build_tower(p, e)
+    checked = 0
     for with_u in (True, False):
-        for zeta in ctx.enumerate_mu(4):
+        for zeta in ctx.enumerate_mu(ctx.q + 1):
             for eta in ctx.enumerate_level(1):
                 blind = blind_fixed_point_count(ctx, eta, zeta, with_u)
                 rep = fixed_points_surface(ctx, eta, zeta, with_u)
                 assert blind == rep.total
+                checked += 1
+    assert checked == cells
 
 
 def test_blind_scan_budget():
