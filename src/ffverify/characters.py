@@ -14,6 +14,7 @@ from fractions import Fraction
 from math import gcd
 
 from .cyclotomic import CycNumber, CycError
+from .fields import row_reduce
 
 
 class CharacterError(ValueError):
@@ -313,31 +314,12 @@ def brauer_decompose(q: int, ell: int, irrep: DihedralIrrep) -> list:
            + [irrep_value(q, irrep, classes[i])]
            for i in range(nrow)]
     ncol = len(cols)
-    row = 0
-    pivots = []
-    for col in range(ncol):
-        sel = None
-        for r in range(row, nrow):
-            if not aug[r][col].is_zero():
-                sel = r
-                break
-        if sel is None:
-            continue
-        aug[row], aug[sel] = aug[sel], aug[row]
-        inv = aug[row][col].inverse()
-        aug[row] = [v * inv for v in aug[row]]
-        for r in range(nrow):
-            if r != row and not aug[r][col].is_zero():
-                f = aug[r][col]
-                aug[r] = [v - f * w for v, w in zip(aug[r], aug[row])]
-        pivots.append(col)
-        row += 1
-    for r in range(row, nrow):
-        if not aug[r][ncol].is_zero():
-            raise CharacterError("restriction is not in the Brauer span")
+    pivots = row_reduce(aug, ncol, CycNumber.inverse, lambda a: a)
+    if any(row[ncol] for row in aug[len(pivots):]):
+        raise CharacterError("restriction is not in the Brauer span")
     mult = [CycNumber.from_rational(m, 0)] * ncol
-    for r, col in enumerate(pivots):
-        mult[col] = aug[r][ncol]
+    for row, col in zip(aug, pivots):
+        mult[col] = row[ncol]
     out = []
     for irr, v in zip(cols, mult):
         if not v.is_integer():

@@ -15,7 +15,7 @@ import json
 import os
 import sys
 
-from .fields import FieldError, build_tower
+from .fields import FieldError, build_tower, is_prime
 from .cyclotomic import AdditiveCharacter, CycError, conductor, gauss_sum
 from .varieties import (BudgetExceededError, VarietySpec, VARIETY_KINDS,
                         count_points, counts_to_csv)
@@ -34,8 +34,12 @@ def _emit(args, text: str):
         path = args.output
         if not os.path.isabs(path):
             path = os.path.join(os.environ.get("FFVERIFY_OUTDIR", "."), path)
-        with open(path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write --output {path}: "
+                             f"{exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 
@@ -97,6 +101,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_howe(args) -> int:
+    if not is_prime(args.p) or args.e < 1:
+        raise UsageError(f"q = p^e needs a prime p and e >= 1, "
+                         f"got p = {args.p}, e = {args.e}")
     if args.ell is None:
         table = theta_ordinary(args.n, args.p ** args.e)
     else:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .fields import FieldElement, TowerContext, FieldError
+from .fields import FieldElement, TowerContext, FieldError, row_reduce
 
 
 class CycError(ValueError):
@@ -161,6 +161,9 @@ class CycNumber:
     def __hash__(self):
         return hash((self.m, self.coeffs))
 
+    def __bool__(self):
+        return any(self.coeffs)
+
     def __repr__(self):
         return f"Cyc({self.m}; {[str(c) for c in self.coeffs]})"
 
@@ -205,56 +208,18 @@ class CycNumber:
         return self * Fraction(1, q ** t)
 
     def inverse(self) -> "CycNumber":
-        """Inverse via the extended Euclidean algorithm modulo Phi_m."""
+        """Inverse by solving self * x = 1 as a linear system over Q,
+        whose columns are self * zeta^j."""
         if self.is_zero():
             raise CycError("inverse of zero")
         if self.is_rational():
             return CycNumber.from_rational(self.m, Fraction(1) / self.coeffs[0])
-        phi = [Fraction(c) for c in cyclotomic_coeffs(self.m)]
-        a = list(self.coeffs)
-
-        def trim(v):
-            while v and v[-1] == 0:
-                v.pop()
-            return v
-
-        def polydivmod(u, v):
-            u = list(u)
-            quo = [Fraction(0)] * max(len(u) - len(v) + 1, 0)
-            inv = Fraction(1) / v[-1]
-            for k in range(len(u) - len(v), -1, -1):
-                c = u[k + len(v) - 1] * inv
-                quo[k] = c
-                if c:
-                    for i, d in enumerate(v):
-                        u[k + i] -= c * d
-            return quo, trim(u)
-
-        # extended euclid: s*a + t*phi = gcd
-        r0, r1 = trim(list(phi)), trim(a)
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while r1:
-            quo, rem = polydivmod(r0, r1)
-            r0, r1 = r1, rem
-            ns = list(s0)
-            prod = [Fraction(0)] * (len(quo) + len(s1) - 1) if quo and s1 else []
-            for i, qc in enumerate(quo):
-                if qc:
-                    for j, sc in enumerate(s1):
-                        prod[i + j] += qc * sc
-            ln = max(len(ns), len(prod))
-            ns = [
-                (ns[i] if i < len(ns) else Fraction(0))
-                - (prod[i] if i < len(prod) else Fraction(0))
-                for i in range(ln)
-            ]
-            s0, s1 = s1, trim(ns)
-        if len(r0) != 1:
-            raise CycError("non-invertible element (unexpected)")
-        g = r0[0]
-        inv_coeffs = [c / g for c in s0]
-        result = CycNumber(self.m, inv_coeffs[:len(self.coeffs)])
-        # any overflow degrees were already impossible: deg(s0) < deg(phi)
+        deg = len(self.coeffs)
+        cols = [(self * CycNumber.root_of_unity(self.m, j)).coeffs
+                for j in range(deg)]
+        rows = [[c[i] for c in cols] + [int(i == 0)] for i in range(deg)]
+        row_reduce(rows, deg, lambda a: 1 / a, lambda a: a)
+        result = CycNumber(self.m, [row[deg] for row in rows])
         if not (result * self == CycNumber.from_rational(self.m, 1)):
             raise CycError("inverse verification failed")
         return result

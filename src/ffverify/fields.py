@@ -152,6 +152,68 @@ def least_irreducible(p: int, d: int):
 
 
 # ---------------------------------------------------------------------------
+# Exact linear algebra: the one Gauss-Jordan elimination of the package.
+
+def row_reduce(rows, ncols, inverse, reduce):
+    """Gauss-Jordan elimination in place on the first ncols columns.
+
+    Later columns (right-hand sides) are carried along.  Entries support
+    + - * and a zero entry is falsy; inverse(a) inverts a nonzero entry
+    and reduce(a) returns its canonical form (a % p over F_p, a itself
+    over Q).  Returns the pivot columns: row r of the result has a 1 in
+    column pivots[r], and the rows past len(pivots) are zero in the
+    first ncols columns.
+    """
+    pivots = []
+    for col in range(ncols):
+        top = len(pivots)
+        sel = next((r for r in range(top, len(rows)) if rows[r][col]), None)
+        if sel is None:
+            continue
+        rows[top], rows[sel] = rows[sel], rows[top]
+        inv = inverse(rows[top][col])
+        pivot = rows[top] = [reduce(v * inv) for v in rows[top]]
+        for r, row in enumerate(rows):
+            f = row[col]
+            if f and r != top:
+                rows[r] = [reduce(v - f * w) for v, w in zip(row, pivot)]
+        pivots.append(col)
+    return pivots
+
+
+def solve_mod_p(p: int, cols, rhs) -> list[list[int]]:
+    """Every solution x of sum_j x_j cols[j] = rhs over F_p.
+
+    The particular solution (free variables 0) plus every F_p-combination
+    of the kernel basis, the free variables taken in column order by
+    itertools.product(range(p)); [] if the system is inconsistent.
+    """
+    n = len(cols)
+    rows = [[c[i] % p for c in cols] + [b % p] for i, b in enumerate(rhs)]
+    pivots = row_reduce(rows, n, lambda a: pow(a, p - 2, p), lambda a: a % p)
+    if any(row[n] for row in rows[len(pivots):]):
+        return []
+    particular = [0] * n
+    for row, col in zip(rows, pivots):
+        particular[col] = row[n]
+    kernel = []
+    for fc in (c for c in range(n) if c not in pivots):
+        vec = [0] * n
+        vec[fc] = 1
+        for row, col in zip(rows, pivots):
+            vec[col] = -row[fc] % p
+        kernel.append(vec)
+    solutions = []
+    for combo in itertools.product(range(p), repeat=len(kernel)):
+        vec = list(particular)
+        for coeff, kv in zip(combo, kernel):
+            if coeff:
+                vec = [(v + coeff * k) % p for v, k in zip(vec, kv)]
+        solutions.append(vec)
+    return solutions
+
+
+# ---------------------------------------------------------------------------
 # A single level of the tower.
 
 class Level:
@@ -400,11 +462,19 @@ class TowerContext:
 
     @staticmethod
     def _find_root(f, level: Level):
-        for k in range(level.size):
-            a = level.decode(k)
-            if level.eval_intpoly_at(f, a) == level.zero:
-                return a
-        raise FieldError("modulus has no root in the upper level")
+        """The root of least encoding in level of the irreducible f.
+
+        The roots lie in the subfield F_{p^d}, d = deg f, which is the
+        kernel of the F_p-linear map x -> x^{p^d} - x.
+        """
+        n = level.p ** (len(f) - 1)
+        units = (level.decode(level.p ** i) for i in range(level.degree))
+        cols = [level.sub(level.pow(b, n), b) for b in units]
+        roots = [a for a in map(tuple, solve_mod_p(level.p, cols, level.zero))
+                 if level.eval_intpoly_at(f, a) == level.zero]
+        if not roots:
+            raise FieldError("modulus has no root in the upper level")
+        return min(roots, key=level.encode)
 
     @staticmethod
     def _powers(r, level: Level, count):
@@ -719,55 +789,8 @@ class ArtinSchreierExtension:
             yield self.unflatten(vec)
 
     def solve_affine(self, linear_map, rhs):
-        """All solutions of linear_map(x) = rhs for an F_p-linear map.
-
-        Returns the (possibly empty) list of solutions, enumerated from a
-        particular solution plus the kernel.
-        """
-        p, n = self.p, self.dim
+        """All solutions of linear_map(x) = rhs for an F_p-linear map,
+        in the order of solve_mod_p (empty if there are none)."""
         cols = [self.flatten(linear_map(b)) for b in self.basis()]
-        # rows of the augmented system
-        aug = [[cols[j][i] for j in range(n)] + [self.flatten(rhs)[i]]
-               for i in range(n)]
-        pivots = []
-        row = 0
-        for col in range(n):
-            sel = None
-            for r in range(row, n):
-                if aug[r][col] % p:
-                    sel = r
-                    break
-            if sel is None:
-                continue
-            aug[row], aug[sel] = aug[sel], aug[row]
-            inv = pow(aug[row][col], p - 2, p)
-            aug[row] = [(v * inv) % p for v in aug[row]]
-            for r in range(n):
-                if r != row and aug[r][col] % p:
-                    f = aug[r][col]
-                    aug[r] = [(v - f * w) % p for v, w in zip(aug[r], aug[row])]
-            pivots.append(col)
-            row += 1
-        for r in range(row, n):
-            if aug[r][n] % p:
-                return []  # inconsistent
-        particular = [0] * n
-        for r, col in enumerate(pivots):
-            particular[col] = aug[r][n]
-        free = [c for c in range(n) if c not in pivots]
-        kernel = []
-        for fc in free:
-            vec = [0] * n
-            vec[fc] = 1
-            for r, col in enumerate(pivots):
-                vec[col] = (-aug[r][fc]) % p
-            kernel.append(vec)
-        solutions = []
-        for combo in itertools.product(range(p), repeat=len(free)):
-            vec = list(particular)
-            for coeff, kv in zip(combo, kernel):
-                if coeff:
-                    for i in range(n):
-                        vec[i] = (vec[i] + coeff * kv[i]) % p
-            solutions.append(self.unflatten(vec))
-        return solutions
+        return [self.unflatten(v)
+                for v in solve_mod_p(self.p, cols, self.flatten(rhs))]

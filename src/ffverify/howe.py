@@ -101,6 +101,7 @@ def theta_ordinary(n: int, q: int) -> HoweTable:
     """Ordinary-coefficient table; n >= 2."""
     if n < 2:
         raise CharacterError("n must be at least 2")
+    char_of(q)  # rejects a q that is not a prime power
     entries = []
     for tau in ordinary_irreps(q):
         dim = dim_w_isotypic(n, q, IsotypicLabel(tau.xi, tau.kappa))

@@ -98,6 +98,13 @@ def test_howe_bad_n_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("p", ["6", "0", "4"])
+def test_howe_rejects_a_non_prime_p(capsys, p):
+    code, out, err = run(capsys, ["howe", "--p", p, "--n", "2"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
+
+
 def test_gauss(capsys):
     code, out, _ = run(capsys, ["gauss", "--p", "5"])
     assert code == 0
@@ -144,6 +151,13 @@ def test_output_file_and_outdir_env(tmp_path, capsys, monkeypatch):
     assert code == 0 and out == ""
     blob = json.loads((tmp_path / "g.json").read_text())
     assert blob["identity_holds"] is True
+
+
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "g.json"
+    code, out, err = run(capsys, ["gauss", "--p", "3", "--output", str(target)])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and str(target) in err
 
 
 def test_internal_error_exits_3(capsys, monkeypatch):

@@ -68,15 +68,27 @@ def test_conjugation_is_multiplicative(ca, cb):
     assert (a * b).conjugate() == a.conjugate() * b.conjugate()
 
 
+@pytest.mark.parametrize("m", [9, 12, 14, 42])
 @settings(max_examples=60, deadline=None)
-@given(coeff_strategy)
-def test_inverse(ca):
-    a = CycNumber(12, ca)
+@given(st.data())
+def test_inverse(m, data):
+    deg = len(cyclotomic_coeffs(m)) - 1
+    a = CycNumber(m, data.draw(st.lists(
+        st.fractions(min_value=-5, max_value=5, max_denominator=6),
+        min_size=1, max_size=deg)))
     if a.is_zero():
         with pytest.raises(CycError):
             a.inverse()
     else:
-        assert a * a.inverse() == CycNumber.from_rational(12, 1)
+        assert a * a.inverse() == CycNumber.from_rational(m, 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(coeff_strategy)
+def test_truth_value_is_nonzero(ca):
+    a = CycNumber(12, ca)
+    assert bool(a) == any(c != 0 for c in ca)
+    assert bool(a) != a.is_zero()
 
 
 def test_galois_power_permutes_roots():

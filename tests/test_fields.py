@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ffverify import FieldError, build_tower
-from ffverify.fields import (ArtinSchreierExtension, Level, is_prime,
-                             least_irreducible, poly_mod, poly_powmod,
-                             prime_factors)
+from ffverify.fields import (ArtinSchreierExtension, Level, TowerContext,
+                             is_prime, least_irreducible, poly_mod,
+                             poly_powmod, prime_factors, solve_mod_p)
 
 
 def test_is_prime_small():
@@ -295,6 +295,119 @@ def test_artin_schreier_extension_structure(p, e):
     assert K.mul(a, K.one) == a
     # flatten/unflatten roundtrip
     assert K.unflatten(K.flatten(a)) == a
+
+
+def _linear_system(p, case, rnd):
+    """(cols, rhs) of a small system over F_p; entries are drawn from
+    [-p, 2p) so that solve_mod_p has to reduce them."""
+    def vec(m):
+        return [rnd.randrange(-p, 2 * p) for _ in range(m)]
+
+    if case == "full-rank":  # unipotent upper triangular, 4 x 4
+        cols = [[rnd.randrange(p) if i < j else int(i == j) for i in range(4)]
+                for j in range(4)]
+        return cols, vec(4)
+    if case == "rank-deficient":  # 4 x 4, columns 3 and 4 from the first two
+        a, b = vec(4), vec(4)
+        cols = [a, b, [x + 2 * y for x, y in zip(a, b)], a]
+        return cols, [x - y for x, y in zip(a, b)]
+    if case == "wide":  # 2 x 4, right-hand side in the image
+        cols = [vec(2) for _ in range(4)]
+        return cols, [x + 2 * y for x, y in zip(cols[0], cols[3])]
+    if case == "tall":  # 4 x 2, right-hand side in the image
+        a, b = vec(4), vec(4)
+        return [a, b], [3 * x + y for x, y in zip(a, b)]
+    # inconsistent: rows 0 and 1 agree, their right-hand sides do not
+    cols = []
+    for _ in range(3):
+        x = rnd.randrange(p)
+        cols.append([x, x + p, rnd.randrange(p)])
+    return cols, [0, 1, rnd.randrange(p)]
+
+
+def _image_rank(p, cols, m):
+    image = {tuple(sum(x * c[i] for x, c in zip(xs, cols)) % p for i in range(m))
+             for xs in itertools.product(range(p), repeat=len(cols))}
+    rank = 0
+    while p ** rank < len(image):
+        rank += 1
+    assert p ** rank == len(image)
+    return rank
+
+
+@pytest.mark.parametrize("case", ["full-rank", "rank-deficient", "wide",
+                                  "tall", "inconsistent"])
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_solve_mod_p_against_a_brute_scan(p, case):
+    rnd = random.Random(f"{p}-{case}")
+    for _ in range(5):
+        cols, rhs = _linear_system(p, case, rnd)
+        n, m = len(cols), len(rhs)
+        brute = [list(xs) for xs in itertools.product(range(p), repeat=n)
+                 if all(sum(x * c[i] for x, c in zip(xs, cols)) % p == b % p
+                        for i, b in enumerate(rhs))]
+        sols = solve_mod_p(p, cols, rhs)
+        assert sorted(sols) == brute
+        rank = _image_rank(p, cols, m)
+        if case == "inconsistent":
+            assert sols == []
+        else:
+            assert len(sols) == p ** (n - rank)
+            assert len({tuple(x) for x in sols}) == len(sols)
+        if case == "full-rank":
+            assert rank == n
+        if case == "rank-deficient":
+            assert rank < n
+
+
+def _first_root_by_scan(f, level):
+    for k in range(level.size):
+        a = level.decode(k)
+        if level.eval_intpoly_at(f, a) == level.zero:
+            return a
+
+
+# The scan of F_{2^16} for the level-2 modulus of the (2, 4) tower takes
+# seconds; this is the encoding of its first root.
+_PINNED_FIRST_ROOTS = {(2, 4, 4): 16845}
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1),
+                                 (3, 2), (5, 1), (7, 1), (11, 1), (13, 1)])
+def test_find_root_is_the_first_root_in_encoding_order(p, e):
+    ctx = build_tower(p, e)
+    for lo, hi in ((1, 2), (2, 4)):
+        f, level = ctx.levels[lo].modulus, ctx.levels[hi]
+        root = TowerContext._find_root(f, level)
+        pinned = _PINNED_FIRST_ROOTS.get((p, e, hi))
+        if pinned is None:
+            assert root == _first_root_by_scan(f, level)
+        else:
+            assert level.encode(root) == pinned
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2)])
+def test_find_root_in_the_blind_scan_model(p, e):
+    ctx = build_tower(p, e)
+    F = Level(p, 2 * e * p)
+    f = ctx.levels[2].modulus
+    assert TowerContext._find_root(f, F) == _first_root_by_scan(f, F)
+
+
+def test_tower_build_does_not_scan_the_top_level(monkeypatch):
+    """Building the q = 16 tower stays far below the ~152k Level.mul
+    calls of a root scan over F_{16^4}."""
+    calls = 0
+    mul = Level.mul
+
+    def counted(self, a, b):
+        nonlocal calls
+        calls += 1
+        return mul(self, a, b)
+
+    monkeypatch.setattr(Level, "mul", counted)
+    TowerContext(2, 4)
+    assert calls < 10_000
 
 
 @pytest.mark.parametrize("p,e", [(3, 1), (2, 2), (5, 1)])

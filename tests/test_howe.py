@@ -25,6 +25,11 @@ def test_ordinary_table(n, q):
     assert total == q ** (2 * n)
 
 
+def test_ordinary_table_needs_a_prime_power():
+    with pytest.raises(CharacterError):
+        theta_ordinary(2, 6)
+
+
 def test_tables_need_n_at_least_two():
     with pytest.raises(CharacterError):
         theta_ordinary(1, 3)
