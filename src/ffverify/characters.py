@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .cyclotomic import CycNumber, CycError
+from .cyclotomic import CycNumber
 from .fields import row_reduce
 
 

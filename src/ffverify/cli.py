@@ -48,11 +48,26 @@ def _json_dumps(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+def _check_n(n: int, base: int, exponent: int):
+    """Reject --n before any work when base^exponent, a bound on the
+    values the command prints, has more digits than str() converts."""
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    # base^exponent >= 2^((bits - 1) exponent), and 2^(4 digits) > 10^digits:
+    # past that the power need not be built
+    if digits and exponent > 0 and (
+            (base.bit_length() - 1) * exponent >= 4 * digits
+            or base ** exponent >= 10 ** digits):
+        raise UsageError(f"--n {n} is too large for this q: the values "
+                         f"printed would have more than {digits} digits")
+
+
 def cmd_count(args) -> int:
     if args.torsor and args.level != 2:
         raise UsageError("--torsor checks the count ratio q+1, which "
                          "holds over F_{q^2} only: use --level 2")
     ctx = build_tower(args.p, args.e)
+    # a count that grows with n is at most N^(2n+1), N = q^level (X')
+    _check_n(args.n, ctx.q ** args.level, 2 * args.n + 1)
     rows = []
     if args.torsor:
         base = count_points(ctx, VarietySpec("Y", args.n), args.level,
@@ -92,6 +107,7 @@ def cmd_count(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _check_n(args.n, build_tower(args.p, args.e).q, 2 * args.n)
     report = verify_all(args.n, args.p, args.e, args.ell)
     if args.format == "md":
         _emit(args, report_to_markdown(report))
@@ -104,6 +120,7 @@ def cmd_howe(args) -> int:
     if not is_prime(args.p) or args.e < 1:
         raise UsageError(f"q = p^e needs a prime p and e >= 1, "
                          f"got p = {args.p}, e = {args.e}")
+    _check_n(args.n, args.p ** args.e, 2 * args.n)
     if args.ell is None:
         table = theta_ordinary(args.n, args.p ** args.e)
     else:

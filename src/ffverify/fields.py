@@ -288,7 +288,9 @@ class Level:
 
         exp[w] is the encoding of g^w for 0 <= w < size - 1, and log[k]
         is the exponent of the element with encoding k (None at k = 0).
-        Built on first use and kept on the level.
+        Built on first use and kept on the level, together with the
+        Zech table zech[w] = log(1 + g^w) that add_enc reads: adding 1
+        only raises the constant digit of an encoding mod p.
         """
         if self._log_tables is None:
             order = self.size - 1
@@ -305,8 +307,33 @@ class Level:
             log = [None] * self.size
             for w, k in enumerate(exp):
                 log[k] = w
+            p = self.p
+            self._zech = [log[k - k % p + (k + 1) % p] for k in exp]
             self._log_tables = (exp, log)
         return self._log_tables
+
+    # Arithmetic on integer encodings, through the log and Zech tables.
+
+    def mul_enc(self, i: int, j: int) -> int:
+        exp, log = self.log_tables()
+        return exp[(log[i] + log[j]) % (self.size - 1)] if i and j else 0
+
+    def add_enc(self, i: int, j: int) -> int:
+        """g^a + g^b = g^a (1 + g^(b - a))."""
+        if not (i and j):
+            return i or j
+        exp, log = self.log_tables()
+        a, order = log[i], self.size - 1
+        z = self._zech[(log[j] - a) % order]
+        return 0 if z is None else exp[(a + z) % order]
+
+    def neg_enc(self, i: int) -> int:
+        return self.mul_enc(i, self.p - 1)  # -1 has encoding p - 1
+
+    def power_map(self, n: int) -> list[int]:
+        """The encodings of x^n (n >= 0), x in encoding order."""
+        exp, log = self.log_tables()
+        return [0 if n else 1] + [exp[w * n % (self.size - 1)] for w in log[1:]]
 
     def pow(self, a, n):
         if n < 0:

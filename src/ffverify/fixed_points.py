@@ -93,9 +93,10 @@ def fixed_points_surface(ctx: TowerContext, eta, zeta,
         eta = ctx.element(1, eta)
     eta = ctx.project(eta, 1)
     zeta = ctx.embed(zeta, 2)
-    exp, log = ctx.levels[2].log_tables()
-    w_zeta = log[zeta.encoding()]
-    if w_zeta is None or w_zeta % (q - 1):  # mu_{q+1} = <g^{q-1}>
+    lv2 = ctx.levels[2]
+    frob = lv2.power_map(q)
+    zk = zeta.encoding()
+    if lv2.mul_enc(zk, frob[zk]) != 1:  # zeta^{q+1} = 1
         raise FieldError("zeta must lie in mu_{q+1}")
 
     K = coordinate_extension(ctx)
@@ -109,14 +110,10 @@ def fixed_points_surface(ctx: TowerContext, eta, zeta,
     # In the chart Z3 = 1 both variants need z^q - z = -eta.
     z_solutions = K.solve_affine(lambda a: K.sub(K.frob(a), a), neg_eta_k)
     # Both variants use the coset {a in F_{q^2} : a^q = zeta a}, kept
-    # as pairs (a, a^q) in encoding order.  For a = g^w != 0 the
-    # condition reads (q - 1) w = log zeta mod q^2 - 1.
+    # as pairs (a, a^q) in encoding order.
     neg_eta = -ctx.embed(eta, 2)
-    order = len(exp)
-    ws = sorted(range(w_zeta // (q - 1), order, q + 1), key=exp.__getitem__)
-    coset = [(ctx.zero(2), ctx.zero(2))] + [
-        (ctx.from_encoding(2, exp[w]), ctx.from_encoding(2, exp[w * q % order]))
-        for w in ws]
+    coset = [(ctx.from_encoding(2, a), ctx.from_encoding(2, fa))
+             for a, fa in enumerate(frob) if fa == lv2.mul_enc(zk, a)]
     if with_unipotent:
         # Stratum 1 (chart Z3 = 1): y^q = zeta y, zeta y^2 = -eta,
         # x^q - zeta x = -zeta y.
@@ -281,8 +278,7 @@ def blind_fixed_point_count(ctx: TowerContext, eta, zeta,
     if p ** d > max_field_size:
         raise BudgetExceededError("blind enumeration field too large")
     F, pows = _absolute_model(ctx, d)
-    exp, log = F.log_tables()
-    N = F.size
+    add, mul, neg = F.add_enc, F.mul_enc, F.neg_enc
 
     def emb(x: FieldElement) -> int:
         acc = F.zero
@@ -291,75 +287,51 @@ def blind_fixed_point_count(ctx: TowerContext, eta, zeta,
                 acc = F.add(acc, F.scalar(c, rp))
         return F.encode(acc)
 
-    def mulk(i, j):
-        if i == 0 or j == 0:
-            return 0
-        return exp[(log[i] + log[j]) % (N - 1)]
-
-    def addk(i, j):
-        return F.encode(F.add(F.decode(i), F.decode(j)))
-
-    def subk(i, j):
-        return F.encode(F.sub(F.decode(i), F.decode(j)))
-
     if not isinstance(eta, FieldElement):
         eta = ctx.element(1, eta)
     ek = emb(ctx.project(eta, 1))
     zk = emb(zeta)
 
-    frob = [0] + [exp[log[i] * q % (N - 1)] for i in range(1, N)]
+    frob = F.power_map(q)
     # preimages of z -> z^q - z
     from collections import defaultdict
     pre = defaultdict(list)
-    for z in range(N):
-        pre[subk(frob[z], z)].append(z)
+    for z, fz in enumerate(frob):
+        pre[add(fz, neg(z))].append(z)
 
     def image(P):
         z0, z1, z2, z3 = P
-        w0 = frob[addk(z0, z1)] if with_unipotent else frob[z0]
+        w0 = frob[add(z0, z1)] if with_unipotent else frob[z0]
         w1 = frob[z1]
-        w2 = mulk(zk, frob[addk(z2, mulk(ek, z3))])
-        w3 = mulk(zk, frob[z3])
+        w2 = mul(zk, frob[add(z2, mul(ek, z3))])
+        w3 = mul(zk, frob[z3])
         return (w0, w1, w2, w3)
 
     def proj_eq(P, Q):
         for i in range(4):
             for j in range(i + 1, 4):
-                if subk(mulk(P[i], Q[j]), mulk(P[j], Q[i])) != 0:
+                if mul(P[i], Q[j]) != mul(P[j], Q[i]):
                     return False
         return True
 
+    def fixed(points):
+        return sum(1 for P in points if proj_eq(P, image(P)))
+
     count = 0
-    one = exp[0]
+    one = 1  # the encoding of 1
     # Necessary condition for fixedness wherever the image has a
     # nonzero last or third coordinate: the second image coordinate
     # y^q must be proportional to y with ratio zeta.  This prunes the
     # scan; every survivor still gets the full projective check.
-    y_ok = [y for y in range(N) if frob[y] == mulk(zk, y)]
-    # chart Z3 = 1
+    y_ok = [y for y, fy in enumerate(frob) if fy == mul(zk, y)]
     for y in y_ok:
         fy = frob[y]
-        for x in range(N):
-            v = subk(mulk(x, fy), mulk(frob[x], y))
-            for z in pre.get(v, ()):
-                P = (x, y, z, one)
-                if proj_eq(P, image(P)):
-                    count += 1
-    # boundary Z3 = 0, Z2 = 1
-    for y in y_ok:
-        fy = frob[y]
-        for x in range(N):
-            if subk(mulk(x, fy), mulk(frob[x], y)) == 0:
-                P = (x, y, one, 0)
-                if proj_eq(P, image(P)):
-                    count += 1
-    # boundary line Z2 = Z3 = 0
-    for y in range(N):  # [1 : y : 0 : 0]
-        if frob[y] == y:
-            P = (one, y, 0, 0)
-            if proj_eq(P, image(P)):
-                count += 1
-    P = (0, one, 0, 0)
-    if proj_eq(P, image(P)):
-        count += 1
-    return count
+        for x, fx in enumerate(frob):
+            # chart Z3 = 1, and the boundary Z3 = 0, Z2 = 1 where v = 0
+            v = add(mul(x, fy), neg(mul(fx, y)))
+            if v in pre:  # so is 0 = 0^q - 0
+                count += fixed([(x, y, z, one) for z in pre[v]]
+                               + ([(x, y, one, 0)] if v == 0 else []))
+    # boundary line Z2 = Z3 = 0: [1 : y : 0 : 0] and [0 : 1 : 0 : 0]
+    line = [(one, y, 0, 0) for y, fy in enumerate(frob) if fy == y]
+    return count + fixed(line + [(0, one, 0, 0)])

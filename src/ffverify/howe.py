@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 
 from .characters import (CharacterError, DihedralIrrep, IsotypicLabel,
                          brauer_decompose, brauer_irreps, char_of,
-                         conjugacy_classes, dim_mod_ell_unitary,
-                         dim_v_isotypic, dim_w_isotypic, ell_parts,
-                         ell_regular_classes, o_minus_table, ordinary_irreps)
+                         dim_mod_ell_unitary, dim_v_isotypic,
+                         dim_w_isotypic, ell_parts, ell_regular_classes,
+                         o_minus_table, ordinary_irreps)
 
 
 @dataclass
@@ -201,8 +201,6 @@ def verify_all(n: int, p: int, e: int, ell: int) -> dict:
 
     Returns {"params": ..., "checks": [...], "all_passed": bool}.
     """
-    from fractions import Fraction
-
     from .fields import build_tower
     from .cyclotomic import (AdditiveCharacter, CycNumber, conductor,
                              gauss_sum)

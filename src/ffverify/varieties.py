@@ -6,6 +6,12 @@ form (x, y) -> x^q y - x y^q) is tabulated once, convolved n times, and
 evaluated.  Projective counts enumerate by the leading nonzero
 coordinate (normalized to 1), so every projective point is counted
 through its canonical representative.
+
+The kernels key every value by its integer encoding and do all their
+arithmetic through the level's log, Zech and power-map tables
+(Level.add_enc, mul_enc, neg_enc, power_map).  count_points_naive
+shares none of it: it enumerates coefficient tuples with the level's
+polynomial arithmetic, and so is an independent route.
 """
 
 from __future__ import annotations
@@ -48,7 +54,8 @@ class VarietySpec:
 
 
 class _LevelArith:
-    """Counting helpers on one tower level, keyed by integer encodings."""
+    """Budgeted distribution kernels on one tower level, keyed by
+    integer encodings (the field's 1 has encoding 1)."""
 
     def __init__(self, ctx: TowerContext, key: int, budget: int):
         self.ctx = ctx
@@ -58,13 +65,7 @@ class _LevelArith:
         self.budget = budget
         self.ops = 0
         self._spend(self.N)
-        lv = self.level
-        self._exp, self._log = lv.log_tables()
-        self.elems = [lv.decode(k) for k in range(self.N)]
-        self.frob = [0] + [self._exp[w * ctx.q % (self.N - 1)]
-                           for w in self._log[1:]]
-        self.neg = [lv.encode(lv.neg(a)) for a in self.elems]
-        self.enc_one = lv.encode(lv.one)
+        self.frob = self.level.power_map(ctx.q)
 
     def _spend(self, amount: int):
         self.ops += amount
@@ -72,56 +73,41 @@ class _LevelArith:
             raise BudgetExceededError(
                 f"operation budget {self.budget} exceeded at level q^{self.key}")
 
-    def addk(self, i: int, j: int) -> int:
-        lv = self.level
-        return lv.encode(lv.add(self.elems[i], self.elems[j]))
-
-    def mulk(self, i: int, j: int) -> int:
-        if i == 0 or j == 0:
-            return 0
-        return self._exp[(self._log[i] + self._log[j]) % (self.N - 1)]
+    def negate(self, d: Counter) -> Counter:
+        neg = self.level.neg_enc
+        return Counter({neg(v): c for v, c in d.items()})
 
     def dist_hermitian(self) -> Counter:
         """Distribution of x -> x^{q+1}."""
         self._spend(self.N)
-        out = Counter()
-        for i in range(self.N):
-            out[self.mulk(i, self.frob[i])] += 1
-        return out
+        return Counter(self.level.power_map(self.ctx.q + 1))
 
     def dist_pair(self, sign: int) -> Counter:
         """Distribution of (x, y) -> x^q y - x y^q (sign=+1) or its
         negative (sign=-1)."""
         self._spend(self.N * self.N)
         lv = self.level
+        add, mul, neg = lv.add_enc, lv.mul_enc, lv.neg_enc
         out = Counter()
-        for i in range(self.N):
-            fi = self.frob[i]
-            for j in range(self.N):
-                v = lv.sub(self.elems[self.mulk(fi, j)],
-                           self.elems[self.mulk(i, self.frob[j])])
-                out[lv.encode(v)] += 1
-        if sign == -1:
-            out = Counter({self.neg[v]: c for v, c in out.items()})
-        return out
+        for i, fi in enumerate(self.frob):
+            for j, fj in enumerate(self.frob):
+                out[add(mul(fi, j), neg(mul(i, fj)))] += 1
+        return out if sign == 1 else self.negate(out)
 
     def dist_artin_schreier(self, sign: int) -> Counter:
         """Distribution of z -> z^q + sign * z."""
         self._spend(self.N)
         lv = self.level
-        out = Counter()
-        for i in range(self.N):
-            v = lv.add(self.elems[self.frob[i]], self.elems[i]) if sign == 1 \
-                else lv.sub(self.elems[self.frob[i]], self.elems[i])
-            out[lv.encode(v)] += 1
-        return out
+        return Counter(lv.add_enc(fz, z if sign == 1 else lv.neg_enc(z))
+                       for z, fz in enumerate(self.frob))
 
     def convolve(self, d1: Counter, d2: Counter) -> Counter:
         self._spend(len(d1) * len(d2))
+        add = self.level.add_enc
         out = Counter()
         for v1, c1 in d1.items():
             for v2, c2 in d2.items():
-                out[self.addk(v1, v2)] += c1 * c2
+                out[add(v1, v2)] += c1 * c2
         return out
 
     def iterate_convolve(self, d: Counter, n: int) -> Counter:
@@ -131,7 +117,8 @@ class _LevelArith:
         return acc
 
     def shift(self, d: Counter, v0: int) -> Counter:
-        return Counter({self.addk(v, v0): c for v, c in d.items()})
+        add = self.level.add_enc
+        return Counter({add(v, v0): c for v, c in d.items()})
 
 
 def _proj_space_count(N: int, dim: int) -> int:
@@ -151,7 +138,7 @@ def count_points(ctx: TowerContext, spec: VarietySpec, level: int,
     if kind in ("S", "Y", "Ytilde", "X"):
         dh = ar.dist_hermitian()
         if kind == "Ytilde":
-            return ar.iterate_convolve(dh, n)[ar.enc_one]
+            return ar.iterate_convolve(dh, n)[1]
         if kind == "X":
             das = ar.dist_artin_schreier(+1)
             dx = ar.iterate_convolve(dh, n)
@@ -160,7 +147,7 @@ def count_points(ctx: TowerContext, spec: VarietySpec, level: int,
         total = 0
         for j in range(n):
             rest = ar.iterate_convolve(dh, n - 1 - j)
-            rest = ar.shift(rest, ar.enc_one)  # the x_j = 1 term
+            rest = ar.shift(rest, 1)  # the x_j = 1 term
             total += rest[0]
         if kind == "S":
             return total
@@ -169,26 +156,22 @@ def count_points(ctx: TowerContext, spec: VarietySpec, level: int,
     if kind in _PAIR_KINDS:
         dplus = ar.dist_pair(+1)   # x^q y - x y^q
         if kind == "Ytildeprime":
-            return ar.iterate_convolve(dplus, n)[ar.enc_one]
+            return ar.iterate_convolve(dplus, n)[1]
         if kind == "Xprime":
             # z^q - z = sum (x_i y_i^q - x_i^q y_i)
             das = ar.dist_artin_schreier(-1)
-            dminus = Counter({ar.neg[v]: c for v, c in dplus.items()})
-            dx = ar.iterate_convolve(dminus, n)
+            dx = ar.iterate_convolve(ar.negate(dplus), n)
             return sum(das[v] * c for v, c in dx.items())
         if kind in ("Zprime", "Zprime0", "Uprime"):
-            dminus = Counter({ar.neg[v]: c for v, c in dplus.items()})
-            dx = ar.iterate_convolve(dminus, n)
+            dx = ar.iterate_convolve(ar.negate(dplus), n)
             if kind == "Zprime":
                 return dx[0]
             if kind == "Zprime0":
                 return dx[0] - 1  # remove the origin
             return N ** (2 * n) - dx[0]  # Uprime: nonzero fiber values
         # S'_{2n} projective: coordinates ordered x_1..x_n, y_1..y_n.
-        dy = Counter()  # distribution of y -> y - y^q  (x = 1 in its pair)
-        lv = ar.level
-        for i in range(N):
-            dy[lv.encode(lv.sub(ar.elems[i], ar.elems[ar.frob[i]]))] += 1
+        # distribution of y -> y - y^q  (x = 1 in its pair)
+        dy = ar.negate(ar.dist_artin_schreier(-1))
         total = 0
         for j in range(n):  # leading coordinate x_{j+1}
             rest = ar.iterate_convolve(dplus, n - 1 - j)
@@ -219,14 +202,9 @@ def _count_boundary(ar: _LevelArith) -> int:
     """The hyperplane section Z3 = 0: there 0 = Z0 Z1^q - Z0^q Z1."""
     dpair = ar.dist_pair(-1)
     with_z2 = dpair[0]  # [Z0:Z1:1:0]
-    # [Z0:Z1:0:0] with the same equation: leading coordinate 1.
-    lv = ar.level
-    line = 0
-    for i in range(ar.N):  # [1:y:0:0]
-        v = lv.sub(ar.elems[ar.frob[i]], ar.elems[i])  # y^q - y
-        if lv.encode(v) == 0:
-            line += 1
-    line += 1  # [0:1:0:0]
+    # [Z0:Z1:0:0] with the same equation: leading coordinate 1, so
+    # [1:y:0:0] with y^q = y, and [0:1:0:0].
+    line = sum(1 for y, fy in enumerate(ar.frob) if fy == y) + 1
     return with_z2 + line
 
 
@@ -239,7 +217,7 @@ def dickson_sl2_quotient_count(ctx: TowerContext, n: int, level: int,
     of the primed hypersurface; equals N^{2n-1}."""
     ar = _LevelArith(ctx, level, budget)
     uniform = Counter({k: 1 for k in range(ar.N)})
-    hyper = ar.iterate_convolve(uniform, n)[ar.enc_one]
+    hyper = ar.iterate_convolve(uniform, n)[1]
     return hyper * ar.N ** n
 
 
@@ -248,11 +226,9 @@ def dickson_u_quotient_count(ctx: TowerContext, n: int, level: int,
     """Count of {sum s_i t_i = 1} in A^{2n} over the given level."""
     ar = _LevelArith(ctx, level, budget)
     ar._spend(ar.N * ar.N)
-    dprod = Counter()
-    for i in range(ar.N):
-        for j in range(ar.N):
-            dprod[ar.mulk(i, j)] += 1
-    return ar.iterate_convolve(dprod, n)[ar.enc_one]
+    mul = ar.level.mul_enc
+    dprod = Counter(mul(i, j) for i in range(ar.N) for j in range(ar.N))
+    return ar.iterate_convolve(dprod, n)[1]
 
 
 # ---------------------------------------------------------------------------

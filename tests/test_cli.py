@@ -2,6 +2,7 @@
 
 import json
 import os
+import time
 
 import pytest
 
@@ -57,6 +58,32 @@ def test_count_budget_exceeded_exits_2(capsys):
                                 "--n", "3", "--level", "4", "--budget", "10"])
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--p", "3", "--variety", "Ytilde", "--n", "100000", "--level", "2"],
+    ["count", "--p", "2", "--e", "4", "--variety", "Xprime", "--n",
+     str(10 ** 15), "--level", "4"],
+    ["howe", "--p", "3", "--n", "100000"],
+    ["verify", "--p", "3", "--n", "100000", "--ell", "5"],
+], ids=["count", "count-huge", "howe", "verify"])
+def test_an_unprintable_n_is_rejected_up_front(capsys, argv):
+    # the largest value printed would pass Python's int-to-str digit limit
+    start = time.perf_counter()
+    code, out, err = run(capsys, argv)
+    assert time.perf_counter() - start < 2
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "--n" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--p", "3", "--variety", "Ytilde", "--n", "2", "--level", "2"],
+    ["howe", "--p", "3", "--n", "2"],
+    ["verify", "--p", "3", "--n", "2", "--ell", "5"],
+], ids=["count", "howe", "verify"])
+def test_a_small_n_still_runs(capsys, argv):
+    code, out, _ = run(capsys, argv)
+    assert code == 0 and out
 
 
 def test_verify_pass(capsys):

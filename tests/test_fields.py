@@ -210,6 +210,45 @@ def test_log_tables_against_a_brute_scan(field):
         assert lv.decode(exp[(w + 1) % order]) == lv.mul(lv.decode(k), lv.decode(g))
 
 
+def _check_encoding_arithmetic(lv, q, pairs):
+    """add_enc, neg_enc, mul_enc and power_map against the tuple
+    arithmetic of the level, on the given pairs of encodings."""
+    els = [lv.decode(k) for k in range(lv.size)]
+    pairs = list(pairs)
+    for i, j in pairs:
+        a, b = els[i], els[j]
+        assert lv.add_enc(i, j) == lv.encode(lv.add(a, b)), (i, j)
+        assert lv.mul_enc(i, j) == lv.encode(lv.mul(a, b)), (i, j)
+    for k in {i for pair in pairs for i in pair}:
+        assert lv.neg_enc(k) == lv.encode(lv.neg(els[k])), k
+    for n in (0, 1, q, q + 1):
+        assert lv.power_map(n) == [lv.encode(lv.pow(a, n)) for a in els], n
+
+
+@pytest.mark.parametrize("p,e,key", [(p, e, key)
+                                     for p, e in [(2, 1), (3, 1), (2, 2), (5, 1)]
+                                     for key in (1, 2, 4)
+                                     if (p ** e) ** key <= 256], ids=str)
+def test_encoding_arithmetic_on_every_pair(p, e, key):
+    lv = Level(p, e * key)  # fresh: no caller has built its tables
+    assert lv.modulus == build_tower(p, e).levels[key].modulus
+    _check_encoding_arithmetic(lv, p ** e,
+                               itertools.product(range(lv.size), repeat=2))
+
+
+@pytest.mark.parametrize("p,e,key", [(2, 4, 2), (7, 1, 4), (13, 1, 2)],
+                         ids=str)
+def test_encoding_arithmetic_on_a_sample(p, e, key):
+    lv = build_tower(p, e).levels[key]
+    N = lv.size
+    rnd = random.Random(1)
+    edges = [0, 1, p - 1, p, N - 1]
+    pairs = list(itertools.product(edges, repeat=2))
+    pairs += [(rnd.randrange(N), rnd.randrange(N)) for _ in range(400)]
+    pairs += [(i, lv.neg_enc(i)) for i, _ in pairs[-50:]]  # sums that vanish
+    _check_encoding_arithmetic(lv, p ** e, pairs)
+
+
 def _divisors(n):
     return [m for m in range(1, n + 1) if n % m == 0]
 

@@ -15,6 +15,8 @@ from ffverify.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
+ALL_KINDS = ("S Y Ytilde X Sprime Yprime Ytildeprime Xprime Xbar D Zprime "
+             "Zprime0 Uprime").split()
 
 CLI_CASES = [
     ("fixed-points_p3.json", ["fixed-points", "--p", "3", "--format", "json"]),
@@ -34,6 +36,12 @@ CLI_CASES = [
     ("count_p3_torsor_n2_level2.json",
      ["count", "--p", "3", "--torsor", "--n", "2", "--level", "2",
       "--format", "json"]),
+    ("count_p3_e2_all_n2_level2.csv",
+     ["count", "--p", "3", "--e", "2", "--variety", *ALL_KINDS, "--n", "2",
+      "--level", "2", "--format", "csv"]),
+    ("count_p2_e2_all_n2_level4.csv",
+     ["count", "--p", "2", "--e", "2", "--variety", *ALL_KINDS, "--n", "2",
+      "--level", "4", "--format", "csv"]),
     ("howe_p5_n2_ell3.md",
      ["howe", "--p", "5", "--n", "2", "--ell", "3", "--format", "md"]),
     ("gauss_p5.json", ["gauss", "--p", "5", "--format", "json"]),

@@ -31,7 +31,17 @@ def test_hermitian_counts_match_naive(p, e, kind, n):
         assert fast == slow
 
 
-@pytest.mark.parametrize("p,e,n", [(2, 1, 1), (3, 1, 1), (2, 1, 2)])
+@pytest.mark.parametrize("p,e", [(2, 2), (5, 1)])
+@pytest.mark.parametrize("kind", ["S", "Y", "Ytilde", "X"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_hermitian_counts_match_naive_at_q4_and_q5(p, e, kind, n):
+    # with the q = 2, 3 cases above: every q <= 5, one of them a p = 2
+    # field that is not prime
+    test_hermitian_counts_match_naive(p, e, kind, n)
+
+
+@pytest.mark.parametrize("p,e,n", [(2, 1, 1), (3, 1, 1), (2, 1, 2),
+                                   (2, 2, 1), (5, 1, 1)])
 def test_primed_affine_counts_match_naive(p, e, n):
     ctx = build_tower(p, e)
     for level in (1, 2):
