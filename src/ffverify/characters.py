@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import gcd
 
 from .cyclotomic import CycNumber
-from .fields import row_reduce
+from .fields import is_prime, prime_factors, row_reduce
 
 
 class CharacterError(ValueError):
@@ -23,7 +23,6 @@ class CharacterError(ValueError):
 
 def char_of(q: int) -> int:
     """The prime p with q = p^e."""
-    from .fields import prime_factors
     fs = prime_factors(q)
     if len(fs) != 1:
         raise CharacterError(f"q = {q} is not a prime power")
@@ -82,7 +81,9 @@ def dim_w_isotypic(n: int, q: int, label: IsotypicLabel) -> int:
 
 
 def ell_parts(q: int, ell: int) -> tuple[int, int]:
-    """(l^a, r) with q + 1 = l^a r and l coprime to r."""
+    """(l^a, r) with q + 1 = l^a r and l coprime to r; ell must be prime."""
+    if not is_prime(ell):
+        raise CharacterError(f"ell = {ell} is not a prime")
     m = q + 1
     la = 1
     while m % ell == 0:
@@ -97,7 +98,7 @@ def dim_mod_ell_unitary(n: int, q: int, k: int, ell: int) -> int:
     The reduction of chi_k factors through the prime-to-l quotient
     mu_r of mu_{q+1}; only k mod r matters."""
     p = char_of(q)
-    if ell == p or ell == 2 or not _is_prime(ell):
+    if ell == p or ell == 2 or not is_prime(ell):
         raise CharacterError("ell must be an odd prime different from p")
     if n < 2:
         raise CharacterError("n must be at least 2")
@@ -109,11 +110,6 @@ def dim_mod_ell_unitary(n: int, q: int, k: int, ell: int) -> int:
     if k % r == 0:
         return base + (1 + s) // 2
     return base
-
-
-def _is_prime(n: int) -> bool:
-    from .fields import is_prime
-    return is_prime(n)
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +178,7 @@ def ordinary_irreps(q: int) -> list[DihedralIrrep]:
 def brauer_irreps(q: int, ell: int) -> list[DihedralIrrep]:
     """Mod-l irreducibles: characters through the prime-to-l quotient."""
     p = char_of(q)
-    if ell == p or ell == 2 or not _is_prime(ell):
+    if ell == p or ell == 2 or not is_prime(ell):
         raise CharacterError("ell must be an odd prime different from p")
     m = q + 1
     la, r = ell_parts(q, ell)

@@ -61,6 +61,12 @@ def _check_n(n: int, base: int, exponent: int):
                          f"printed would have more than {digits} digits")
 
 
+def _check_ell(ell: int, p: int):
+    if ell == 2 or ell == p or not is_prime(ell):
+        raise UsageError(f"--ell {ell} must be an odd prime other than "
+                         f"p = {p}")
+
+
 def cmd_count(args) -> int:
     if args.torsor and args.level != 2:
         raise UsageError("--torsor checks the count ratio q+1, which "
@@ -108,6 +114,7 @@ def cmd_count(args) -> int:
 
 def cmd_verify(args) -> int:
     _check_n(args.n, build_tower(args.p, args.e).q, 2 * args.n)
+    _check_ell(args.ell, args.p)
     report = verify_all(args.n, args.p, args.e, args.ell)
     if args.format == "md":
         _emit(args, report_to_markdown(report))
@@ -124,6 +131,7 @@ def cmd_howe(args) -> int:
     if args.ell is None:
         table = theta_ordinary(args.n, args.p ** args.e)
     else:
+        _check_ell(args.ell, args.p)
         table = theta_mod_ell(args.n, args.p ** args.e, args.ell)
     if args.format == "md":
         _emit(args, table.to_markdown())
@@ -214,7 +222,10 @@ def build_parser() -> argparse.ArgumentParser:
                     default=["Ytilde"])
     pc.add_argument("--n", type=int, default=1)
     pc.add_argument("--level", type=int, choices=(1, 2, 4), default=2)
-    pc.add_argument("--budget", type=int, default=50_000_000)
+    pc.add_argument("--budget", type=int, default=50_000_000,
+                    help="operation budget; with N = q^level = p^d a count "
+                         "costs N per value distribution, N*d*p per "
+                         "character transform and N per product of spectra")
     pc.add_argument("--torsor", action="store_true",
                     help="count the torsor pair (Y, Ytilde) and check the "
                          "ratio q+1")

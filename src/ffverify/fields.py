@@ -315,14 +315,14 @@ class Level:
     # Arithmetic on integer encodings, through the log and Zech tables.
 
     def mul_enc(self, i: int, j: int) -> int:
-        exp, log = self.log_tables()
+        exp, log = self._log_tables or self.log_tables()
         return exp[(log[i] + log[j]) % (self.size - 1)] if i and j else 0
 
     def add_enc(self, i: int, j: int) -> int:
         """g^a + g^b = g^a (1 + g^(b - a))."""
         if not (i and j):
             return i or j
-        exp, log = self.log_tables()
+        exp, log = self._log_tables or self.log_tables()
         a, order = log[i], self.size - 1
         z = self._zech[(log[j] - a) % order]
         return 0 if z is None else exp[(a + z) % order]
@@ -332,7 +332,7 @@ class Level:
 
     def power_map(self, n: int) -> list[int]:
         """The encodings of x^n (n >= 0), x in encoding order."""
-        exp, log = self.log_tables()
+        exp, log = self._log_tables or self.log_tables()
         return [0 if n else 1] + [exp[w * n % (self.size - 1)] for w in log[1:]]
 
     def pow(self, a, n):

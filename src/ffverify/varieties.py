@@ -1,25 +1,37 @@
 """Exact point counts for the Hermitian and symplectic families.
 
-Affine counts use value-distribution convolution over the additive group
-of the ambient field: the distribution of x -> x^{q+1} (or of the pair
-form (x, y) -> x^q y - x y^q) is tabulated once, convolved n times, and
-evaluated.  Projective counts enumerate by the leading nonzero
-coordinate (normalized to 1), so every projective point is counted
-through its canonical representative.
+Each affine count is a count of tuples whose values sum to a target:
+sum x_i^{q+1} = c, sum (x_i^q y_i - x_i y_i^q) = c and their variants
+with a term z^q +- z.  The distribution of each summand's values is
+tabulated once on integer encodings, whose base-p digits are
+coordinates on the additive group (Z/p)^d of the level, and the count
+is an exact additive-character sum (Lidl and Niederreiter, Finite
+Fields, ch. 5):
 
-The kernels key every value by its integer encoding and do all their
-arithmetic through the level's log, Zech and power-map tables
-(Level.add_enc, mul_enc, neg_enc, power_map).  count_points_naive
-shares none of it: it enumerates coefficient tuples with the level's
-polynomial arithmetic, and so is an independent route.
+- The spectrum A_f(u) = sum_k f(k) x^<u,k> lies in Z[x]/(x^p - 1),
+  where <u,k> is the digit dot product mod p.  A radix-p butterfly
+  computes it for every u, one pass per digit.  It is kept as one int
+  with p slots of w bits: x^s rotates the slots, and a ring product is
+  one int product folded onto p slots.  Masses are non-negative, so no
+  slot overflows while N times the number of tuples is below 2^w.
+- In B = sum_u prod_i A_i(u)^{n_i} x^{-<u,c>} a tuple with sum c adds N
+  to slot 0 and any other tuple N/p to every slot, so the count is
+  (B_0 - B_1)/N.  Each count checks B_1 = ... = B_{p-1} and
+  N | B_0 - B_1, and raises ArithmeticError if either fails.
+
+Projective counts enumerate by the leading nonzero coordinate
+(normalized to 1).  count_points_naive shares none of this: it tests
+each equation on coefficient tuples with the level's polynomial
+arithmetic, and so is an independent route.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from collections import Counter
+import operator
 from dataclasses import dataclass
+from math import gcd, prod
 
 from .fields import TowerContext, FieldError
 
@@ -41,23 +53,29 @@ _SURFACE_KINDS = {"Xbar", "D"}
 
 @dataclass(frozen=True)
 class VarietySpec:
-    """A variety family member: kind plus the index n (ignored for the
-    fixed surface kinds)."""
+    """A variety family member: kind plus the index n >= 1.  The fixed
+    surface kinds Xbar and D ignore n."""
     kind: str
     n: int = 1
 
     def __post_init__(self):
         if self.kind not in VARIETY_KINDS:
             raise ValueError(f"unknown variety kind {self.kind!r}")
-        if self.kind not in _SURFACE_KINDS and self.n < 1:
+        if self.n < 1:
             raise ValueError("n must be at least 1")
 
 
 class _LevelArith:
-    """Budgeted distribution kernels on one tower level, keyed by
-    integer encodings (the field's 1 has encoding 1)."""
+    """Budgeted distributions and character sums on one tower level.
 
-    def __init__(self, ctx: TowerContext, key: int, budget: int):
+    A distribution is a list of N non-negative masses indexed by
+    encoding (the field's 1 has encoding 1).  Every count made here
+    ranges over at most N^dim tuples, which fixes the slot width w.  The
+    budget is charged N per distribution, N d p per spectrum and N per
+    product of spectra.
+    """
+
+    def __init__(self, ctx: TowerContext, key: int, budget: int, dim: int):
         self.ctx = ctx
         self.level = ctx.levels[key]
         self.key = key
@@ -66,6 +84,7 @@ class _LevelArith:
         self.ops = 0
         self._spend(self.N)
         self.frob = self.level.power_map(ctx.q)
+        self.w = (self.N ** (dim + 1)).bit_length()
 
     def _spend(self, amount: int):
         self.ops += amount
@@ -73,52 +92,105 @@ class _LevelArith:
             raise BudgetExceededError(
                 f"operation budget {self.budget} exceeded at level q^{self.key}")
 
-    def negate(self, d: Counter) -> Counter:
-        neg = self.level.neg_enc
-        return Counter({neg(v): c for v, c in d.items()})
+    def _dist(self, values) -> list[int]:
+        self._spend(self.N)
+        f = [0] * self.N
+        for v in values:
+            f[v] += 1
+        return f
 
-    def dist_hermitian(self) -> Counter:
+    def dist_hermitian(self) -> list[int]:
         """Distribution of x -> x^{q+1}."""
-        self._spend(self.N)
-        return Counter(self.level.power_map(self.ctx.q + 1))
+        return self._dist(self.level.power_map(self.ctx.q + 1))
 
-    def dist_pair(self, sign: int) -> Counter:
-        """Distribution of (x, y) -> x^q y - x y^q (sign=+1) or its
-        negative (sign=-1)."""
-        self._spend(self.N * self.N)
+    def dist_artin_schreier(self, sign: int) -> list[int]:
+        """Distribution of z -> z^q + sign * z.  Like every distribution
+        here it is invariant under negation: substitute -z for z."""
         lv = self.level
-        add, mul, neg = lv.add_enc, lv.mul_enc, lv.neg_enc
-        out = Counter()
-        for i, fi in enumerate(self.frob):
-            for j, fj in enumerate(self.frob):
-                out[add(mul(fi, j), neg(mul(i, fj)))] += 1
-        return out if sign == 1 else self.negate(out)
+        return self._dist(lv.add_enc(fz, z if sign == 1 else lv.neg_enc(z))
+                          for z, fz in enumerate(self.frob))
 
-    def dist_artin_schreier(self, sign: int) -> Counter:
-        """Distribution of z -> z^q + sign * z."""
+    def dist_pair(self) -> list[int]:
+        """Distribution of (x, y) -> x^q y - x y^q, from linearity.
+
+        x = 0 gives 0, N times.  For x != 0 put y = x t: the value is
+        x^{q+1} (t - t^q), and t -> t - t^q is F_p-linear with kernel
+        F_q, so it takes each value of its image W_0 q times.  The values
+        are thus x^{q+1} W_0, (#distinct x^{q+1}) |W_0| ~ N^2/(q(q+1))
+        products rather than N^2 pairs.  Moreover x -> x^{q+1} takes
+        each unit v with log v = 0 mod g = gcd(q+1, N-1) g times, so the
+        mass of v != 0 is g #{t : log(t - t^q) = log v mod g}: one pass
+        over t.  Swapping x and y negates the form, so the distribution
+        is invariant under negation.
+        """
+        das = self.dist_artin_schreier(-1)  # that of t - t^q, by t -> -t
+        log = self.level.log_tables()[1]
+        N, g = self.N, gcd(self.ctx.q + 1, self.N - 1)
+        self._spend(N)
+        cosets = [0] * g
+        for w in range(1, N):
+            cosets[log[w] % g] += das[w]
+        return [N + (N - 1) * das[0]] + [g * cosets[log[v] % g]
+                                         for v in range(1, N)]
+
+    def spectrum(self, f: list[int]) -> list[int]:
+        """The packed A_f(u) for every u, in encoding order.
+
+        Each pass of the butterfly transforms the top digit and moves it
+        to the bottom, so after one pass per digit all are in place.
+        """
+        N, p, w = self.N, self.level.p, self.w
+        self._spend(N * self.level.degree * p)
+        mask = (1 << w * p) - 1
+        a = list(f)
+        m = N // p
+        for _ in range(self.level.degree):
+            parts = [a[i * m:(i + 1) * m] for i in range(p)]
+            a[0::p] = map(sum, zip(*parts))
+            for t in range(1, p):
+                lo, hi = w * t, w * (p - t)
+                acc = parts[-1]
+                for part in reversed(parts[:-1]):  # Horner's rule in x^t
+                    acc = [x + ((y << lo | y >> hi) & mask)
+                           for x, y in zip(part, acc)]
+                a[t::p] = acc
+        return a
+
+    def _mul(self, a: list[int], b: list[int]) -> list[int]:
         self._spend(self.N)
-        lv = self.level
-        return Counter(lv.add_enc(fz, z if sign == 1 else lv.neg_enc(z))
-                       for z, fz in enumerate(self.frob))
+        pw = self.w * self.level.p
+        mask = (1 << pw) - 1
+        return [(v & mask) + (v >> pw) for v in map(operator.mul, a, b)]
 
-    def convolve(self, d1: Counter, d2: Counter) -> Counter:
-        self._spend(len(d1) * len(d2))
-        add = self.level.add_enc
-        out = Counter()
-        for v1, c1 in d1.items():
-            for v2, c2 in d2.items():
-                out[add(v1, v2)] += c1 * c2
-        return out
-
-    def iterate_convolve(self, d: Counter, n: int) -> Counter:
-        acc = Counter({0: 1})
-        for _ in range(n):
-            acc = self.convolve(acc, d)
-        return acc
-
-    def shift(self, d: Counter, v0: int) -> Counter:
-        add = self.level.add_enc
-        return Counter({add(v, v0): c for v, c in d.items()})
+    def count(self, factors, c: int = 0) -> int:
+        """The number of tuples that sum to c, drawing n values from the
+        distribution with spectrum A for each (A, n) in factors."""
+        N, p, w = self.N, self.level.p, self.w
+        if N * prod(a[0] ** n for a, n in factors) >> w:  # A(0) is the mass
+            raise ArithmeticError(f"{w}-bit slots are too narrow")
+        acc = [1] * N
+        for a, n in factors:
+            while n:  # square and multiply
+                if n & 1:
+                    acc = self._mul(acc, a)
+                n >>= 1
+                if n:
+                    a = self._mul(a, a)
+        dots = [0]  # <u, c> for every u, one digit at a time
+        for i in range(self.level.degree):
+            ci = c // p ** i % p
+            dots = [(s + j * ci) % p for j in range(p) for s in dots]
+        by_dot = [0] * p
+        for v, r in zip(acc, dots):
+            by_dot[r] += v
+        low = (1 << w) - 1  # B_s collects slot s + r of the terms x^-r
+        B = [sum(by_dot[r] >> w * ((s + r) % p) & low for r in range(p))
+             for s in range(p)]
+        if len(set(B[1:])) != 1 or (B[0] - B[1]) % N:
+            raise ArithmeticError(
+                f"character sum check failed at level q^{self.key}: "
+                f"slots {B} for target {c}")
+        return (B[0] - B[1]) // N
 
 
 def _proj_space_count(N: int, dim: int) -> int:
@@ -130,82 +202,62 @@ def count_points(ctx: TowerContext, spec: VarietySpec, level: int,
     """Number of rational points of spec over the tower level (1, 2, 4)."""
     if level not in ctx.levels:
         raise FieldError(f"level must be one of {tuple(ctx.levels)}")
-    ar = _LevelArith(ctx, level, budget)
+    n, kind = spec.n, spec.kind
+    # every count below ranges over at most N^dim tuples
+    dim = (3 if kind in _SURFACE_KINDS else
+           2 * n + 1 if kind in _PAIR_KINDS else n + 1)
+    ar = _LevelArith(ctx, level, budget, dim)
     N = ar.N
-    n = spec.n
-    kind = spec.kind
 
     if kind in ("S", "Y", "Ytilde", "X"):
-        dh = ar.dist_hermitian()
+        dh = ar.spectrum(ar.dist_hermitian())
         if kind == "Ytilde":
-            return ar.iterate_convolve(dh, n)[1]
-        if kind == "X":
-            das = ar.dist_artin_schreier(+1)
-            dx = ar.iterate_convolve(dh, n)
-            return sum(das[v] * c for v, c in dx.items())
-        # S_n: leading coordinate j (0-based), x_j = 1, earlier zero.
-        total = 0
-        for j in range(n):
-            rest = ar.iterate_convolve(dh, n - 1 - j)
-            rest = ar.shift(rest, 1)  # the x_j = 1 term
-            total += rest[0]
+            return ar.count([(dh, n)], 1)
+        if kind == "X":  # sum x_i^{q+1} = z^q + z
+            das = ar.spectrum(ar.dist_artin_schreier(+1))
+            return ar.count([(dh, n), (das, 1)])
+        # S_n: leading coordinate j (0-based), x_j = 1, earlier zero, so
+        # the n - 1 - j later terms sum to -1.
+        minus_one = ar.level.neg_enc(1)
+        total = sum(ar.count([(dh, n - 1 - j)], minus_one) for j in range(n))
         if kind == "S":
             return total
         return _proj_space_count(N, n - 1) - total  # Y
 
     if kind in _PAIR_KINDS:
-        dplus = ar.dist_pair(+1)   # x^q y - x y^q
+        dpair = ar.spectrum(ar.dist_pair())  # x^q y - x y^q
         if kind == "Ytildeprime":
-            return ar.iterate_convolve(dplus, n)[1]
-        if kind == "Xprime":
-            # z^q - z = sum (x_i y_i^q - x_i^q y_i)
-            das = ar.dist_artin_schreier(-1)
-            dx = ar.iterate_convolve(ar.negate(dplus), n)
-            return sum(das[v] * c for v, c in dx.items())
+            return ar.count([(dpair, n)], 1)
         if kind in ("Zprime", "Zprime0", "Uprime"):
-            dx = ar.iterate_convolve(ar.negate(dplus), n)
+            zero = ar.count([(dpair, n)])
             if kind == "Zprime":
-                return dx[0]
+                return zero
             if kind == "Zprime0":
-                return dx[0] - 1  # remove the origin
-            return N ** (2 * n) - dx[0]  # Uprime: nonzero fiber values
-        # S'_{2n} projective: coordinates ordered x_1..x_n, y_1..y_n.
-        # distribution of y -> y - y^q  (x = 1 in its pair)
-        dy = ar.negate(ar.dist_artin_schreier(-1))
-        total = 0
-        for j in range(n):  # leading coordinate x_{j+1}
-            rest = ar.iterate_convolve(dplus, n - 1 - j)
-            rest = ar.convolve(rest, dy)
-            total += rest[0] * N ** j  # y_1..y_j free with zero x-partners
+                return zero - 1  # remove the origin
+            return N ** (2 * n) - zero  # Uprime: nonzero fiber values
+        das = ar.spectrum(ar.dist_artin_schreier(-1))  # z^q - z
+        if kind == "Xprime":  # z^q - z = sum (x_i y_i^q - x_i^q y_i)
+            return ar.count([(dpair, n), (das, 1)])
+        # S'_{2n} projective, coordinates x_1..x_n, y_1..y_n.  Leading
+        # x_{j+1} = 1: its pair gives y - y^q; y_1..y_j are free.
+        total = sum(ar.count([(dpair, n - 1 - j), (das, 1)]) * N ** j
+                    for j in range(n))
         # leading coordinate among the y's: all x_i = 0, form vanishes.
         total += _proj_space_count(N, n - 1)
         if kind == "Sprime":
             return total
         return _proj_space_count(N, 2 * n - 1) - total  # Yprime
 
-    if kind == "Xbar":
-        return _count_xbar_chart(ar) + _count_boundary(ar)
-    if kind == "D":
-        return _count_boundary(ar)
-    raise ValueError(f"unhandled kind {kind!r}")
-
-
-def _count_xbar_chart(ar: _LevelArith) -> int:
-    """Points [Z0:Z1:Z2:1] with Z2^q Z3 - Z2 Z3^q = Z0 Z1^q - Z0^q Z1,
-    i.e. z^q - z = x y^q - x^q y in the chart Z3 = 1."""
-    das = ar.dist_artin_schreier(-1)
-    dpair = ar.dist_pair(-1)  # x y^q - x^q y
-    return sum(das[v] * c for v, c in dpair.items())
-
-
-def _count_boundary(ar: _LevelArith) -> int:
-    """The hyperplane section Z3 = 0: there 0 = Z0 Z1^q - Z0^q Z1."""
-    dpair = ar.dist_pair(-1)
-    with_z2 = dpair[0]  # [Z0:Z1:1:0]
-    # [Z0:Z1:0:0] with the same equation: leading coordinate 1, so
+    # The compactified surface Z2^q Z3 - Z2 Z3^q = Z0 Z1^q - Z0^q Z1.
+    dpair = ar.dist_pair()
+    # Its boundary Z3 = 0, where 0 = Z0 Z1^q - Z0^q Z1: [Z0:Z1:1:0], and
     # [1:y:0:0] with y^q = y, and [0:1:0:0].
-    line = sum(1 for y, fy in enumerate(ar.frob) if fy == y) + 1
-    return with_z2 + line
+    boundary = dpair[0] + sum(1 for y, fy in enumerate(ar.frob) if fy == y) + 1
+    if kind == "D":
+        return boundary
+    # The chart Z3 = 1: z^q - z = x y^q - x^q y.
+    das = ar.spectrum(ar.dist_artin_schreier(-1))
+    return boundary + ar.count([(ar.spectrum(dpair), 1), (das, 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -215,20 +267,19 @@ def dickson_sl2_quotient_count(ctx: TowerContext, n: int, level: int,
                                budget: int = 50_000_000) -> int:
     """Count of the affine model {sum s_i = 1} x A^n of the SL2-quotient
     of the primed hypersurface; equals N^{2n-1}."""
-    ar = _LevelArith(ctx, level, budget)
-    uniform = Counter({k: 1 for k in range(ar.N)})
-    hyper = ar.iterate_convolve(uniform, n)[1]
-    return hyper * ar.N ** n
+    ar = _LevelArith(ctx, level, budget, n)
+    uniform = ar.spectrum([1] * ar.N)
+    return ar.count([(uniform, n)], 1) * ar.N ** n
 
 
 def dickson_u_quotient_count(ctx: TowerContext, n: int, level: int,
                              budget: int = 50_000_000) -> int:
     """Count of {sum s_i t_i = 1} in A^{2n} over the given level."""
-    ar = _LevelArith(ctx, level, budget)
+    ar = _LevelArith(ctx, level, budget, 2 * n)
     ar._spend(ar.N * ar.N)
     mul = ar.level.mul_enc
-    dprod = Counter(mul(i, j) for i in range(ar.N) for j in range(ar.N))
-    return ar.iterate_convolve(dprod, n)[1]
+    dprod = ar._dist(mul(i, j) for i in range(ar.N) for j in range(ar.N))
+    return ar.count([(ar.spectrum(dprod), n)], 1)
 
 
 # ---------------------------------------------------------------------------

@@ -72,6 +72,13 @@ def test_ell_parts():
     assert ell_parts(3, 5) == (1, 4)
 
 
+@pytest.mark.parametrize("ell", [-1, 0, 1, 4, 9])
+def test_ell_parts_rejects_a_non_prime(ell):
+    # ell = 1 and -1 used to divide q + 1 forever
+    with pytest.raises(CharacterError):
+        ell_parts(5, ell)
+
+
 @pytest.mark.parametrize("ell", [3, 5, 7, 11])
 @pytest.mark.parametrize("q", QS)
 @pytest.mark.parametrize("n", [2, 3])

@@ -104,6 +104,27 @@ def test_verify_ell_equal_p_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["howe", "verify"])
+@pytest.mark.parametrize("ell", ["-1", "0", "1", "4", "9"])
+def test_an_ell_that_is_not_an_odd_prime_is_rejected_up_front(capsys, command,
+                                                              ell):
+    # ell = 1 and -1 used to hang in ell_parts, ell = 0 to crash
+    start = time.perf_counter()
+    code, out, err = run(capsys, [command, "--p", "3", "--n", "2", "--ell", ell])
+    assert time.perf_counter() - start < 2
+    assert code == 2 and out == ""
+    assert err.startswith("error: --ell ")
+
+
+@pytest.mark.parametrize("kind", ["Xbar", "D"])
+@pytest.mark.parametrize("n", ["0", "-5"])
+def test_surface_kinds_reject_n_below_one(capsys, kind, n):
+    code, out, err = run(capsys, ["count", "--p", "3", "--variety", kind,
+                                  "--n", n, "--format", "csv"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
+
+
 def test_howe_ordinary_json(capsys):
     code, out, _ = run(capsys, ["howe", "--p", "3", "--n", "2"])
     assert code == 0

@@ -42,6 +42,9 @@ CLI_CASES = [
     ("count_p2_e2_all_n2_level4.csv",
      ["count", "--p", "2", "--e", "2", "--variety", *ALL_KINDS, "--n", "2",
       "--level", "4", "--format", "csv"]),
+    ("count_p5_all_n2_level4.csv",
+     ["count", "--p", "5", "--variety", *ALL_KINDS, "--n", "2",
+      "--level", "4", "--format", "csv"]),
     ("howe_p5_n2_ell3.md",
      ["howe", "--p", "5", "--n", "2", "--ell", "3", "--format", "md"]),
     ("gauss_p5.json", ["gauss", "--p", "5", "--format", "json"]),

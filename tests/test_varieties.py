@@ -1,10 +1,18 @@
 """Point counting: structured kernels against naive enumeration."""
 
+import random
+from collections import Counter
+
 import pytest
 
 from ffverify import (BudgetExceededError, VarietySpec, build_tower,
                       count_points, count_points_naive, counts_to_csv,
-                      dickson_sl2_quotient_count, dickson_u_quotient_count)
+                      dickson_sl2_quotient_count, dickson_u_quotient_count,
+                      varieties)
+from ffverify.cli import main
+
+TOWERS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1),
+          (13, 1), (2, 4)]
 
 
 def test_variety_spec_validation():
@@ -12,6 +20,79 @@ def test_variety_spec_validation():
         VarietySpec("nope")
     with pytest.raises(ValueError):
         VarietySpec("Ytilde", 0)
+    # the surface kinds ignore n, but still need n >= 1
+    with pytest.raises(ValueError):
+        VarietySpec("Xbar", 0)
+    with pytest.raises(ValueError):
+        VarietySpec("D", -5)
+
+
+SMALL_LEVELS = [(p, e, level) for p, e in TOWERS for level in (1, 2, 4)
+                if (p ** e) ** level <= 125]
+
+
+@pytest.mark.parametrize("p,e,level", SMALL_LEVELS)
+def test_character_sum_count_matches_a_counter_convolution(p, e, level):
+    # every tower level of size <= 125, every target c, n <= 3 summands
+    ctx = build_tower(p, e)
+    N, d = ctx.levels[level].size, ctx.levels[level].degree
+    # addition of encodings digit by digit, without the level's tables
+    add = [[sum((a // p ** i + b // p ** i) % p * p ** i for i in range(d))
+            for b in range(N)] for a in range(N)]
+    rng = random.Random(f"{p},{e},{level}")
+    dists = [[rng.randrange(4) for _ in range(N)] for _ in range(2)]
+    dists[1][rng.randrange(N)] += 7
+    ar = varieties._LevelArith(ctx, level, 10 ** 9, 10)
+    spectra = [ar.spectrum(f) for f in dists]
+    for n0, n1 in [(0, 0), (1, 0), (2, 0), (3, 0), (1, 1), (2, 1), (0, 2)]:
+        conv = Counter({0: 1})
+        for f in [dists[0]] * n0 + [dists[1]] * n1:
+            nxt = Counter()
+            for a, ca in conv.items():
+                for b, cb in enumerate(f):
+                    nxt[add[a][b]] += ca * cb
+            conv = nxt
+        factors = [(spectra[0], n0), (spectra[1], n1)]
+        assert [ar.count(factors, c) for c in range(N)] == \
+            [conv[c] for c in range(N)]
+
+
+def test_a_wrong_spectrum_slot_fails_the_character_sum_check(monkeypatch,
+                                                             capsys):
+    spectrum = varieties._LevelArith.spectrum
+
+    def off_by_one(self, f):
+        a = spectrum(self, f)
+        a[1] += 1  # slot 0 of A_f(u) at u = 1
+        return a
+
+    monkeypatch.setattr(varieties._LevelArith, "spectrum", off_by_one)
+    for p in (2, 3):
+        with pytest.raises(ArithmeticError, match="character sum check"):
+            count_points(build_tower(p, 1), VarietySpec("Ytilde", 1), 2)
+    code = main(["count", "--p", "3", "--variety", "Ytilde", "--level", "2"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("internal error: character sum check")
+
+
+@pytest.mark.parametrize("p,e", TOWERS)
+@pytest.mark.parametrize("level", [2, 4])
+def test_affine_hermitian_curve_has_q3_minus_q_points(p, e, level):
+    """#Ytilde_2 = q^3 - q over F_{q^2} and over F_{q^4}.
+
+    The Hermitian curve x^{q+1} + y^{q+1} = z^{q+1} has genus
+    g = q(q-1)/2 and is F_{q^2}-maximal (Bose and Chakravarti, Canad. J.
+    Math. 18, 1966): it has q^2 + 1 + 2gq = q^3 + 1 points there, so
+    every eigenvalue of the q^2-Frobenius is -q.  Over F_{q^4} they
+    become q^2, and the curve has q^4 + 1 - q(q-1)q^2 = q^3 + 1 points.
+    At both levels q + 1 of them are at infinity, [x : y : 0] with
+    (x/y)^{q+1} = -1, so the affine curve x^{q+1} + y^{q+1} = 1 has
+    q^3 - q points.
+    """
+    q = p ** e
+    assert count_points(build_tower(p, e), VarietySpec("Ytilde", 2),
+                        level) == q ** 3 - q
 
 
 @pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2)])
