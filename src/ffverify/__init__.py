@@ -1,8 +1,8 @@
 """Exact verification of finite-field point counts, fixed point
 formulas, exact character arithmetic and theta correspondence tables."""
 
-from .fields import (ArtinSchreierExtension, FieldElement, FieldError,
-                     TowerContext, build_tower)
+from .fields import (ArtinSchreierExtension, FieldError, TowerContext,
+                     build_tower)
 from .cyclotomic import (AdditiveCharacter, CentralCharacter, CycError,
                          CycNumber, conductor, gauss_sum, nu_character,
                          nu_sign)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .fields import FieldElement, TowerContext, FieldError, row_reduce
+from .fields import TowerContext, FieldError, row_reduce
 
 
 class CycError(ValueError):
@@ -35,7 +35,12 @@ def _intpoly_divexact(num, den):
 
 @lru_cache(maxsize=None)
 def cyclotomic_coeffs(m: int) -> tuple:
-    """Integer coefficients of the m-th cyclotomic polynomial, low first."""
+    """Integer coefficients of the m-th cyclotomic polynomial, low first.
+
+    A process-wide cache is right: the result is an immutable tuple fixed
+    by m alone, every CycNumber of conductor m reads it, and the recursion
+    over the divisors of m would otherwise repeat.
+    """
     if m < 1:
         raise CycError("conductor must be positive")
     poly = [-1] + [0] * (m - 1) + [1]  # x^m - 1
@@ -47,7 +52,11 @@ def cyclotomic_coeffs(m: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def _power_table(m: int):
-    """x^j mod Phi_m for j = 0 .. m-1, as tuples of ints."""
+    """x^j mod Phi_m for j = 0 .. m-1, as tuples of ints.
+
+    A process-wide cache is right: the table is immutable and fixed by m
+    alone, and every product and root of unity of conductor m reads it.
+    """
     phi = cyclotomic_coeffs(m)
     deg = len(phi) - 1
     table = []
@@ -237,37 +246,36 @@ def conductor(ctx: TowerContext) -> int:
 
 
 class AdditiveCharacter:
-    """psi_a(x) = zeta_p^{Tr_{F_q/F_p}(a x)} on F_q."""
+    """psi_a(x) = zeta_p^{Tr_{F_q/F_p}(a x)} on F_q, for level-1
+    encodings a and x."""
 
-    def __init__(self, ctx: TowerContext, a):
+    def __init__(self, ctx: TowerContext, a: int):
         self.ctx = ctx
-        self.a = ctx.project(a if isinstance(a, FieldElement) else ctx.element(1, a), 1)
+        self.a = a
         self.m = conductor(ctx)
 
-    def __call__(self, x) -> CycNumber:
+    def __call__(self, x: int) -> CycNumber:
         ctx = self.ctx
-        if not isinstance(x, FieldElement):
-            x = ctx.element(1, x)
-        x = ctx.project(x, 1)
-        tr = ctx.trace_to_prime(self.a * x)
+        tr = ctx.trace_to_prime(ctx.levels[1].mul_enc(self.a, x), 1)
         return CycNumber.root_of_unity(self.m, (ctx.q + 1) * tr)
 
-    def inverse_value(self, x) -> CycNumber:
+    def inverse_value(self, x: int) -> CycNumber:
         return self(x).conjugate()
 
     def is_trivial(self) -> bool:
-        return self.a.is_zero()
+        return self.a == 0
 
 
 class CentralCharacter:
-    """chi_k on mu_{q+1}, zeta -> zeta_{q+1}^{k dlog(zeta)}."""
+    """chi_k on mu_{q+1}, zeta -> zeta_{q+1}^{k dlog(zeta)}, for
+    level-2 encodings zeta."""
 
     def __init__(self, ctx: TowerContext, k: int):
         self.ctx = ctx
         self.k = k % (ctx.q + 1)
         self.m = conductor(ctx)
 
-    def __call__(self, zeta: FieldElement) -> CycNumber:
+    def __call__(self, zeta: int) -> CycNumber:
         d = self.ctx.discrete_log_mu(zeta, self.ctx.q + 1)
         return CycNumber.root_of_unity(self.m, self.ctx.p * self.k * d)
 
@@ -279,7 +287,7 @@ def nu_character(ctx: TowerContext) -> CentralCharacter:
     return CentralCharacter(ctx, (ctx.q + 1) // 2)
 
 
-def nu_sign(ctx: TowerContext, zeta: FieldElement) -> int:
+def nu_sign(ctx: TowerContext, zeta: int) -> int:
     if ctx.p == 2:
         raise FieldError("the quadratic character of mu_{q+1} needs p odd")
     return -1 if ctx.discrete_log_mu(zeta, ctx.q + 1) % 2 else 1
@@ -293,8 +301,6 @@ def gauss_sum(ctx: TowerContext, psi: AdditiveCharacter) -> CycNumber:
         raise FieldError("the additive character must be nontrivial")
     m = conductor(ctx)
     total = CycNumber.from_rational(m, 0)
-    for x in ctx.enumerate_level(1):
-        if x.is_zero():
-            continue
+    for x in range(1, ctx.q):
         total = total + ctx.legendre(x) * psi(x)
     return total

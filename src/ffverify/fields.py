@@ -3,9 +3,13 @@
 Field models are reproducible without external tables: every level is
 F_p[x]/(f) where f is the lexicographically least monic irreducible
 polynomial of the right degree (coefficients compared low-degree-first).
-Elements are coefficient tuples over F_p, low degree first, and the
-integer encoding sum(c_i * p^i) fixes a total order used everywhere a
-"least" or "sorted" choice is needed.
+An element is the integer encoding sum(c_i * p^i) of its coefficient
+vector over F_p, low degree first.  Encodings are the interface of this
+module: Level computes on them through its log and Zech tables, the
+tower embeds and projects them through tables, and the encoding order is
+the total order used everywhere a "least" or "sorted" choice is needed.
+Coefficient tuples stay internal to Level, to the embedding tables and
+to the Artin-Schreier extension K.
 """
 
 from __future__ import annotations
@@ -137,7 +141,10 @@ def least_irreducible(p: int, d: int):
     """Lex-least monic irreducible of degree d over F_p.
 
     Candidates are ordered by the base-p integer encoding of the
-    low-degree coefficient vector (c_0, ..., c_{d-1}).
+    low-degree coefficient vector (c_0, ..., c_{d-1}).  A process-wide
+    cache is right: the result is an immutable tuple fixed by (p, d),
+    and each Level of that degree, in any tower or the blind scan's
+    model, would otherwise repeat the search.
     """
     for k in range(p ** d):
         coeffs = []
@@ -259,10 +266,6 @@ class Level:
         p = self.p
         return tuple((x - y) % p for x, y in zip(a, b))
 
-    def neg(self, a):
-        p = self.p
-        return tuple((-x) % p for x in a)
-
     def scalar(self, c, a):
         p = self.p
         c %= p
@@ -336,8 +339,6 @@ class Level:
         return [0 if n else 1] + [exp[w * n % (self.size - 1)] for w in log[1:]]
 
     def pow(self, a, n):
-        if n < 0:
-            return self.pow(self.inv(a), -n)
         result = self.one
         while n:
             if n & 1:
@@ -345,11 +346,6 @@ class Level:
             a = self.mul(a, a)
             n >>= 1
         return result
-
-    def inv(self, a):
-        if a == self.zero:
-            raise FieldError("inverse of zero")
-        return self.pow(a, self.size - 2)
 
     def encode(self, a) -> int:
         k = 0
@@ -376,81 +372,33 @@ class Level:
 
 
 # ---------------------------------------------------------------------------
-# The tower and its elements.
+# The tower: levels, and the embeddings between them as tables.
 
-class FieldElement:
-    """An element at one level of a tower, compared after embedding."""
+def embedding_table(root, lo: Level, hi: Level) -> list[int]:
+    """The encoding in hi of each lo encoding, in encoding order.
 
-    __slots__ = ("tower", "key", "coeffs")
-
-    def __init__(self, tower: "TowerContext", key: int, coeffs):
-        self.tower = tower
-        self.key = key
-        self.coeffs = tuple(coeffs)
-
-    def __repr__(self):
-        return f"F(q^{self.key}){list(self.coeffs)}"
-
-    def _pair(self, other):
-        if not isinstance(other, FieldElement):
-            other = self.tower.element(self.key, other)
-        if other.tower is not self.tower:
-            raise FieldError("elements from different towers")
-        key = max(self.key, other.key)
-        return self.tower.embed(self, key), self.tower.embed(other, key), key
-
-    def __eq__(self, other):
-        if not isinstance(other, FieldElement):
-            if isinstance(other, int):
-                other = self.tower.element(self.key, other % self.tower.p)
-            else:
-                return NotImplemented
-        a, b, _ = self._pair(other)
-        return a.coeffs == b.coeffs
-
-    def __hash__(self):
-        top = self.tower.embed(self, 4)
-        return hash((id(self.tower), top.coeffs))
-
-    def __add__(self, other):
-        a, b, key = self._pair(other)
-        return FieldElement(self.tower, key, self.tower.levels[key].add(a.coeffs, b.coeffs))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        a, b, key = self._pair(other)
-        return FieldElement(self.tower, key, self.tower.levels[key].sub(a.coeffs, b.coeffs))
-
-    def __neg__(self):
-        return FieldElement(self.tower, self.key, self.tower.levels[self.key].neg(self.coeffs))
-
-    def __mul__(self, other):
-        a, b, key = self._pair(other)
-        return FieldElement(self.tower, key, self.tower.levels[key].mul(a.coeffs, b.coeffs))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        a, b, key = self._pair(other)
-        lv = self.tower.levels[key]
-        return FieldElement(self.tower, key, lv.mul(a.coeffs, lv.inv(b.coeffs)))
-
-    def __pow__(self, n):
-        return FieldElement(self.tower, self.key, self.tower.levels[self.key].pow(self.coeffs, n))
-
-    def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
-
-    def encoding(self) -> int:
-        return self.tower.levels[self.key].encode(self.coeffs)
+    root is a root in hi of lo's modulus, so the embedding is the
+    F_p-linear map sending x^i to root^i.
+    """
+    pows = [hi.one]
+    for _ in range(lo.degree - 1):
+        pows.append(hi.mul(pows[-1], root))
+    table = []
+    for a in lo.elements():
+        acc = hi.zero
+        for c, rp in zip(a, pows):
+            if c:
+                acc = hi.add(acc, hi.scalar(c, rp))
+        table.append(hi.encode(acc))
+    return table
 
 
 class TowerContext:
-    """The tower F_p < F_q < F_{q^2} < F_{q^4} with cached embeddings.
+    """The tower F_p < F_q < F_{q^2} < F_{q^4} and its embedding tables.
 
     Immutable after construction apart from its caches; all operations
-    are pure.  Level keys are the degree over F_q: 1, 2 and 4.
+    are pure.  Level keys are the degree over F_q: 1, 2 and 4, and every
+    element is the integer encoding of its level.
     """
 
     KEYS = (1, 2, 4)
@@ -467,16 +415,14 @@ class TowerContext:
         self.p = p
         self.e = e
         self.q = q
-        self.levels = {k: Level(p, e * k) for k in self.KEYS}
+        self.levels = lv = {k: Level(p, e * k) for k in self.KEYS}
         # Embeddings by root-finding: the 1->4 map is the composite
         # through level 2, so commutativity holds by construction.
-        r12 = self._find_root(self.levels[1].modulus, self.levels[2])
-        r24 = self._find_root(self.levels[2].modulus, self.levels[4])
-        self._rootpow = {
-            (1, 2): self._powers(r12, self.levels[2], self.levels[1].degree),
-            (2, 4): self._powers(r24, self.levels[4], self.levels[2].degree),
-        }
-        self._down = {}
+        up12 = embedding_table(self._find_root(lv[1].modulus, lv[2]), lv[1], lv[2])
+        up24 = embedding_table(self._find_root(lv[2].modulus, lv[4]), lv[2], lv[4])
+        self._up = {(1, 2): up12, (2, 4): up24, (1, 4): [up24[k] for k in up12]}
+        self._down = {pair: {img: k for k, img in enumerate(table)}
+                      for pair, table in self._up.items()}
         # Filled on first use by fixed_points: the Artin-Schreier
         # coordinate field, the blind scan's absolute model and the
         # fixed point grid of each endomorphism variant.
@@ -503,108 +449,34 @@ class TowerContext:
             raise FieldError("modulus has no root in the upper level")
         return min(roots, key=level.encode)
 
-    @staticmethod
-    def _powers(r, level: Level, count):
-        out = [level.one]
-        for _ in range(count - 1):
-            out.append(level.mul(out[-1], r))
-        return out
-
-    # -- element construction -------------------------------------------------
-
-    def element(self, key: int, value) -> FieldElement:
-        lv = self.levels[key]
-        if isinstance(value, FieldElement):
-            return self.embed(value, key)
-        if isinstance(value, int):
-            return FieldElement(self, key, lv.decode(value % lv.size) if value >= lv.p
-                                else lv._pad((value % self.p,)))
-        return FieldElement(self, key, lv._pad(tuple(c % self.p for c in value)))
-
-    def zero(self, key=1):
-        return FieldElement(self, key, self.levels[key].zero)
-
-    def one(self, key=1):
-        return FieldElement(self, key, self.levels[key].one)
-
-    def from_encoding(self, key: int, k: int) -> FieldElement:
-        return FieldElement(self, key, self.levels[key].decode(k))
-
     # -- embeddings -----------------------------------------------------------
 
-    def _embed_step(self, coeffs, lo, hi):
-        pows = self._rootpow[(lo, hi)]
-        lv = self.levels[hi]
-        acc = lv.zero
-        for c, rp in zip(coeffs, pows):
-            if c:
-                acc = lv.add(acc, lv.scalar(c, rp))
-        return acc
+    def embed(self, k: int, lo: int, hi: int) -> int:
+        """The level-hi encoding of the level-lo encoding k."""
+        return k if lo == hi else self._up[(lo, hi)][k]
 
-    def embed(self, x: FieldElement, key: int) -> FieldElement:
-        if x.key == key:
-            return x
-        if x.key > key:
-            return self.project(x, key)
-        coeffs = x.coeffs
-        cur = x.key
-        while cur != key:
-            nxt = cur * 2
-            coeffs = self._embed_step(coeffs, cur, nxt)
-            cur = nxt
-        return FieldElement(self, key, coeffs)
-
-    def project(self, x: FieldElement, key: int) -> FieldElement:
-        """Inverse of embed; raises FieldError if x is not in the image."""
-        if x.key == key:
-            return x
-        if x.key < key:
-            return self.embed(x, key)
-        table = self._down_table(key, x.key)
+    def project(self, k: int, hi: int, lo: int) -> int:
+        """Inverse of embed; raises FieldError if k is not in the image."""
+        if lo == hi:
+            return k
         try:
-            coeffs = table[x.coeffs]
+            return self._down[(lo, hi)][k]
         except KeyError:
             raise FieldError("element does not lie in the requested subfield")
-        return FieldElement(self, key, coeffs)
-
-    def _down_table(self, lo, hi):
-        if (lo, hi) not in self._down:
-            table = {}
-            for a in self.levels[lo].elements():
-                img = FieldElement(self, lo, a)
-                table[self.embed(img, hi).coeffs] = a
-            self._down[(lo, hi)] = table
-        return self._down[(lo, hi)]
 
     # -- named operations -----------------------------------------------------
 
-    def frobenius_q(self, x: FieldElement) -> FieldElement:
-        return x ** self.q
-
-    def trace_to_prime(self, x: FieldElement) -> int:
-        lv = self.levels[x.key]
-        acc = self.zero(x.key)
-        y = x
-        for _ in range(lv.degree):
-            acc = acc + y
-            y = y ** self.p
-        if any(acc.coeffs[1:]):
-            raise FieldError("trace did not land in the prime field")
-        return acc.coeffs[0]
-
-    def norm_map(self, x: FieldElement) -> FieldElement:
-        """Norm from F_{q^2} to F_q."""
-        x = self.embed(x, 2)
-        return self.project(x * self.frobenius_q(x), 1)
-
-    def relative_trace(self, x: FieldElement) -> FieldElement:
-        """Trace from F_{q^2} to F_q."""
-        x = self.embed(x, 2)
-        return self.project(x + self.frobenius_q(x), 1)
-
-    def enumerate_level(self, key: int):
+    def trace_to_prime(self, k: int, key: int) -> int:
+        """Tr_{F_{q^key}/F_p} of the level-key encoding k, in range(p)."""
         lv = self.levels[key]
-        return [FieldElement(self, key, a) for a in lv.elements()]
+        frob = lv.power_map(self.p)
+        acc = 0
+        for _ in range(lv.degree):
+            acc = lv.add_enc(acc, k)
+            k = frob[k]
+        if acc >= self.p:  # F_p is the encodings below p
+            raise FieldError("trace did not land in the prime field")
+        return acc
 
     def _mu_step(self, m: int) -> int:
         """(q^2 - 1) / m: mu_m is generated by g^step, g the primitive
@@ -614,58 +486,46 @@ class TowerContext:
             raise FieldError(f"m = {m} does not divide q^2 - 1")
         return order // m
 
-    def enumerate_mu(self, m: int) -> list[FieldElement]:
-        """mu_m in encoding order."""
+    def enumerate_mu(self, m: int) -> list[int]:
+        """mu_m as level-2 encodings, in encoding order."""
         exp, _ = self.levels[2].log_tables()
-        return [self.from_encoding(2, k) for k in sorted(exp[::self._mu_step(m)])]
+        return sorted(exp[::self._mu_step(m)])
 
-    def mu_generator(self, m: int) -> FieldElement:
+    def mu_generator(self, m: int) -> int:
         """The generator of mu_m of least encoding."""
         step = self._mu_step(m)
         exp, _ = self.levels[2].log_tables()
-        return self.from_encoding(
-            2, min(exp[j * step] for j in range(m) if gcd(j, m) == 1))
+        return min(exp[j * step] for j in range(m) if gcd(j, m) == 1)
 
-    def discrete_log_mu(self, zeta: FieldElement, m: int) -> int:
-        """k with mu_generator(m)^k = zeta."""
+    def discrete_log_mu(self, zeta: int, m: int) -> int:
+        """k with mu_generator(m)^k = zeta, a level-2 encoding."""
         step = self._mu_step(m)
         _, log = self.levels[2].log_tables()
-        w = log[self.embed(zeta, 2).encoding()]
+        w = log[zeta]
         if w is None or w % step:
             raise FieldError("element is not in mu_m")
-        j = log[self.mu_generator(m).encoding()] // step
+        j = log[self.mu_generator(m)] // step
         return w // step * pow(j, -1, m) % m
 
-    def f_q_epsilon_set(self, eps: int) -> list[FieldElement]:
-        if eps not in (1, -1):
-            raise FieldError("epsilon must be +1 or -1")
-        lv = self.levels[2]
-        out = []
-        for k in range(lv.size):
-            a = FieldElement(self, 2, lv.decode(k))
-            if (a + self.element(2, [eps % self.p]) * self.frobenius_q(a)).is_zero():
-                out.append(a)
-        return out
-
-    def legendre(self, a) -> int:
+    def legendre(self, k: int) -> int:
+        """(k | F_q) for the level-1 encoding k: the squares of F_q^* are
+        the even powers of its primitive element."""
         if self.p == 2:
             raise FieldError("Legendre symbol undefined in characteristic 2")
-        if not isinstance(a, FieldElement):
-            a = self.element(1, a)
-        a = self.project(a, 1)
-        if a.is_zero():
+        if k == 0:
             raise FieldError("Legendre symbol undefined at 0")
-        r = a ** ((self.q - 1) // 2)
-        if r == self.one(1):
-            return 1
-        if r == -self.one(1):
-            return -1
-        raise FieldError("unexpected value of the square indicator")
+        _, log = self.levels[1].log_tables()
+        return -1 if log[k] % 2 else 1
 
 
 @lru_cache(maxsize=None)
 def build_tower(p: int, e: int) -> TowerContext:
-    """Deterministic tower for q = p^e; cached so towers are singletons."""
+    """Deterministic tower for q = p^e.
+
+    A process-wide singleton, so that the caches on the tower (log
+    tables, K, the blind scan's model, the fixed point grid) are shared
+    by every caller; apart from those caches the tower is immutable.
+    """
     return TowerContext(p, e)
 
 
@@ -695,15 +555,11 @@ class ArtinSchreierExtension:
         self.tower = tower
         self.p = tower.p
         self.base = tower.levels[2]
-        c = None
-        for k in range(self.base.size):
-            cand = FieldElement(tower, 2, self.base.decode(k))
-            if tower.trace_to_prime(cand) != 0:
-                c = cand
-                break
+        c = next((k for k in range(self.base.size) if tower.trace_to_prime(k, 2)),
+                 None)
         if c is None:
             raise FieldError("no element of nonzero absolute trace")
-        self.c = c.coeffs
+        self.c = self.base.decode(c)
         self.dim = self.p * self.base.degree  # F_p-dimension
         self.zero = tuple(self.base.zero for _ in range(self.p))
         self.one = (self.base.one,) + tuple(self.base.zero for _ in range(self.p - 1))
@@ -741,9 +597,9 @@ class ArtinSchreierExtension:
         slots = self._slots.unpack(acc.to_bytes(self._slots.size, "little"))
         return self.unflatten([v % p for v in slots])
 
-    def from_base(self, x: FieldElement):
-        x = self.tower.embed(x, 2)
-        return (x.coeffs,) + tuple(self.base.zero for _ in range(self.p - 1))
+    def from_base(self, k: int):
+        """The element of K with the level-2 encoding k."""
+        return (self.base.decode(k),) + (self.base.zero,) * (self.p - 1)
 
     def t(self):
         out = [self.base.zero] * self.p

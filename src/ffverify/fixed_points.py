@@ -16,10 +16,12 @@ solves and re-verifies every reported point by direct substitution.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
+from math import comb
 
-from .fields import (ArtinSchreierExtension, FieldElement, FieldError,
-                     TowerContext, Level)
+from .fields import (ArtinSchreierExtension, FieldError, Level, TowerContext,
+                     embedding_table)
 from .cyclotomic import nu_sign
 from .varieties import BudgetExceededError
 
@@ -37,11 +39,11 @@ class GridCell:
     """One (eta, zeta) cell of the fixed point grid, without its points."""
     total: int
     sigma_counts: dict
-    closed_form: int | None  # None where closed_form_fixed_count has none
+    closed_form: int
 
     @property
     def matches(self) -> bool:
-        return self.closed_form is None or self.total == self.closed_form
+        return self.total == self.closed_form
 
 
 def coordinate_extension(ctx: TowerContext) -> ArtinSchreierExtension:
@@ -81,26 +83,23 @@ def _projectively_equal(K: ArtinSchreierExtension, P, Q) -> bool:
                for i in range(4) for j in range(i + 1, 4))
 
 
-def fixed_points_surface(ctx: TowerContext, eta, zeta,
+def fixed_points_surface(ctx: TowerContext, eta: int, zeta: int,
                          with_unipotent: bool) -> FixedPointReport:
     """All fixed points of the chosen endomorphism, grouped by stratum.
 
-    Each point is verified by substitution into both the surface
-    equation and the projective fixed-point condition.
+    eta is a level-1 encoding and zeta a level-2 encoding.  Each point
+    is verified by substitution into both the surface equation and the
+    projective fixed-point condition.
     """
-    q = ctx.q
-    if not isinstance(eta, FieldElement):
-        eta = ctx.element(1, eta)
-    eta = ctx.project(eta, 1)
-    zeta = ctx.embed(zeta, 2)
     lv2 = ctx.levels[2]
-    frob = lv2.power_map(q)
-    zk = zeta.encoding()
-    if lv2.mul_enc(zk, frob[zk]) != 1:  # zeta^{q+1} = 1
+    add, mul, neg = lv2.add_enc, lv2.mul_enc, lv2.neg_enc
+    frob = lv2.power_map(ctx.q)
+    if mul(zeta, frob[zeta]) != 1:  # zeta^{q+1} = 1
         raise FieldError("zeta must lie in mu_{q+1}")
 
     K = coordinate_extension(ctx)
-    eta_k = K.from_base(ctx.embed(eta, 2))
+    eta2 = ctx.embed(eta, 1, 2)
+    eta_k = K.from_base(eta2)
     zeta_k = K.from_base(zeta)
     neg_eta_k = K.neg(eta_k)
 
@@ -111,15 +110,14 @@ def fixed_points_surface(ctx: TowerContext, eta, zeta,
     z_solutions = K.solve_affine(lambda a: K.sub(K.frob(a), a), neg_eta_k)
     # Both variants use the coset {a in F_{q^2} : a^q = zeta a}, kept
     # as pairs (a, a^q) in encoding order.
-    neg_eta = -ctx.embed(eta, 2)
-    coset = [(ctx.from_encoding(2, a), ctx.from_encoding(2, fa))
-             for a, fa in enumerate(frob) if fa == lv2.mul_enc(zk, a)]
+    neg_eta = neg(eta2)
+    coset = [(a, fa) for a, fa in enumerate(frob) if fa == mul(zeta, a)]
     if with_unipotent:
         # Stratum 1 (chart Z3 = 1): y^q = zeta y, zeta y^2 = -eta,
         # x^q - zeta x = -zeta y.
         s1 = []
         for y, _ in coset:
-            if zeta * y * y != neg_eta:
+            if mul(zeta, mul(y, y)) != neg_eta:
                 continue
             y_k = K.from_base(y)
             rhs = K.neg(K.mul(zeta_k, y_k))
@@ -138,15 +136,15 @@ def fixed_points_surface(ctx: TowerContext, eta, zeta,
         s1 = []
         for x, x_q in coset:
             for y, y_q in coset:
-                if x * y_q - x_q * y == neg_eta:
+                if add(mul(x, y_q), neg(mul(x_q, y))) == neg_eta:
                     for z in z_solutions:
                         s1.append((K.from_base(x), K.from_base(y), z, K.one))
         # Stratum 2: [x : y : 1 : 0] with x, y in the same coset.
         s2 = [(K.from_base(x), K.from_base(y), K.one, K.zero)
               for x, _ in coset for y, _ in coset]
         # Stratum 3: the rational line [Z0 : Z1 : 0 : 0] over F_q.
-        s3 = [(K.one, K.from_base(ctx.embed(a, 2)), K.zero, K.zero)
-              for a in ctx.enumerate_level(1)]
+        s3 = [(K.one, K.from_base(ctx.embed(a, 1, 2)), K.zero, K.zero)
+              for a in range(ctx.q)]
         s3.append((K.zero, K.one, K.zero, K.zero))
         strata = {"sigma1": s1, "sigma2": s2, "sigma3": s3}
 
@@ -168,22 +166,30 @@ def fixed_points_surface(ctx: TowerContext, eta, zeta,
     )
 
 
-def closed_form_fixed_count(ctx: TowerContext, eta, zeta,
+def closed_form_fixed_count(ctx: TowerContext, eta: int, zeta: int,
                             with_unipotent: bool) -> int:
-    """Expected fixed point count from the stratum solvability analysis."""
+    """Expected fixed point count from the stratum solvability analysis;
+    eta is a level-1 encoding and zeta a level-2 encoding.
+
+    With the unipotent twist, eta != 0 and p = 2 the count is q^2+q+1.
+    Squaring is bijective, so exactly one y has y^2 = eta/zeta, and that
+    y satisfies y^q = zeta y: both sides square to eta zeta, since
+    zeta^q = 1/zeta and eta^q = eta.  The maps z -> z^q - z and
+    x -> x^q - zeta x each have a kernel of size q on F_{q^4}, and both
+    right-hand sides lie in their images: with c^q - c = 1, which has a
+    solution since Tr_{F_{q^4}/F_q}(1) = 4 = 0, z = c eta and x = c y
+    solve z^q - z = eta and x^q - zeta x = zeta y.  That gives q * q = q^2
+    points in sigma1.  The coset {a : a^q = zeta a} has q elements and
+    [1:0:0:0] adds one more, so sigma2 has q+1.
+    """
     q = ctx.q
-    if not isinstance(eta, FieldElement):
-        eta = ctx.element(1, eta)
-    eta = ctx.project(eta, 1)
     if not with_unipotent:
-        if eta.is_zero():
+        if eta == 0:
             return (q + 1) * (q * q + 1)
         return q * q + q + 1
-    if eta.is_zero():
+    if eta == 0 or ctx.p == 2:
         return q * q + q + 1
-    if ctx.p == 2:
-        raise FieldError("the closed form for eta != 0 needs p odd")
-    solvable = nu_sign(ctx, zeta) * ctx.legendre(-eta) == 1
+    solvable = nu_sign(ctx, zeta) * ctx.legendre(ctx.levels[1].neg_enc(eta)) == 1
     return (2 * q * q + q + 1) if solvable else (q + 1)
 
 
@@ -198,14 +204,11 @@ def fixed_point_grid(ctx: TowerContext, with_unipotent: bool) -> dict:
     if key not in ctx._grid_cache:
         grid = {}
         for zeta in ctx.enumerate_mu(ctx.q + 1):
-            for eta in ctx.enumerate_level(1):
+            for eta in range(ctx.q):
                 rep = fixed_points_surface(ctx, eta, zeta, key)
-                try:
-                    expected = closed_form_fixed_count(ctx, eta, zeta, key)
-                except FieldError:
-                    expected = None
-                grid[(eta.encoding(), zeta.encoding())] = GridCell(
-                    rep.total, rep.sigma_counts, expected)
+                grid[(eta, zeta)] = GridCell(
+                    rep.total, rep.sigma_counts,
+                    closed_form_fixed_count(ctx, eta, zeta, key))
         ctx._grid_cache[key] = grid
     return ctx._grid_cache[key]
 
@@ -221,7 +224,6 @@ def chart_components(q: int, with_unipotent: bool):
     """Chart Z3 = 1 components as monomial dicts {(a,b,c): coeff} in
     (x, y, z), with the zeta and eta parameters left symbolic (they do
     not affect the x, y, z exponents)."""
-    from math import comb
     if with_unipotent:
         x_comp = {(k, q - k, 0): comb(q, k) for k in range(q + 1)}
     else:
@@ -255,46 +257,36 @@ def differential_vanishes(ctx: TowerContext, with_unipotent: bool) -> bool:
 # each point for fixedness directly.
 
 def _absolute_model(ctx: TowerContext, d: int):
-    """The level F_{p^d} and the powers of the lex-least root there of
-    the modulus of F_{q^2}, which give the embedding of F_{q^2}; cached
+    """The level F = F_{p^d} and the embedding table of F_{q^2} into F,
+    through the lex-least root there of the modulus of F_{q^2}; cached
     on the tower."""
     if ctx._abs_field is None:
-        F = Level(ctx.p, d)
-        root = TowerContext._find_root(ctx.levels[2].modulus, F)
-        ctx._abs_field = (F, TowerContext._powers(root, F, ctx.levels[2].degree))
+        F, lv2 = Level(ctx.p, d), ctx.levels[2]
+        root = TowerContext._find_root(lv2.modulus, F)
+        ctx._abs_field = (F, embedding_table(root, lv2, F))
     return ctx._abs_field
 
 
-def blind_fixed_point_count(ctx: TowerContext, eta, zeta,
+def blind_fixed_point_count(ctx: TowerContext, eta: int, zeta: int,
                             with_unipotent: bool,
                             max_field_size: int = 4096) -> int:
     """Independent count: scan the whole surface over F_{q^{2p}}.
 
-    Only feasible for tiny q (the field has q^{2p} elements); intended
-    as a cross-check of the structured solver at q = 2, 3 and 4.
+    eta is a level-1 encoding and zeta a level-2 encoding.  Only
+    feasible for tiny q (the field has q^{2p} elements); intended as a
+    cross-check of the structured solver at q = 2, 3 and 4.
     """
     p, q = ctx.p, ctx.q
     d = 2 * ctx.e * p
     if p ** d > max_field_size:
         raise BudgetExceededError("blind enumeration field too large")
-    F, pows = _absolute_model(ctx, d)
+    F, emb = _absolute_model(ctx, d)
     add, mul, neg = F.add_enc, F.mul_enc, F.neg_enc
-
-    def emb(x: FieldElement) -> int:
-        acc = F.zero
-        for c, rp in zip(ctx.embed(x, 2).coeffs, pows):
-            if c:
-                acc = F.add(acc, F.scalar(c, rp))
-        return F.encode(acc)
-
-    if not isinstance(eta, FieldElement):
-        eta = ctx.element(1, eta)
-    ek = emb(ctx.project(eta, 1))
-    zk = emb(zeta)
+    ek = emb[ctx.embed(eta, 1, 2)]
+    zk = emb[zeta]
 
     frob = F.power_map(q)
     # preimages of z -> z^q - z
-    from collections import defaultdict
     pre = defaultdict(list)
     for z, fz in enumerate(frob):
         pre[add(fz, neg(z))].append(z)

@@ -18,6 +18,13 @@ from .characters import (CharacterError, DihedralIrrep, IsotypicLabel,
                          dim_mod_ell_unitary, dim_v_isotypic,
                          dim_w_isotypic, ell_parts, ell_regular_classes,
                          o_minus_table, ordinary_irreps)
+from .cyclotomic import AdditiveCharacter, CycNumber, conductor, gauss_sum
+from .fields import build_tower
+from .fixed_points import differential_vanishes, fixed_point_grid
+from .traces import (averaged_unipotent_trace,
+                     character_difference_at_unipotent,
+                     expected_character_difference, sheaf_trace_A2)
+from .varieties import VarietySpec, count_points
 
 
 @dataclass
@@ -201,15 +208,6 @@ def verify_all(n: int, p: int, e: int, ell: int) -> dict:
 
     Returns {"params": ..., "checks": [...], "all_passed": bool}.
     """
-    from .fields import build_tower
-    from .cyclotomic import (AdditiveCharacter, CycNumber, conductor,
-                             gauss_sum)
-    from .varieties import VarietySpec, count_points
-    from .fixed_points import differential_vanishes, fixed_point_grid
-    from .traces import (averaged_unipotent_trace,
-                         character_difference_at_unipotent,
-                         expected_character_difference, sheaf_trace_A2)
-
     ctx = build_tower(p, e)
     q = ctx.q
     if ell == 2 or ell == p:
@@ -271,7 +269,7 @@ def verify_all(n: int, p: int, e: int, ell: int) -> dict:
         psi = AdditiveCharacter(ctx, 1)
         m = conductor(ctx)
         g = gauss_sum(ctx, psi)
-        sign = ctx.legendre(-ctx.one(1))
+        sign = ctx.legendre(p - 1)  # -1 has encoding p - 1
         checks.append(_check("gauss-square", CycNumber.from_rational(m, sign * q),
                              g * g))
         plain_ok = all(

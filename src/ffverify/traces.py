@@ -15,24 +15,24 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .fields import TowerContext, FieldError, FieldElement
+from .fields import TowerContext, FieldError
 from .cyclotomic import (AdditiveCharacter, CycNumber, conductor,
                          gauss_sum, nu_sign)
 from .fixed_points import fixed_point_grid
 
 
-def sheaf_trace_A2(ctx: TowerContext, zeta: FieldElement,
+def sheaf_trace_A2(ctx: TowerContext, zeta: int,
                    with_unipotent: bool, psi: AdditiveCharacter) -> CycNumber:
     """Trace of the twisted Frobenius on the two-variable sheaf
-    cohomology, Tate-normalized; exact value in Q(zeta_{p(q+1)})."""
+    cohomology, Tate-normalized; exact value in Q(zeta_{p(q+1)}).
+    zeta is a level-2 encoding."""
     if psi.is_trivial():
         raise FieldError("psi must be nontrivial")
     grid = fixed_point_grid(ctx, with_unipotent)
     m = conductor(ctx)
-    zk = ctx.embed(zeta, 2).encoding()
     total = CycNumber.from_rational(m, 0)
-    for eta in ctx.enumerate_level(1):
-        total = total + psi.inverse_value(eta) * grid[(eta.encoding(), zk)].total
+    for eta in range(ctx.q):
+        total = total + psi.inverse_value(eta) * grid[(eta, zeta)].total
     return total * Fraction(1, ctx.q ** 2)
 
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import operator
 from dataclasses import dataclass
 from math import gcd, prod
@@ -307,7 +308,6 @@ def count_points_naive(ctx: TowerContext, spec: VarietySpec, level: int,
                                      lv.mul(x, lv.pow(y, q))))
         return acc
 
-    import itertools
     if kind == "Ytilde":
         if N ** n > budget:
             raise BudgetExceededError("naive enumeration too large")

@@ -1,12 +1,17 @@
 """Exit codes, output formats and determinism of the command line tool."""
 
+import contextlib
+import io
 import json
 import os
 import time
 
 import pytest
+from hypothesis import assume, event, given, settings, strategies as st
 
 from ffverify.cli import main
+from ffverify.fields import is_prime
+from ffverify.varieties import VARIETY_KINDS
 
 
 def run(capsys, argv):
@@ -232,3 +237,46 @@ def test_console_script_is_installed():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "Ytilde,1,2," in proc.stdout
+
+
+def _value(good, rare=()):
+    """An option value: mostly one of the good integers, else a rare
+    one, 0, a negative integer or a string that is not an integer."""
+    return st.sampled_from(good * 4 + rare + (0, -1, "x")).map(str)
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(["count", "howe", "gauss", "fixed-points",
+                                    "verify"]))
+    p, e = draw(_value((3, 5, 2), (4, 13, 17))), draw(_value((1,), (2, 3)))
+    if p.lstrip("-").isdigit() and e.lstrip("-").isdigit():
+        q_valid = is_prime(int(p)) and int(e) >= 1
+        # keep q <= 5; every command but howe rejects q > 16 up front
+        assume(not q_valid or int(p) ** int(e) <= 5
+               or (command != "howe" and int(p) ** int(e) > 16))
+    argv = [command, "--p", p, "--e", e]
+    if command in ("count", "howe", "verify"):
+        argv += ["--n", draw(_value((2, 3, 1), (10 ** 6,)))]
+    if command in ("howe", "verify"):
+        argv += ["--ell", draw(_value((5, 7, 3), (2, 9)))]
+    if command == "count":
+        argv += ["--variety", draw(st.sampled_from(VARIETY_KINDS + ("bogus",))),
+                 "--level", draw(_value((1, 2, 4), (3,))),
+                 "--budget", draw(_value((50_000_000,), (10 ** 3,)))]
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(_argv())
+def test_cli_exit_codes_on_small_and_invalid_arguments(argv):
+    """Exit 0, 1 or 2, never 3 (an internal error); a usage error
+    (exit 2) prints nothing on stdout and an error: line on stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    event(f"{argv[0]} exit {code}")
+    assert code in (0, 1, 2), (argv, err.getvalue())
+    if code == 2:
+        assert out.getvalue() == "", argv
+        assert any("error: " in line for line in err.getvalue().splitlines()), argv

@@ -121,14 +121,14 @@ def test_additive_character_orthogonality(p, e):
     ctx = build_tower(p, e)
     m = conductor(ctx)
     assert m == ctx.p * (ctx.q + 1)
-    for a in ctx.enumerate_level(1):
+    for a in range(ctx.q):
         psi = AdditiveCharacter(ctx, a)
         total = CycNumber.from_rational(m, 0)
-        for x in ctx.enumerate_level(1):
+        for x in range(ctx.q):
             total = total + psi(x)
-        want = ctx.q if a.is_zero() else 0
+        want = ctx.q if a == 0 else 0
         assert total == CycNumber.from_rational(m, want)
-        assert psi.is_trivial() == a.is_zero()
+        assert psi.is_trivial() == (a == 0)
 
 
 @pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1),
@@ -160,9 +160,9 @@ def test_nu_is_the_quadratic_character_of_mu(p, e):
         assert nu(z) == CycNumber.from_rational(m, v)
         values.append(v)
         for w in ctx.enumerate_mu(q + 1):
-            assert nu_sign(ctx, z * w) == v * nu_sign(ctx, w)
+            assert nu_sign(ctx, ctx.levels[2].mul_enc(z, w)) == v * nu_sign(ctx, w)
     assert sum(values) == 0
-    assert nu_sign(ctx, ctx.one(2)) == 1
+    assert nu_sign(ctx, 1) == 1
 
 
 @pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (7, 1), (3, 2)])
@@ -170,21 +170,17 @@ def test_gauss_sum_square_identity(p, e):
     ctx = build_tower(p, e)
     q = ctx.q
     m = conductor(ctx)
-    sign = ctx.legendre(-ctx.one(1))
+    sign = ctx.legendre(ctx.p - 1)  # -1 has encoding p - 1
     expected = CycNumber.from_rational(m, sign * q)
     g1 = None
-    for a in ctx.enumerate_level(1):
-        if a.is_zero():
-            continue
+    for a in range(1, q):
         g = gauss_sum(ctx, AdditiveCharacter(ctx, a))
         assert g * g == expected
         assert not g.is_zero()
-        if a == ctx.one(1):
+        if a == 1:
             g1 = g
     # twisting by a scales the sum by the Legendre symbol of a
-    for a in ctx.enumerate_level(1):
-        if a.is_zero():
-            continue
+    for a in range(1, q):
         g = gauss_sum(ctx, AdditiveCharacter(ctx, a))
         assert g == ctx.legendre(a) * g1
 

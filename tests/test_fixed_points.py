@@ -4,7 +4,8 @@ import pytest
 
 from ffverify import (FieldError, blind_fixed_point_count,
                       build_tower, closed_form_fixed_count,
-                      differential_vanishes, fixed_points_surface, nu_sign)
+                      differential_vanishes, fixed_point_grid,
+                      fixed_points_surface, nu_sign)
 from ffverify.fixed_points import (_apply_endo, _projectively_equal,
                                    _surface_holds, coordinate_extension)
 
@@ -13,7 +14,7 @@ def test_report_is_internally_consistent():
     ctx = build_tower(3, 1)
     for with_u in (True, False):
         for zeta in ctx.enumerate_mu(4):
-            for eta in ctx.enumerate_level(1):
+            for eta in range(ctx.q):
                 rep = fixed_points_surface(ctx, eta, zeta, with_u)
                 assert rep.total == sum(rep.sigma_counts.values())
                 assert rep.total == len(rep.points)
@@ -25,9 +26,9 @@ def test_every_point_satisfies_all_equations():
     K = coordinate_extension(ctx)
     for with_u in (True, False):
         for zeta in ctx.enumerate_mu(4):
-            for eta in ctx.enumerate_level(1):
-                zk = K.from_base(ctx.embed(zeta, 2))
-                ek = K.from_base(ctx.embed(eta, 2))
+            for eta in range(ctx.q):
+                zk = K.from_base(zeta)
+                ek = K.from_base(ctx.embed(eta, 1, 2))
                 rep = fixed_points_surface(ctx, eta, zeta, with_u)
                 for P in rep.points:
                     assert _surface_holds(K, P)
@@ -40,7 +41,7 @@ def test_no_duplicate_points():
     K = coordinate_extension(ctx)
     for with_u in (True, False):
         for zeta in ctx.enumerate_mu(4):
-            for eta in ctx.enumerate_level(1):
+            for eta in range(ctx.q):
                 rep = fixed_points_surface(ctx, eta, zeta, with_u)
                 for i, P in enumerate(rep.points):
                     for Q in rep.points[i + 1:]:
@@ -53,7 +54,7 @@ def test_grid_matches_closed_form(p, e):
     q = ctx.q
     for with_u in (True, False):
         for zeta in ctx.enumerate_mu(q + 1):
-            for eta in ctx.enumerate_level(1):
+            for eta in range(ctx.q):
                 rep = fixed_points_surface(ctx, eta, zeta, with_u)
                 assert rep.total == closed_form_fixed_count(ctx, eta, zeta, with_u)
 
@@ -63,12 +64,11 @@ def test_stratum_emptiness_pattern():
     # is negative (twisted case) or eta is nonzero (untwisted case)
     ctx = build_tower(3, 1)
     for zeta in ctx.enumerate_mu(4):
-        for eta in ctx.enumerate_level(1):
+        for eta in range(1, ctx.q):
             rep = fixed_points_surface(ctx, eta, zeta, True)
             s1 = rep.sigma_counts.get("sigma1", 0)
-            if eta.is_zero():
-                continue
-            solvable = nu_sign(ctx, zeta) * ctx.legendre(-eta) == 1
+            minus_eta = ctx.levels[1].neg_enc(eta)
+            solvable = nu_sign(ctx, zeta) * ctx.legendre(minus_eta) == 1
             assert (s1 > 0) == solvable
 
 
@@ -77,32 +77,35 @@ def test_closed_form_values():
     q = 3
     totals = set()
     for zeta in ctx.enumerate_mu(4):
-        for eta in ctx.enumerate_level(1):
+        for eta in range(q):
             totals.add(closed_form_fixed_count(ctx, eta, zeta, True))
             totals.add(closed_form_fixed_count(ctx, eta, zeta, False))
     assert totals == {2 * q * q + q + 1, q + 1, q * q + q + 1,
                       (q + 1) * (q * q + 1)}
 
 
-def test_closed_form_needs_odd_p_for_twisted_nonzero_eta():
-    ctx = build_tower(2, 1)
-    zeta = ctx.enumerate_mu(3)[0]
-    with pytest.raises(FieldError):
-        closed_form_fixed_count(ctx, ctx.one(1), zeta, True)
-    # the untwisted closed form works in characteristic 2
-    assert closed_form_fixed_count(ctx, ctx.one(1), zeta, False) == 7
+@pytest.mark.parametrize("e", [1, 2, 3])
+def test_every_grid_cell_matches_its_closed_form_at_p2(e):
+    """q = 2, 4, 8: with the twist and eta != 0 every cell has
+    sigma1 = q^2 and sigma2 = q + 1 points, the closed form q^2+q+1."""
+    ctx = build_tower(2, e)
+    q = ctx.q
+    for with_u in (True, False):
+        grid = fixed_point_grid(ctx, with_u)
+        assert len(grid) == q * (q + 1)
+        for (eta, zeta), cell in grid.items():
+            assert cell.closed_form == closed_form_fixed_count(ctx, eta, zeta, with_u)
+            assert cell.matches and cell.total == cell.closed_form
+            if with_u and eta:
+                assert cell.sigma_counts == {"sigma1": q * q, "sigma2": q + 1}
 
 
 def test_zeta_outside_mu_is_rejected():
     ctx = build_tower(3, 1)
-    bad = None
-    one = ctx.one(2)
-    for cand in ctx.enumerate_level(2):
-        if not cand.is_zero() and cand ** 4 != one:
-            bad = cand
-            break
+    fourth = ctx.levels[2].power_map(4)
+    bad = next(k for k in range(1, ctx.levels[2].size) if fourth[k] != 1)
     with pytest.raises(FieldError):
-        fixed_points_surface(ctx, ctx.zero(1), bad, True)
+        fixed_points_surface(ctx, 0, bad, True)
 
 
 @pytest.mark.parametrize("p,e,cells", [(3, 1, 24), (2, 1, 12), (2, 2, 40)])
@@ -111,7 +114,7 @@ def test_blind_scan_agrees_with_structured_solver(p, e, cells):
     checked = 0
     for with_u in (True, False):
         for zeta in ctx.enumerate_mu(ctx.q + 1):
-            for eta in ctx.enumerate_level(1):
+            for eta in range(ctx.q):
                 blind = blind_fixed_point_count(ctx, eta, zeta, with_u)
                 rep = fixed_points_surface(ctx, eta, zeta, with_u)
                 assert blind == rep.total
@@ -124,7 +127,7 @@ def test_blind_scan_budget():
     ctx = build_tower(7, 1)
     zeta = ctx.enumerate_mu(8)[0]
     with pytest.raises(BudgetExceededError):
-        blind_fixed_point_count(ctx, ctx.one(1), zeta, True)
+        blind_fixed_point_count(ctx, 1, zeta, True)
 
 
 @pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2),
@@ -144,7 +147,7 @@ def _six_minors_vanish(K, P, Q):
 def test_projective_equality_matches_the_six_minors():
     ctx = build_tower(3, 1)
     K = coordinate_extension(ctx)
-    a = K.from_base(ctx.element(2, 5))
+    a = K.from_base(5)
     b = K.add(K.t(), K.one)
     c = K.mul(K.t(), K.t())
     lam = K.add(K.t(), a)

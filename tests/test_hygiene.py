@@ -1,4 +1,5 @@
-"""Source hygiene of the package: no module imports a name it never uses."""
+"""Source hygiene of the package: no module imports a name it never uses,
+and every import sits at module level."""
 
 import ast
 from pathlib import Path
@@ -40,3 +41,36 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def function_imports(source: str) -> list[str]:
+    """The import statements inside a function body, as "f (line n)"
+    with f the innermost enclosing function, in source order."""
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if func and isinstance(child, (ast.Import, ast.ImportFrom)):
+                found.append(f"{func} (line {child.lineno})")
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+            else:
+                visit(child, func)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_function_imports_are_found():
+    source = ("import os\n"
+              "def f():\n"
+              "    import sys\n"
+              "    def g():\n"
+              "        from math import gcd\n"
+              "    return os.sep\n")
+    assert function_imports(source) == ["f (line 3)", "g (line 5)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_function_level_imports(path):
+    assert function_imports(path.read_text()) == []
