@@ -137,7 +137,7 @@ def test_frobenius_properties(p, e):
 
 
 @pytest.mark.parametrize("p,e", [(3, 1), (2, 2), (5, 1)])
-def test_norm_and_relative_trace_land_downstairs(p, e):
+def test_norm_and_trace_of_f_q2_land_in_f_q(p, e):
     """a a^q and a + a^q, the norm and trace of F_{q^2}/F_q, lie in F_q."""
     ctx = build_tower(p, e)
     q, lv = ctx.q, ctx.levels[2]
