@@ -201,21 +201,6 @@ class CycNumber:
                     out[j] += c * t
         return CycNumber(self.m, out)
 
-    def galois_power(self, k: int) -> "CycNumber":
-        """zeta -> zeta^k, for gcd(k, m) = 1."""
-        table = _power_table(self.m)
-        deg = len(self.coeffs)
-        out = [Fraction(0)] * deg
-        for i, c in enumerate(self.coeffs):
-            if c:
-                for j, t in enumerate(table[(i * k) % self.m]):
-                    out[j] += c * t
-        return CycNumber(self.m, out)
-
-    def divide_by_q_power(self, q: int, t: int) -> "CycNumber":
-        """Exact division by q^t (a Tate-twist style renormalization)."""
-        return self * Fraction(1, q ** t)
-
     def inverse(self) -> "CycNumber":
         """Inverse by solving self * x = 1 as a linear system over Q,
         whose columns are self * zeta^j."""
@@ -255,8 +240,8 @@ class AdditiveCharacter:
         self.m = conductor(ctx)
 
     def __call__(self, x: int) -> CycNumber:
-        ctx = self.ctx
-        tr = ctx.trace_to_prime(ctx.levels[1].mul_enc(self.a, x), 1)
+        ctx, lv = self.ctx, self.ctx.levels[1]
+        tr = ctx.trace_to_prime(lv.mul_enc(self.a, lv.check_enc(x)), 1)
         return CycNumber.root_of_unity(self.m, (ctx.q + 1) * tr)
 
     def inverse_value(self, x: int) -> CycNumber:

@@ -8,14 +8,14 @@ vector over F_p, low degree first.  Encodings are the interface of this
 module: Level computes on them through its log and Zech tables, the
 tower embeds and projects them through tables, and the encoding order is
 the total order used everywhere a "least" or "sorted" choice is needed.
-Coefficient tuples stay internal to Level, to the embedding tables and
-to the Artin-Schreier extension K.
+The Artin-Schreier extension K encodes its elements the same way, so
+that the encodings below q^2 are F_{q^2} itself.  Coefficient tuples
+stay inside Level, the embedding tables and varieties.count_points_naive.
 """
 
 from __future__ import annotations
 
 import itertools
-import struct
 from functools import lru_cache
 from math import gcd
 
@@ -315,6 +315,13 @@ class Level:
             self._log_tables = (exp, log)
         return self._log_tables
 
+    def check_enc(self, k: int) -> int:
+        """k, if it is an encoding of this level; FieldError otherwise.
+        The arithmetic on encodings does not check its arguments."""
+        if not 0 <= k < self.size:
+            raise FieldError(f"{k} is not an encoding of F_{self.size}")
+        return k
+
     # Arithmetic on integer encodings, through the log and Zech tables.
 
     def mul_enc(self, i: int, j: int) -> int:
@@ -453,6 +460,7 @@ class TowerContext:
 
     def embed(self, k: int, lo: int, hi: int) -> int:
         """The level-hi encoding of the level-lo encoding k."""
+        self.levels[lo].check_enc(k)
         return k if lo == hi else self._up[(lo, hi)][k]
 
     def project(self, k: int, hi: int, lo: int) -> int:
@@ -469,6 +477,7 @@ class TowerContext:
     def trace_to_prime(self, k: int, key: int) -> int:
         """Tr_{F_{q^key}/F_p} of the level-key encoding k, in range(p)."""
         lv = self.levels[key]
+        lv.check_enc(k)
         frob = lv.power_map(self.p)
         acc = 0
         for _ in range(lv.degree):
@@ -501,7 +510,7 @@ class TowerContext:
         """k with mu_generator(m)^k = zeta, a level-2 encoding."""
         step = self._mu_step(m)
         _, log = self.levels[2].log_tables()
-        w = log[zeta]
+        w = log[self.levels[2].check_enc(zeta)]
         if w is None or w % step:
             raise FieldError("element is not in mu_m")
         j = log[self.mu_generator(m)] // step
@@ -515,7 +524,7 @@ class TowerContext:
         if k == 0:
             raise FieldError("Legendre symbol undefined at 0")
         _, log = self.levels[1].log_tables()
-        return -1 if log[k] % 2 else 1
+        return -1 if log[self.levels[1].check_enc(k)] % 2 else 1
 
 
 @lru_cache(maxsize=None)
@@ -535,105 +544,91 @@ def build_tower(p: int, e: int) -> TowerContext:
 # and therefore live in F_{q^{2p}}, a degree-p extension of F_{q^2}.
 
 class ArtinSchreierExtension:
-    """Degree-p extension of the tower's F_{q^2} level.
+    """Degree-p extension of the tower's F_{q^2} level, with c the level-2
+    encoding of least nonzero absolute trace.
 
-    Elements are tuples of length p of level-2 coefficient tuples
-    (coefficients of powers of t, low degree first).
-
-    mul and frob work on packed vectors: the flattened F_p-coordinates
-    of an element (see flatten) as one integer with a _SLOT-bit slot
-    per coordinate.  A sum of packed vectors is one integer addition;
-    the slots are reduced mod p once, when the result is unpacked.  No
-    slot can overflow, since p <= 13 in every tower: in mul it sums at
-    most p^2 table entries of at most 2(p - 1) each, in frob dim terms
-    of at most (p - 1)^2 each.
+    The element sum_i a_i t^i is the integer sum_i a_i N^i, N = q^2 and
+    a_i the level-2 encoding of its coefficient: the base-p encoding of
+    its F_p-coordinates, as at every Level.  The encodings below N are
+    F_{q^2} itself, with 0 and 1 the zero and one of K.  K is too large
+    for tables (13^26 elements at q = 13), so mul and frob work on the p
+    coefficients through the log and Zech tables of F_{q^2}.
     """
-
-    _SLOT = 32  # bits, read back as the little-endian "I" fields of _slots
 
     def __init__(self, tower: TowerContext):
         self.tower = tower
         self.p = tower.p
-        self.base = tower.levels[2]
-        c = next((k for k in range(self.base.size) if tower.trace_to_prime(k, 2)),
-                 None)
-        if c is None:
+        self.base = base = tower.levels[2]
+        self.c = next((k for k in range(base.size) if tower.trace_to_prime(k, 2)),
+                      None)
+        if self.c is None:
             raise FieldError("no element of nonzero absolute trace")
-        self.c = self.base.decode(c)
-        self.dim = self.p * self.base.degree  # F_p-dimension
-        self.zero = tuple(self.base.zero for _ in range(self.p))
-        self.one = (self.base.one,) + tuple(self.base.zero for _ in range(self.p - 1))
-        self._slots = struct.Struct(f"<{self.dim}I")
-        self._build_product_tables()
-        self._frob_cols = None  # the matrix of x -> x^q, built by frob
+        self.dim = self.p * base.degree  # F_p-dimension
+        exp, self._log = base.log_tables()
+        self._exp = exp + exp  # exp[u + v] needs no reduction
+        # (t^q)^i for i < p as (j, log of the coefficient of t^j) pairs,
+        # read by frob; t has the encoding N.
+        tq, power = self.pow(base.size, tower.q), 1
+        self._tq_powers = []
+        for _ in range(self.p):
+            self._tq_powers.append(self._log_form(power))
+            power = self.mul(power, tq)
 
-    def _build_product_tables(self):
-        """Log table of F_{q^2}^* and the packed products for mul.
+    def _coeffs(self, a):
+        """The level-2 encodings a_0, a_1, ... up to the last nonzero."""
+        N, out = self.base.size, []
+        while a:
+            a, r = divmod(a, N)
+            out.append(r)
+        return out
 
-        With g the primitive element of base.log_tables, _log[g^w] = w
-        and _products[k][w] is the packed vector of g^w t^k for
-        k < 2p - 1, reduced by t^p = t + c.
-        """
-        base, p = self.base, self.p
-        exp = [base.decode(k) for k in base.log_tables()[0]]
-        order = len(exp)
-        self._log = {a: w for w, a in enumerate(exp)}
-        log_c = self._log[self.c]
-        shift = self._SLOT * base.degree
+    def _log_form(self, a):
+        log = self._log
+        return [(i, log[x]) for i, x in enumerate(self._coeffs(a)) if x]
 
-        def term(k, w):
-            if k < p:
-                return self._pack(exp[w % order]) << (shift * k)
-            return term(k - p + 1, w) + term(k - p, w + log_c)
-
-        self._products = [[term(k, w) for w in range(2 * order - 1)]
-                          for k in range(2 * p - 1)]
-
-    def _pack(self, vec):
-        return sum(v << (self._SLOT * i) for i, v in enumerate(vec))
-
-    def _unpack(self, acc):
-        p = self.p
-        slots = self._slots.unpack(acc.to_bytes(self._slots.size, "little"))
-        return self.unflatten([v % p for v in slots])
-
-    def from_base(self, k: int):
-        """The element of K with the level-2 encoding k."""
-        return (self.base.decode(k),) + (self.base.zero,) * (self.p - 1)
-
-    def t(self):
-        out = [self.base.zero] * self.p
-        out[1] = self.base.one
-        return tuple(out)
+    def _encode(self, coeffs):
+        N, a = self.base.size, 0
+        for x in reversed(coeffs):
+            a = a * N + x
+        return a
 
     def add(self, a, b):
-        p = self.p
-        return self.unflatten([(x + y) % p
-                               for x, y in zip(self.flatten(a), self.flatten(b))])
-
-    def sub(self, a, b):
-        p = self.p
-        return self.unflatten([(x - y) % p
-                               for x, y in zip(self.flatten(a), self.flatten(b))])
+        N, add = self.base.size, self.base.add_enc
+        out, scale = 0, 1
+        while a or b:
+            a, x = divmod(a, N)
+            b, y = divmod(b, N)
+            out += add(x, y) * scale
+            scale *= N
+        return out
 
     def neg(self, a):
-        p = self.p
-        return self.unflatten([-x % p for x in self.flatten(a)])
+        return self._encode(list(map(self.base.neg_enc, self._coeffs(a))))
+
+    def sub(self, a, b):
+        return self.add(a, self.neg(b))
 
     def mul(self, a, b):
-        """Schoolbook product through the log table of F_{q^2},
-        skipping zero coefficients on both sides."""
-        log, products = self._log.get, self._products
-        lb = [(j, v) for j, v in enumerate(map(log, b)) if v is not None]
-        acc = 0
-        for i, u in enumerate(map(log, a)):
-            if u is not None:
-                for j, v in lb:
-                    acc += products[i + j][u + v]
-        return self._unpack(acc)
+        """Schoolbook product over F_{q^2} through its log table,
+        skipping zero coefficients, reduced by t^p = t + c."""
+        exp, log, add, p = self._exp, self._log, self.base.add_enc, self.p
+        la, lb = self._log_form(a), self._log_form(b)
+        if not (la and lb):
+            return 0
+        out = [0] * (la[-1][0] + lb[-1][0] + 1)
+        for i, u in la:
+            for j, v in lb:
+                out[i + j] = add(out[i + j], exp[u + v])
+        log_c = log[self.c]
+        for k in range(len(out) - 1, p - 1, -1):  # t^k = t^(k-p+1) + c t^(k-p)
+            x = out[k]
+            if x:
+                out[k - p + 1] = add(out[k - p + 1], x)
+                out[k - p] = add(out[k - p], exp[log[x] + log_c])
+        return self._encode(out[:p])
 
     def pow(self, a, n):
-        result = self.one
+        result = 1
         while n:
             if n & 1:
                 result = self.mul(result, a)
@@ -642,38 +637,31 @@ class ArtinSchreierExtension:
         return result
 
     def frob(self, a):
-        """a^q, as the F_p-linear map x -> x^q applied by its matrix.
-
-        The matrix is built once, from pow on the standard basis, and
-        kept as its packed columns.
-        """
-        if self._frob_cols is None:
-            self._frob_cols = [self._pack(self.flatten(self.pow(b, self.tower.q)))
-                               for b in self.basis()]
-        acc = 0
-        for c, col in zip(self.flatten(a), self._frob_cols):
-            if c:
-                acc += c * col
-        return self._unpack(acc)
-
-    # -- F_p-linear algebra ---------------------------------------------------
-
-    def flatten(self, a):
-        return list(itertools.chain.from_iterable(a))
-
-    def unflatten(self, vec):
-        # p consecutive runs of base.degree entries
-        return tuple(zip(*[iter(vec)] * self.base.degree))
-
-    def basis(self):
-        for i in range(self.dim):
-            vec = [0] * self.dim
-            vec[i] = 1
-            yield self.unflatten(vec)
+        """a^q = sum_i a_i^q (t^q)^i, the coefficients raised to the q-th
+        power through their logs."""
+        exp, add = self._exp, self.base.add_enc
+        q, order = self.tower.q, self.base.size - 1
+        out = [0] * self.p
+        for i, u in self._log_form(a):
+            u = u * q % order
+            for j, v in self._tq_powers[i]:
+                out[j] = add(out[j], exp[u + v])
+        return self._encode(out)
 
     def solve_affine(self, linear_map, rhs):
         """All solutions of linear_map(x) = rhs for an F_p-linear map,
-        in the order of solve_mod_p (empty if there are none)."""
-        cols = [self.flatten(linear_map(b)) for b in self.basis()]
-        return [self.unflatten(v)
-                for v in solve_mod_p(self.p, cols, self.flatten(rhs))]
+        in the order of solve_mod_p (empty if there are none).  The
+        F_p-coordinates of an element are the base-p digits of its
+        encoding, and p^i is the i-th basis vector."""
+        p, dim = self.p, self.dim
+
+        def coords(a):
+            out = []
+            for _ in range(dim):
+                a, r = divmod(a, p)
+                out.append(r)
+            return out
+
+        cols = [coords(linear_map(p ** i)) for i in range(dim)]
+        return [sum(v * p ** i for i, v in enumerate(vec))
+                for vec in solve_mod_p(p, cols, coords(rhs))]

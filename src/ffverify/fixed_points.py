@@ -30,7 +30,7 @@ from .varieties import BudgetExceededError
 class FixedPointReport:
     total: int
     sigma_counts: dict
-    points: list  # projective quadruples over the Artin-Schreier extension
+    points: list  # projective quadruples of Artin-Schreier encodings
     field_degree: int  # degree of the coordinate field over F_p
 
 
@@ -76,7 +76,7 @@ def _projectively_equal(K: ArtinSchreierExtension, P, Q) -> bool:
     vanishes.  For P = 0 all six are tested.
     """
     for i in range(4):
-        if P[i] != K.zero:
+        if P[i]:
             return all(K.mul(P[i], Q[j]) == K.mul(P[j], Q[i])
                        for j in range(4) if j != i)
     return all(K.mul(P[i], Q[j]) == K.mul(P[j], Q[i])
@@ -91,7 +91,9 @@ def fixed_points_surface(ctx: TowerContext, eta: int, zeta: int,
     is verified by substitution into both the surface equation and the
     projective fixed-point condition.
     """
+    ctx.levels[1].check_enc(eta)
     lv2 = ctx.levels[2]
+    lv2.check_enc(zeta)
     add, mul, neg = lv2.add_enc, lv2.mul_enc, lv2.neg_enc
     frob = lv2.power_map(ctx.q)
     if mul(zeta, frob[zeta]) != 1:  # zeta^{q+1} = 1
@@ -99,18 +101,15 @@ def fixed_points_surface(ctx: TowerContext, eta: int, zeta: int,
 
     K = coordinate_extension(ctx)
     eta2 = ctx.embed(eta, 1, 2)
-    eta_k = K.from_base(eta2)
-    zeta_k = K.from_base(zeta)
-    neg_eta_k = K.neg(eta_k)
 
     points = []
     sigma_counts = {}
 
     # In the chart Z3 = 1 both variants need z^q - z = -eta.
-    z_solutions = K.solve_affine(lambda a: K.sub(K.frob(a), a), neg_eta_k)
+    neg_eta = neg(eta2)
+    z_solutions = K.solve_affine(lambda a: K.sub(K.frob(a), a), neg_eta)
     # Both variants use the coset {a in F_{q^2} : a^q = zeta a}, kept
     # as pairs (a, a^q) in encoding order.
-    neg_eta = neg(eta2)
     coset = [(a, fa) for a, fa in enumerate(frob) if fa == mul(zeta, a)]
     if with_unipotent:
         # Stratum 1 (chart Z3 = 1): y^q = zeta y, zeta y^2 = -eta,
@@ -119,16 +118,15 @@ def fixed_points_surface(ctx: TowerContext, eta: int, zeta: int,
         for y, _ in coset:
             if mul(zeta, mul(y, y)) != neg_eta:
                 continue
-            y_k = K.from_base(y)
-            rhs = K.neg(K.mul(zeta_k, y_k))
-            xs = K.solve_affine(lambda a: K.sub(K.frob(a), K.mul(zeta_k, a)), rhs)
+            rhs = neg(mul(zeta, y))
+            xs = K.solve_affine(lambda a: K.sub(K.frob(a), K.mul(zeta, a)), rhs)
             for x in xs:
                 for z in z_solutions:
-                    s1.append((x, y_k, z, K.one))
+                    s1.append((x, y, z, 1))
         # Stratum 2 (boundary): [z : 0 : 1 : 0] with z^q = zeta z,
         # together with [1 : 0 : 0 : 0].
-        s2 = [(K.from_base(z), K.zero, K.one, K.zero) for z, _ in coset]
-        s2.append((K.one, K.zero, K.zero, K.zero))
+        s2 = [(z, 0, 1, 0) for z, _ in coset]
+        s2.append((1, 0, 0, 0))
         strata = {"sigma1": s1, "sigma2": s2}
     else:
         # Stratum 1 (chart Z3 = 1): x^q = zeta x, y^q = zeta y,
@@ -138,21 +136,19 @@ def fixed_points_surface(ctx: TowerContext, eta: int, zeta: int,
             for y, y_q in coset:
                 if add(mul(x, y_q), neg(mul(x_q, y))) == neg_eta:
                     for z in z_solutions:
-                        s1.append((K.from_base(x), K.from_base(y), z, K.one))
+                        s1.append((x, y, z, 1))
         # Stratum 2: [x : y : 1 : 0] with x, y in the same coset.
-        s2 = [(K.from_base(x), K.from_base(y), K.one, K.zero)
-              for x, _ in coset for y, _ in coset]
+        s2 = [(x, y, 1, 0) for x, _ in coset for y, _ in coset]
         # Stratum 3: the rational line [Z0 : Z1 : 0 : 0] over F_q.
-        s3 = [(K.one, K.from_base(ctx.embed(a, 1, 2)), K.zero, K.zero)
-              for a in range(ctx.q)]
-        s3.append((K.zero, K.one, K.zero, K.zero))
+        s3 = [(1, ctx.embed(a, 1, 2), 0, 0) for a in range(ctx.q)]
+        s3.append((0, 1, 0, 0))
         strata = {"sigma1": s1, "sigma2": s2, "sigma3": s3}
 
     for name, pts in strata.items():
         for P in pts:
             if not _surface_holds(K, P):
                 raise FieldError(f"reported point violates the surface equation ({name})")
-            img = _apply_endo(K, zeta_k, eta_k, with_unipotent, P)
+            img = _apply_endo(K, zeta, eta2, with_unipotent, P)
             if not _projectively_equal(K, P, img):
                 raise FieldError(f"reported point is not fixed ({name})")
         sigma_counts[name] = len(pts)
@@ -182,6 +178,8 @@ def closed_form_fixed_count(ctx: TowerContext, eta: int, zeta: int,
     points in sigma1.  The coset {a : a^q = zeta a} has q elements and
     [1:0:0:0] adds one more, so sigma2 has q+1.
     """
+    ctx.levels[1].check_enc(eta)
+    ctx.levels[2].check_enc(zeta)
     q = ctx.q
     if not with_unipotent:
         if eta == 0:
@@ -276,6 +274,8 @@ def blind_fixed_point_count(ctx: TowerContext, eta: int, zeta: int,
     feasible for tiny q (the field has q^{2p} elements); intended as a
     cross-check of the structured solver at q = 2, 3 and 4.
     """
+    ctx.levels[1].check_enc(eta)
+    ctx.levels[2].check_enc(zeta)
     p, q = ctx.p, ctx.q
     d = 2 * ctx.e * p
     if p ** d > max_field_size:

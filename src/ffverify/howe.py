@@ -59,12 +59,6 @@ class HoweTable:
     entries: list
     checks: list = field(default_factory=list)
 
-    def entry_for(self, tau: DihedralIrrep) -> HoweEntry:
-        for e in self.entries:
-            if e.tau == tau:
-                return e
-        raise CharacterError(f"no entry for {tau.label()}")
-
     def to_json(self) -> dict:
         return {
             "params": {"n": self.n, "q": self.q, "mode": self.mode,

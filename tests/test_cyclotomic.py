@@ -91,13 +91,6 @@ def test_truth_value_is_nonzero(ca):
     assert bool(a) != a.is_zero()
 
 
-def test_galois_power_permutes_roots():
-    m = 12
-    z = CycNumber.root_of_unity(m, 1)
-    for k in (1, 5, 7, 11):
-        assert z.galois_power(k) == CycNumber.root_of_unity(m, k)
-
-
 def test_rationality_predicates():
     a = CycNumber.from_rational(12, Fraction(3, 4))
     assert a.is_rational() and not a.is_integer()
@@ -108,11 +101,6 @@ def test_rationality_predicates():
     assert not z.is_rational()
     with pytest.raises(CycError):
         z.as_rational()
-
-
-def test_divide_by_q_power():
-    a = CycNumber.from_rational(12, 18)
-    assert a.divide_by_q_power(3, 2) == CycNumber.from_rational(12, 2)
 
 
 @pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1),

@@ -7,7 +7,9 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ffverify import FieldError, build_tower
+from ffverify import (AdditiveCharacter, FieldError, blind_fixed_point_count,
+                      build_tower, closed_form_fixed_count,
+                      fixed_points_surface)
 from ffverify.fields import (ArtinSchreierExtension, Level, TowerContext,
                              is_prime, least_irreducible, poly_mod,
                              poly_powmod, prime_factors, solve_mod_p)
@@ -329,21 +331,54 @@ def test_legendre_rejected_in_characteristic_two():
         ctx.legendre(1)
 
 
+# Each entry point that takes an element, with the level of that element.
+_ENTRY_POINTS = {
+    "embed-1-2": (1, lambda ctx, k: ctx.embed(k, 1, 2)),
+    "embed-2-4": (2, lambda ctx, k: ctx.embed(k, 2, 4)),
+    "legendre": (1, lambda ctx, k: ctx.legendre(k)),
+    "discrete_log_mu": (2, lambda ctx, k: ctx.discrete_log_mu(k, ctx.q + 1)),
+    "trace_to_prime-1": (1, lambda ctx, k: ctx.trace_to_prime(k, 1)),
+    "trace_to_prime-2": (2, lambda ctx, k: ctx.trace_to_prime(k, 2)),
+    "AdditiveCharacter": (1, lambda ctx, k: AdditiveCharacter(ctx, 1)(k)),
+    "fixed_points_surface-eta":
+        (1, lambda ctx, k: fixed_points_surface(ctx, k, 1, False)),
+    "fixed_points_surface-zeta":
+        (2, lambda ctx, k: fixed_points_surface(ctx, 0, k, False)),
+    "closed_form_fixed_count-eta":
+        (1, lambda ctx, k: closed_form_fixed_count(ctx, k, 1, True)),
+    "closed_form_fixed_count-zeta":
+        (2, lambda ctx, k: closed_form_fixed_count(ctx, 0, k, True)),
+    "blind_fixed_point_count-eta":
+        (1, lambda ctx, k: blind_fixed_point_count(ctx, k, 1, True)),
+    "blind_fixed_point_count-zeta":
+        (2, lambda ctx, k: blind_fixed_point_count(ctx, 0, k, True)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+def test_entry_points_reject_values_outside_the_level(entry):
+    """At q = 9, -1 and the size of the level are not encodings: a
+    negative int must not wrap round a table, and neither may raise
+    IndexError."""
+    ctx = build_tower(3, 2)
+    key, call = _ENTRY_POINTS[entry]
+    for k in (-1, ctx.levels[key].size):
+        with pytest.raises(FieldError, match="is not an encoding"):
+            call(ctx, k)
+
+
 @pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (5, 1)])
 def test_artin_schreier_extension_structure(p, e):
     ctx = build_tower(p, e)
     K = ArtinSchreierExtension(ctx)
-    t = K.t()
-    # t^p - t = c by construction
-    c_el = (K.c,) + tuple(K.base.zero for _ in range(p - 1))
-    assert K.sub(K.pow(t, p), t) == c_el
+    t = K.base.size  # the encoding of t
+    # t^p - t = c by construction; c is an element of the base
+    assert K.sub(K.pow(t, p), t) == K.c
     # ring sanity on a few elements
     a, b = t, K.mul(t, t)
     assert K.mul(a, b) == K.mul(b, a)
-    assert K.add(a, K.neg(a)) == K.zero
-    assert K.mul(a, K.one) == a
-    # flatten/unflatten roundtrip
-    assert K.unflatten(K.flatten(a)) == a
+    assert K.add(a, K.neg(a)) == 0
+    assert K.mul(a, 1) == a
 
 
 def _linear_system(p, case, rnd):
@@ -469,9 +504,9 @@ def test_artin_schreier_solve_affine(p, e):
         return K.sub(K.pow(x, q), x)
 
     # the map x -> x^q - x is F_p-linear with kernel F_q
-    sols = K.solve_affine(art, K.zero)
+    sols = K.solve_affine(art, 0)
     assert len(sols) == q
-    probe = K.from_base(3)
+    probe = 3  # an element of F_{q^2}
     rhs = art(probe)
     sols = K.solve_affine(art, rhs)
     assert probe in sols
@@ -481,17 +516,15 @@ def test_artin_schreier_solve_affine(p, e):
 
 
 def _every_element(K):
-    return [K.unflatten(list(v))
-            for v in itertools.product(range(K.p), repeat=K.dim)]
+    return range(K.base.size ** K.p)
 
 
 def _sample_elements(K, count, seed=0):
     """A fixed sample: zero, one, t, an element of the base, then
     pseudo-random dense elements."""
     rnd = random.Random(seed)
-    sample = [K.zero, K.one, K.t(), K.from_base(3)]
-    sample += [K.unflatten([rnd.randrange(K.p) for _ in range(K.dim)])
-               for _ in range(count)]
+    sample = [0, 1, K.base.size, 3]
+    sample += [rnd.randrange(K.base.size ** K.p) for _ in range(count)]
     return sample
 
 
@@ -512,16 +545,21 @@ def test_frobenius_matrix_is_the_q_power_on_a_sample(p, e):
 
 
 def _schoolbook_mul(K, a, b):
-    """Product in K from Level.mul alone: the independent route."""
-    base, p = K.base, K.p
+    """Product in K from the tuple Level.mul and Level.add alone: the
+    independent route.  Coefficient i of a is the level-2 encoding
+    a // N^i % N, N = q^2."""
+    base, p, N = K.base, K.p, K.base.size
+    xs = [base.decode(a // N ** i % N) for i in range(p)]
+    ys = [base.decode(b // N ** i % N) for i in range(p)]
+    c = base.decode(K.c)
     out = [base.zero] * (2 * p - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
+    for i, x in enumerate(xs):
+        for j, y in enumerate(ys):
             out[i + j] = base.add(out[i + j], base.mul(x, y))
     for k in range(2 * p - 2, p - 1, -1):  # t^k = t^(k-p+1) + c t^(k-p)
         out[k - p + 1] = base.add(out[k - p + 1], out[k])
-        out[k - p] = base.add(out[k - p], base.mul(out[k], K.c))
-    return tuple(out[:p])
+        out[k - p] = base.add(out[k - p], base.mul(out[k], c))
+    return sum(base.encode(x) * N ** i for i, x in enumerate(out[:p]))
 
 
 def test_mul_matches_schoolbook_on_every_pair():
@@ -540,3 +578,15 @@ def test_mul_matches_schoolbook_on_a_sample(p, e):
     for a in sample:
         for b in sample:
             assert K.mul(a, b) == _schoolbook_mul(K, a, b)
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2)])
+def test_encodings_below_q2_are_the_base_field(p, e):
+    """K restricted to the encodings below q^2 is F_{q^2}: mul and add
+    agree with the level-2 arithmetic on every pair."""
+    K = ArtinSchreierExtension(build_tower(p, e))
+    base = K.base
+    for a in range(base.size):
+        for b in range(base.size):
+            assert K.mul(a, b) == base.mul_enc(a, b)
+            assert K.add(a, b) == base.add_enc(a, b)

