@@ -18,10 +18,10 @@ from .traces import (averaged_unipotent_trace,
                      expected_character_difference, sheaf_trace_A2)
 from .characters import (CharacterError, CharacterTable, DihedralClass,
                          DihedralIrrep, IsotypicLabel, brauer_decompose,
-                         brauer_irreps, conjugacy_classes,
-                         dim_mod_ell_unitary, dim_v_isotypic,
-                         dim_w_isotypic, ell_parts, ell_regular_classes,
-                         o_minus_table, ordinary_irreps)
+                         brauer_decompositions, brauer_irreps,
+                         conjugacy_classes, dim_mod_ell_unitary,
+                         dim_v_isotypic, dim_w_isotypic, ell_parts,
+                         ell_regular_classes, o_minus_table, ordinary_irreps)
 from .howe import (HoweEntry, HoweTable, compare_semisimplifications,
                    report_to_markdown, theta_mod_ell, theta_ordinary,
                    verify_all)

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
+from types import MappingProxyType
 
 from .cyclotomic import CycNumber
 from .fields import is_prime, prime_factors, row_reduce
@@ -293,40 +295,51 @@ def o_minus_table(q: int, mode: str = "ordinary",
                           q + 1, classes, irreps, values)
 
 
-def brauer_decompose(q: int, ell: int, irrep: DihedralIrrep) -> list:
-    """Multiplicities of the mod-l irreducibles in the reduction of an
-    ordinary irreducible, by exact linear solve on l-regular classes.
+@lru_cache(maxsize=None)
+def brauer_decompositions(q: int, ell: int) -> MappingProxyType:
+    """{pi: ((tau, multiplicity), ...)}, the reduction mod l of every
+    ordinary irreducible pi, each multiplicity > 0, by one exact solve on
+    the l-regular classes (Serre, Linear Representations of Finite
+    Groups, section 18).  Where the restriction of pi is not in the span
+    of the Brauer characters, a multiplicity is not a non-negative
+    integer or the dimensions do not add up, pi maps to that reason.
 
-    Returns [(DihedralIrrep, multiplicity), ...] with multiplicity > 0.
+    The Brauer characters are the matrix and each restricted pi is one
+    right-hand side, so a single row_reduce over Q(zeta_{q+1}) solves
+    them all.  The result is immutable and fixed by (q, ell), and this
+    module has no tower to hold it, so it is cached for the process.
     """
-    table = o_minus_table(q, "mod-ell", ell)
-    classes = table.classes
-    cols = table.irreps
-    m = table.conductor
-    nrow = len(classes)
-    # augmented matrix: columns are Brauer rows transposed, rhs is the
-    # restricted ordinary character
-    aug = [[table.values[j][i] for j in range(len(cols))]
-           + [irrep_value(q, irrep, classes[i])]
-           for i in range(nrow)]
-    ncol = len(cols)
-    pivots = row_reduce(aug, ncol, CycNumber.inverse, lambda a: a)
-    if any(row[ncol] for row in aug[len(pivots):]):
-        raise CharacterError("restriction is not in the Brauer span")
-    mult = [CycNumber.from_rational(m, 0)] * ncol
-    for row, col in zip(aug, pivots):
-        mult[col] = row[ncol]
-    out = []
-    for irr, v in zip(cols, mult):
-        if not v.is_integer():
-            raise CharacterError("non-integral Brauer multiplicity")
-        n = int(v.as_rational())
-        if n < 0:
-            raise CharacterError("negative Brauer multiplicity")
-        if n:
-            out.append((irr, n))
-    # sanity: dimensions add up
-    total = sum(n * i.dim for i, n in out)
-    if total != irrep.dim:
-        raise CharacterError("Brauer constituents do not fill the dimension")
+    brauer = brauer_irreps(q, ell)
+    ordinary = ordinary_irreps(q)
+    aug = [[irrep_value(q, irr, cls) for irr in brauer + ordinary]
+           for cls in ell_regular_classes(q, ell)]
+    pivots = row_reduce(aug, len(brauer), CycNumber.inverse, lambda a: a)
+    return MappingProxyType({
+        pi: _reduction(pi, brauer, pivots, [row[k] for row in aug])
+        for k, pi in enumerate(ordinary, len(brauer))})
+
+
+def _reduction(pi: DihedralIrrep, brauer: list, pivots: list, column: list):
+    """The constituents of pi read off its reduced right-hand side."""
+    if any(column[len(pivots):]):
+        return "restriction is not in the Brauer span"
+    if not all(v.is_integer() for v in column):
+        return "non-integral Brauer multiplicity"
+    mult = [int(v.as_rational()) for v in column]
+    if min(mult) < 0:
+        return "negative Brauer multiplicity"
+    out = tuple((brauer[j], n) for j, n in zip(pivots, mult) if n)
+    if sum(n * tau.dim for tau, n in out) != pi.dim:
+        return "Brauer constituents do not fill the dimension"
     return out
+
+
+def brauer_decompose(q: int, ell: int, irrep: DihedralIrrep) -> list:
+    """[(DihedralIrrep, multiplicity), ...], the reduction mod l of the
+    ordinary irreducible irrep, from brauer_decompositions(q, ell);
+    raises CharacterError where that solve failed for irrep."""
+    reduction = brauer_decompositions(q, ell).get(
+        irrep, f"{irrep} is not an ordinary irreducible for q = {q}")
+    if isinstance(reduction, str):
+        raise CharacterError(reduction)
+    return list(reduction)

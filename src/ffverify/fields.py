@@ -6,8 +6,8 @@ polynomial of the right degree (coefficients compared low-degree-first).
 An element is the integer encoding sum(c_i * p^i) of its coefficient
 vector over F_p, low degree first.  Encodings are the interface of this
 module: Level computes on them through its log and Zech tables, the
-tower embeds and projects them through tables, and the encoding order is
-the total order used everywhere a "least" or "sorted" choice is needed.
+tower embeds them through tables, and the encoding order is the total
+order used everywhere a "least" or "sorted" choice is needed.
 The Artin-Schreier extension K encodes its elements the same way, so
 that the encodings below q^2 are F_{q^2} itself.  Coefficient tuples
 stay inside Level, the embedding tables and varieties.count_points_naive.
@@ -147,12 +147,7 @@ def least_irreducible(p: int, d: int):
     model, would otherwise repeat the search.
     """
     for k in range(p ** d):
-        coeffs = []
-        kk = k
-        for _ in range(d):
-            coeffs.append(kk % p)
-            kk //= p
-        f = tuple(coeffs) + (1,)
+        f = tuple(k // p ** i % p for i in range(d)) + (1,)
         if _is_irreducible(f, p):
             return f
     raise FieldError(f"no irreducible polynomial of degree {d} over F_{p}")
@@ -428,8 +423,6 @@ class TowerContext:
         up12 = embedding_table(self._find_root(lv[1].modulus, lv[2]), lv[1], lv[2])
         up24 = embedding_table(self._find_root(lv[2].modulus, lv[4]), lv[2], lv[4])
         self._up = {(1, 2): up12, (2, 4): up24, (1, 4): [up24[k] for k in up12]}
-        self._down = {pair: {img: k for k, img in enumerate(table)}
-                      for pair, table in self._up.items()}
         # Filled on first use by fixed_points: the Artin-Schreier
         # coordinate field, the blind scan's absolute model and the
         # fixed point grid of each endomorphism variant.
@@ -462,15 +455,6 @@ class TowerContext:
         """The level-hi encoding of the level-lo encoding k."""
         self.levels[lo].check_enc(k)
         return k if lo == hi else self._up[(lo, hi)][k]
-
-    def project(self, k: int, hi: int, lo: int) -> int:
-        """Inverse of embed; raises FieldError if k is not in the image."""
-        if lo == hi:
-            return k
-        try:
-            return self._down[(lo, hi)][k]
-        except KeyError:
-            raise FieldError("element does not lie in the requested subfield")
 
     # -- named operations -----------------------------------------------------
 

@@ -179,7 +179,7 @@ def closed_form_fixed_count(ctx: TowerContext, eta: int, zeta: int,
     [1:0:0:0] adds one more, so sigma2 has q+1.
     """
     ctx.levels[1].check_enc(eta)
-    ctx.levels[2].check_enc(zeta)
+    ctx.discrete_log_mu(zeta, ctx.q + 1)  # raises unless zeta is in mu_{q+1}
     q = ctx.q
     if not with_unipotent:
         if eta == 0:
@@ -275,7 +275,7 @@ def blind_fixed_point_count(ctx: TowerContext, eta: int, zeta: int,
     cross-check of the structured solver at q = 2, 3 and 4.
     """
     ctx.levels[1].check_enc(eta)
-    ctx.levels[2].check_enc(zeta)
+    ctx.discrete_log_mu(zeta, ctx.q + 1)  # raises unless zeta is in mu_{q+1}
     p, q = ctx.p, ctx.q
     d = 2 * ctx.e * p
     if p ** d > max_field_size:

@@ -3,9 +3,10 @@
 import pytest
 
 from ffverify import (CharacterError, IsotypicLabel, brauer_decompose,
-                      brauer_irreps, conjugacy_classes, dim_mod_ell_unitary,
-                      dim_v_isotypic, dim_w_isotypic, ell_parts,
-                      ell_regular_classes, o_minus_table, ordinary_irreps)
+                      brauer_decompositions, brauer_irreps, conjugacy_classes,
+                      dim_mod_ell_unitary, dim_v_isotypic, dim_w_isotypic,
+                      ell_parts, ell_regular_classes, o_minus_table,
+                      ordinary_irreps)
 from ffverify.characters import DihedralIrrep, irrep_value
 
 
@@ -173,6 +174,17 @@ def test_decompositions_preserve_dimension(q, ell):
         decomp = brauer_decompose(q, ell, pi)
         assert all(mult > 0 for _, mult in decomp)
         assert sum(mult * tau.dim for tau, mult in decomp) == pi.dim
+
+
+def test_brauer_decompose_rejects_an_irrep_outside_the_group():
+    # q + 1 = 4: sigma1 is the only two-dimensional irreducible, and
+    # xi = 5 would repeat it under another label
+    with pytest.raises(CharacterError):
+        brauer_decompose(3, 5, DihedralIrrep("two", 5, None))
+    reductions = brauer_decompositions(3, 5)
+    assert set(reductions) == set(ordinary_irreps(3))
+    with pytest.raises(TypeError):
+        reductions[DihedralIrrep("two", 1, None)] = ()
 
 
 def test_irrep_values_are_algebraic_integers_on_rotations():

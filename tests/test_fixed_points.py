@@ -102,9 +102,15 @@ def test_every_grid_cell_matches_its_closed_form_at_p2(e):
 def test_zeta_outside_mu_is_rejected():
     ctx = build_tower(3, 1)
     fourth = ctx.levels[2].power_map(4)
-    bad = next(k for k in range(1, ctx.levels[2].size) if fourth[k] != 1)
-    with pytest.raises(FieldError):
-        fixed_points_surface(ctx, 0, bad, True)
+    outside = [k for k in range(ctx.levels[2].size) if fourth[k] != 1]
+    assert 4 in outside and len(outside) == 9 - 4
+    for count in (fixed_points_surface, closed_form_fixed_count,
+                  blind_fixed_point_count):
+        for zeta in outside:
+            for eta in range(ctx.q):
+                for with_u in (True, False):
+                    with pytest.raises(FieldError):
+                        count(ctx, eta, zeta, with_u)
 
 
 @pytest.mark.parametrize("p,e,cells", [(3, 1, 24), (2, 1, 12), (2, 2, 40)])

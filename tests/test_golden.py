@@ -27,6 +27,12 @@ CLI_CASES = [
      ["verify", "--p", "3", "--n", "2", "--ell", "5", "--format", "json"]),
     ("verify_p3_n2_ell5.md",
      ["verify", "--p", "3", "--n", "2", "--ell", "5", "--format", "md"]),
+    # ell divides q + 1: the exceptional deficit family is nonempty
+    ("verify_p2_e2_n2_ell5.json",
+     ["verify", "--p", "2", "--e", "2", "--n", "2", "--ell", "5",
+      "--format", "json"]),
+    ("verify_p5_n2_ell3.json",
+     ["verify", "--p", "5", "--n", "2", "--ell", "3", "--format", "json"]),
     ("count_p3_n2_level2.csv",
      ["count", "--p", "3", "--variety", "Ytilde", "X", "S", "Y", "--n", "2",
       "--level", "2", "--format", "csv"]),

@@ -1,10 +1,12 @@
 """Theta tables, semisimplification comparison and the global verifier."""
 
+import json
 import sys
 
 import pytest
 
-from ffverify import (CharacterError, brauer_irreps,
+import ffverify
+from ffverify import (CharacterError, brauer_irreps, characters, cli,
                       compare_semisimplifications, ell_regular_classes,
                       ordinary_irreps, report_to_markdown, theta_mod_ell,
                       theta_ordinary, verify_all)
@@ -133,8 +135,17 @@ def test_verifier_runs_the_trace_and_grid_checks_at_q9():
     assert report["all_passed"]
 
 
+def _rebind_everywhere(monkeypatch, real, replacement):
+    """Rebind every module-level reference to real, so that a module
+    that imported it by name sees the replacement too."""
+    for mod in [ffverify] + [m for name, m in sys.modules.items()
+                             if name.startswith("ffverify.")]:
+        for name, obj in list(vars(mod).items()):
+            if obj is real:
+                monkeypatch.setattr(mod, name, replacement)
+
+
 def test_verifier_enumerates_the_fixed_point_grid_once(monkeypatch):
-    import ffverify
     from ffverify import build_tower, fixed_points
 
     build_tower.cache_clear()
@@ -145,15 +156,74 @@ def test_verifier_enumerates_the_fixed_point_grid_once(monkeypatch):
         calls.append(args)
         return real(*args, **kwargs)
 
-    # rebind every module-level reference, so a second enumerator that
-    # imported the solver by name is counted too
-    for mod in [ffverify] + [m for name, m in sys.modules.items()
-                             if name.startswith("ffverify.")]:
-        if getattr(mod, "fixed_points_surface", None) is real:
-            monkeypatch.setattr(mod, "fixed_points_surface", counting)
+    # a second enumerator that imported the solver by name is counted too
+    _rebind_everywhere(monkeypatch, real, counting)
     verify_all(2, 3, 1, 5)
     q = 3
     assert len(calls) == 2 * q * (q + 1)
+
+
+@pytest.fixture
+def fresh_brauer_cache():
+    """No decomposition cached before or after the test, so that an
+    earlier result cannot hide a mutation and a mutated one cannot leak."""
+    characters.brauer_decompositions.cache_clear()
+    yield
+    characters.brauer_decompositions.cache_clear()
+
+
+def _verify_cli(capsys, *argv):
+    code = cli.main(["verify", *argv, "--n", "2", "--format", "json"])
+    return code, capsys.readouterr().out
+
+
+def test_verifier_solves_the_brauer_system_once(monkeypatch,
+                                                 fresh_brauer_cache):
+    real = characters.row_reduce
+    calls = []
+
+    def counting(rows, *args):
+        calls.append(len(rows))
+        return real(rows, *args)
+
+    monkeypatch.setattr(characters, "row_reduce", counting)
+    report = verify_all(2, 3, 1, 5)
+    assert report["all_passed"]
+    # one system for every ordinary irreducible of the dihedral group
+    assert calls == [len(ell_regular_classes(3, 5))]
+
+
+def test_a_dropped_class_equation_fails_the_brauer_checks(
+        monkeypatch, capsys, fresh_brauer_cache):
+    real = characters.row_reduce
+
+    def dropping(rows, *args):
+        del rows[-1]
+        return real(rows, *args)
+
+    monkeypatch.setattr(characters, "row_reduce", dropping)
+    code, out = _verify_cli(capsys, "--p", "3", "--ell", "5")
+    assert code == 1
+    report = json.loads(out)
+    checks = {c["name"]: c["pass"] for c in report["checks"]}
+    assert not checks["brauer-decomposition-integrality"]
+    assert not checks["semisimplification-deficit-pattern"]
+    assert not report["all_passed"]
+
+
+def test_a_dropped_brauer_irreducible_fails_the_square_check(
+        monkeypatch, capsys, fresh_brauer_cache):
+    real = characters.brauer_irreps
+    _rebind_everywhere(monkeypatch, real, lambda q, ell: real(q, ell)[:-1])
+    code, out = _verify_cli(capsys, "--p", "3", "--ell", "5")
+    assert code == 1
+    checks = {c["name"]: c["pass"] for c in json.loads(out)["checks"]}
+    assert not checks["brauer-table-square"]
+    assert not checks["brauer-decomposition-integrality"]
+    # the dropped irreducible is sigma1, whose restriction is then
+    # outside the span of the four linear Brauer characters
+    with pytest.raises(CharacterError, match="not in the Brauer span"):
+        characters.brauer_decompose(3, 5, DihedralIrrep("two", 1, None))
 
 
 def test_verifier_passes_characteristic_two():
