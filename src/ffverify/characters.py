@@ -246,7 +246,7 @@ class CharacterTable:
                 acc = CycNumber.from_rational(self.conductor, 0)
                 for i in range(len(self.irreps)):
                     acc = acc + self.values[i][a] * self.values[i][b].conjugate()
-                want = Fraction(order, ca.size) if a == b else Fraction(0)
+                want = Fraction(order, ca.size) if a == b else 0
                 if acc != CycNumber.from_rational(self.conductor, want):
                     return False
         return True

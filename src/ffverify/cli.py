@@ -83,12 +83,12 @@ def cmd_count(args) -> int:
                              args.budget)
         rows.append(("Y", args.n, args.level, base))
         rows.append(("Ytilde", args.n, args.level, cover))
-        ratio = cover / base if base else float("nan")
         if args.format == "json":
             _emit(args, _json_dumps({
                 "rows": [dict(zip(("variety", "n", "level", "count"), r))
                          for r in rows],
-                "ratio": cover // base if base and cover % base == 0 else ratio,
+                "ratio": (cover // base if base and cover % base == 0
+                          else f"{cover}/{base}"),
                 "ratio_equals_q_plus_1": base * (ctx.q + 1) == cover,
             }))
         else:
@@ -207,15 +207,14 @@ def build_parser() -> argparse.ArgumentParser:
                     "character identities and theta tables.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, formats=("json", "md")):
         p.add_argument("--p", type=int, required=True, help="characteristic")
         p.add_argument("--e", type=int, default=1, help="q = p^e")
-        p.add_argument("--format", choices=("json", "csv", "md"),
-                       default="json")
+        p.add_argument("--format", choices=formats, default="json")
         p.add_argument("--output", help="write to file instead of stdout")
 
     pc = sub.add_parser("count", help="point counts over tower levels")
-    common(pc)
+    common(pc, ("json", "csv", "md"))
     pc.add_argument("--variety", nargs="+", choices=VARIETY_KINDS,
                     default=["Ytilde"])
     pc.add_argument("--n", type=int, default=1)
@@ -246,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     pg.set_defaults(func=cmd_gauss)
 
     pf = sub.add_parser("fixed-points", help="surface fixed point grid")
-    common(pf)
+    common(pf, ("json", "csv", "md"))
     pf.set_defaults(func=cmd_fixed_points)
 
     return parser

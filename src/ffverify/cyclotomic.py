@@ -1,7 +1,10 @@
 """Exact arithmetic in Q(zeta_m) and characters valued there.
 
-Numbers are Fraction coefficient vectors modulo the m-th cyclotomic
-polynomial, so every identity check is exact.  The conductor used for a
+Numbers are coefficient vectors modulo the m-th cyclotomic polynomial,
+so every identity check is exact.  A coefficient is an int or a
+Fraction, exactly as exact arithmetic yields it: sums of roots of unity,
+such as character values and Gauss sums, keep int coefficients, and a
+Fraction appears only after a division.  The conductor used for a
 tower with q = p^e is m = p(q+1); since p and q+1 are coprime this field
 contains both zeta_p = zeta_m^{q+1} and zeta_{q+1} = zeta_m^p.
 """
@@ -81,15 +84,19 @@ class CycNumber:
     def __init__(self, m: int, coeffs):
         self.m = m
         deg = len(cyclotomic_coeffs(m)) - 1
-        cs = [Fraction(c) for c in coeffs]
+        cs = list(coeffs)
         if len(cs) > deg:
             raise CycError("coefficient vector too long")
-        cs += [Fraction(0)] * (deg - len(cs))
+        # exactly int or Fraction: a float is inexact, and a bool prints
+        # as "True" in to_json
+        if not all(type(c) is int or type(c) is Fraction for c in cs):
+            raise CycError("coefficients must be int or Fraction")
+        cs += [0] * (deg - len(cs))
         self.coeffs = tuple(cs)
 
     @classmethod
     def from_rational(cls, m: int, r) -> "CycNumber":
-        return cls(m, [Fraction(r)])
+        return cls(m, [r])
 
     @classmethod
     def root_of_unity(cls, m: int, k: int) -> "CycNumber":
@@ -123,7 +130,7 @@ class CycNumber:
             return CycNumber(self.m, [a * other for a in self.coeffs])
         other = self._check(other)
         deg = len(self.coeffs)
-        prod = [Fraction(0)] * (2 * deg - 1)
+        prod = [0] * (2 * deg - 1)
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(other.coeffs):
@@ -133,7 +140,7 @@ class CycNumber:
         for k in range(2 * deg - 2, deg - 1, -1):
             c = prod[k]
             if c:
-                prod[k] = Fraction(0)
+                prod[k] = 0
                 for i in range(deg):
                     prod[k - deg + i] -= c * phi[i]
         return CycNumber(self.m, prod[:deg])
@@ -144,7 +151,7 @@ class CycNumber:
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 raise CycError("division by zero")
-            return self * (Fraction(1) / Fraction(other))
+            return self * (Fraction(1) / other)
         other = self._check(other)
         return self * other.inverse()
 
@@ -176,13 +183,10 @@ class CycNumber:
     def __repr__(self):
         return f"Cyc({self.m}; {[str(c) for c in self.coeffs]})"
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
     def is_rational(self) -> bool:
         return all(c == 0 for c in self.coeffs[1:])
 
-    def as_rational(self) -> Fraction:
+    def as_rational(self) -> int | Fraction:
         if not self.is_rational():
             raise CycError("not rational")
         return self.coeffs[0]
@@ -194,7 +198,7 @@ class CycNumber:
         """Complex conjugation, zeta -> zeta^{-1}."""
         table = _power_table(self.m)
         deg = len(self.coeffs)
-        out = [Fraction(0)] * deg
+        out = [0] * deg
         for i, c in enumerate(self.coeffs):
             if c:
                 for j, t in enumerate(table[(-i) % self.m]):
@@ -204,7 +208,7 @@ class CycNumber:
     def inverse(self) -> "CycNumber":
         """Inverse by solving self * x = 1 as a linear system over Q,
         whose columns are self * zeta^j."""
-        if self.is_zero():
+        if not self:
             raise CycError("inverse of zero")
         if self.is_rational():
             return CycNumber.from_rational(self.m, Fraction(1) / self.coeffs[0])
@@ -212,7 +216,8 @@ class CycNumber:
         cols = [(self * CycNumber.root_of_unity(self.m, j)).coeffs
                 for j in range(deg)]
         rows = [[c[i] for c in cols] + [int(i == 0)] for i in range(deg)]
-        row_reduce(rows, deg, lambda a: 1 / a, lambda a: a)
+        # Fraction(1) / a, not 1 / a: with int entries 1 / a is a float
+        row_reduce(rows, deg, lambda a: Fraction(1) / a, lambda a: a)
         result = CycNumber(self.m, [row[deg] for row in rows])
         if not (result * self == CycNumber.from_rational(self.m, 1)):
             raise CycError("inverse verification failed")
@@ -243,9 +248,6 @@ class AdditiveCharacter:
         ctx, lv = self.ctx, self.ctx.levels[1]
         tr = ctx.trace_to_prime(lv.mul_enc(self.a, lv.check_enc(x)), 1)
         return CycNumber.root_of_unity(self.m, (ctx.q + 1) * tr)
-
-    def inverse_value(self, x: int) -> CycNumber:
-        return self(x).conjugate()
 
     def is_trivial(self) -> bool:
         return self.a == 0

@@ -29,20 +29,12 @@ def sheaf_trace_A2(ctx: TowerContext, zeta: int,
     if psi.is_trivial():
         raise FieldError("psi must be nontrivial")
     grid = fixed_point_grid(ctx, with_unipotent)
-    m = conductor(ctx)
-    total = CycNumber.from_rational(m, 0)
+    neg = ctx.levels[1].neg_enc
+    total = CycNumber.from_rational(conductor(ctx), 0)
     for eta in range(ctx.q):
-        total = total + psi.inverse_value(eta) * grid[(eta, zeta)].total
+        # psi^{-1}(eta) = psi(-eta)
+        total = total + psi(neg(eta)) * grid[(eta, zeta)].total
     return total * Fraction(1, ctx.q ** 2)
-
-
-def averaged_unipotent_trace(ctx: TowerContext, psi: AdditiveCharacter) -> CycNumber:
-    """(1/(q+1)) sum_zeta nu(zeta) T_u(zeta); equals the Gauss sum."""
-    m = conductor(ctx)
-    total = CycNumber.from_rational(m, 0)
-    for zeta in ctx.enumerate_mu(ctx.q + 1):
-        total = total + nu_sign(ctx, zeta) * sheaf_trace_A2(ctx, zeta, True, psi)
-    return total * Fraction(1, ctx.q + 1)
 
 
 def character_difference_at_unipotent(ctx: TowerContext, n: int,
@@ -62,6 +54,12 @@ def character_difference_at_unipotent(ctx: TowerContext, n: int,
         t_plain = sheaf_trace_A2(ctx, zeta, False, psi)
         total = total + nu_sign(ctx, zeta) * t_u * t_plain ** (n - 1)
     return total * Fraction(1, ctx.q + 1)
+
+
+def averaged_unipotent_trace(ctx: TowerContext, psi: AdditiveCharacter) -> CycNumber:
+    """(1/(q+1)) sum_zeta nu(zeta) T_u(zeta), the n = 1 case of
+    character_difference_at_unipotent (T^0 = 1); equals the Gauss sum."""
+    return character_difference_at_unipotent(ctx, 1, psi)
 
 
 def expected_character_difference(ctx: TowerContext, n: int,

@@ -197,7 +197,7 @@ def test_irrep_values_are_algebraic_integers_on_rotations():
             if r.kind == "one":
                 assert v.is_integer()
             elif c.kind == "refl":
-                assert v.is_zero()
+                assert not v
 
 
 @pytest.mark.parametrize("q", QS)

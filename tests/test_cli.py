@@ -48,6 +48,34 @@ def test_count_torsor(capsys):
     assert blob["ratio"] == 4
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+@pytest.mark.parametrize("base,cover", [(3, 7), (0, 7)])
+def test_count_torsor_failed_ratio_is_an_exact_string(capsys, monkeypatch,
+                                                      base, cover):
+    from ffverify import cli
+    monkeypatch.setattr(cli, "count_points", lambda ctx, spec, level, budget:
+                        {"Y": base, "Ytilde": cover}[spec.kind])
+    code, out, _ = run(capsys, ["count", "--p", "3", "--torsor", "--n", "2",
+                                "--level", "2"])
+    assert code == 1
+    blob = json.loads(out, parse_constant=_reject_constant)
+    assert blob["ratio"] == f"{cover}/{base}"
+    assert blob["ratio_equals_q_plus_1"] is False
+
+
+@pytest.mark.parametrize("command", [["verify", "--ell", "5"], ["howe"],
+                                     ["gauss"]], ids=lambda c: c[0])
+def test_format_lists_only_what_the_command_renders(capsys, command):
+    code, out, err = run(capsys, [command[0], "--p", "3", "--format", "csv",
+                                  *command[1:]])
+    assert code == 2
+    assert out == ""
+    assert "error: argument --format" in err
+
+
 @pytest.mark.parametrize("level", ["1", "4"])
 def test_count_torsor_needs_level_two(capsys, level):
     code, out, err = run(capsys, ["count", "--p", "3", "--torsor", "--n", "2",

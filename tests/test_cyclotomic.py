@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ffverify import (AdditiveCharacter, CycError, CycNumber, build_tower,
-                      conductor, gauss_sum, nu_character, nu_sign)
+                      conductor, gauss_sum, nu_character, nu_sign,
+                      o_minus_table)
 from ffverify.cyclotomic import cyclotomic_coeffs
 
 
@@ -74,13 +75,32 @@ def test_conjugation_is_multiplicative(ca, cb):
 def test_inverse(m, data):
     deg = len(cyclotomic_coeffs(m)) - 1
     a = CycNumber(m, data.draw(st.lists(
-        st.fractions(min_value=-5, max_value=5, max_denominator=6),
+        st.integers(min_value=-5, max_value=5)
+        | st.fractions(min_value=-5, max_value=5, max_denominator=6),
         min_size=1, max_size=deg)))
-    if a.is_zero():
+    if not a:
         with pytest.raises(CycError):
             a.inverse()
     else:
-        assert a * a.inverse() == CycNumber.from_rational(m, 1)
+        inv = a.inverse()
+        assert not any(isinstance(c, float) for c in inv.coeffs)
+        assert a * inv == CycNumber.from_rational(m, 1)
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.0, "1/2", True, False, None])
+def test_inexact_coefficients_are_rejected(bad):
+    with pytest.raises(CycError):
+        CycNumber(12, [1, bad])
+    with pytest.raises(CycError):
+        CycNumber.from_rational(12, bad)
+
+
+@pytest.mark.parametrize("q", [3, 5, 13])
+def test_sums_of_roots_of_unity_keep_int_coefficients(q):
+    ctx = build_tower(q, 1)
+    numbers = [v for row in o_minus_table(q).values for v in row]
+    numbers += [gauss_sum(ctx, AdditiveCharacter(ctx, a)) for a in range(1, q)]
+    assert {type(c) for v in numbers for c in v.coeffs} == {int}
 
 
 @settings(max_examples=60, deadline=None)
@@ -88,7 +108,7 @@ def test_inverse(m, data):
 def test_truth_value_is_nonzero(ca):
     a = CycNumber(12, ca)
     assert bool(a) == any(c != 0 for c in ca)
-    assert bool(a) != a.is_zero()
+    assert (not a) == (a == CycNumber.from_rational(12, 0))
 
 
 def test_rationality_predicates():
@@ -117,6 +137,18 @@ def test_additive_character_orthogonality(p, e):
         want = ctx.q if a == 0 else 0
         assert total == CycNumber.from_rational(m, want)
         assert psi.is_trivial() == (a == 0)
+
+
+@pytest.mark.parametrize("p,e", [(3, 1), (2, 2), (5, 1), (3, 2)])
+def test_additive_character_at_minus_x_is_the_conjugate(p, e):
+    # psi^{-1}(x) = psi(-x), which the sheaf traces read
+    ctx = build_tower(p, e)
+    neg = ctx.levels[1].neg_enc
+    for a in range(ctx.q):
+        psi = AdditiveCharacter(ctx, a)
+        for x in range(ctx.q):
+            assert psi(neg(x)) == psi(x).conjugate()
+            assert psi(neg(x)) * psi(x) == CycNumber.from_rational(psi.m, 1)
 
 
 @pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1),
@@ -164,7 +196,7 @@ def test_gauss_sum_square_identity(p, e):
     for a in range(1, q):
         g = gauss_sum(ctx, AdditiveCharacter(ctx, a))
         assert g * g == expected
-        assert not g.is_zero()
+        assert g
         if a == 1:
             g1 = g
     # twisting by a scales the sum by the Legendre symbol of a

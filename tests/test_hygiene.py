@@ -1,5 +1,5 @@
 """Source hygiene of the package: no module imports a name it never uses,
-and every import sits at module level."""
+every import sits at module level, and every division is exact."""
 
 import ast
 from pathlib import Path
@@ -74,3 +74,44 @@ def test_function_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_function_level_imports(path):
     assert function_imports(path.read_text()) == []
+
+
+def inexact_divisions(source: str) -> list[str]:
+    """The divisions whose left operand is not a Fraction(...) call, the
+    float literals and the float(...) calls, as "what (line n)" in source
+    order.  Between ints, / yields a float; Fraction(a) / b stays exact."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
+            left = node.left
+            if not (isinstance(left, ast.Call)
+                    and isinstance(left.func, ast.Name)
+                    and left.func.id == "Fraction"):
+                found.append((node.lineno, "/"))
+        elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Div):
+            found.append((node.lineno, "/="))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, float):
+            found.append((node.lineno, "float literal"))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "float"):
+            found.append((node.lineno, "float()"))
+    return [f"{what} (line {line})" for line, what in sorted(found)]
+
+
+def test_inexact_divisions_are_found():
+    source = ("from fractions import Fraction\n"
+              "a = Fraction(1) / 3 + Fraction(2, 3) / Fraction(1, 2)\n"
+              "b = 1 / 2\n"
+              "c = a / b\n"
+              "c /= 2\n"
+              "d = a // 2 if a else float('nan')\n"
+              "e = 0.5\n"
+              "f = 'no / float() in strings'\n")
+    assert inexact_divisions(source) == ["/ (line 3)", "/ (line 4)",
+                                         "/= (line 5)", "float() (line 6)",
+                                         "float literal (line 7)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_divisions_are_exact(path):
+    assert inexact_divisions(path.read_text()) == []
