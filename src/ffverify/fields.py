@@ -536,7 +536,11 @@ class ArtinSchreierExtension:
     its F_p-coordinates, as at every Level.  The encodings below N are
     F_{q^2} itself, with 0 and 1 the zero and one of K.  K is too large
     for tables (13^26 elements at q = 13), so mul and frob work on the p
-    coefficients through the log and Zech tables of F_{q^2}.
+    coefficients through the log and Zech tables of F_{q^2}, except on
+    an operand below N.  That operand lies in F_{q^2}, and the shortcut
+    is exact: K is an F_{q^2}-algebra, so a scalar multiplies each
+    coefficient and needs no reduction, and on F_{q^2} the map x -> x^q
+    is the level-2 table power_map(q).
     """
 
     def __init__(self, tower: TowerContext):
@@ -550,6 +554,7 @@ class ArtinSchreierExtension:
         self.dim = self.p * base.degree  # F_p-dimension
         exp, self._log = base.log_tables()
         self._exp = exp + exp  # exp[u + v] needs no reduction
+        self._frob_base = base.power_map(tower.q)  # x^q on F_{q^2}
         # (t^q)^i for i < p as (j, log of the coefficient of t^j) pairs,
         # read by frob; t has the encoding N.
         tq, power = self.pow(base.size, tower.q), 1
@@ -594,7 +599,28 @@ class ArtinSchreierExtension:
 
     def mul(self, a, b):
         """Schoolbook product over F_{q^2} through its log table,
-        skipping zero coefficients, reduced by t^p = t + c."""
+        skipping zero coefficients, reduced by t^p = t + c.
+
+        If the smaller operand a is below N = q^2, it is a scalar of
+        F_{q^2}: the product is b with each coefficient multiplied by a,
+        of the same degree in t, so nothing is reduced."""
+        if a > b:
+            a, b = b, a
+        N = self.base.size
+        if a < N:
+            if not a:
+                return 0
+            exp, log = self._exp, self._log
+            u = log[a]
+            if b < N:
+                return exp[u + log[b]]
+            out, scale = 0, 1
+            while b:
+                b, y = divmod(b, N)
+                if y:
+                    out += exp[u + log[y]] * scale
+                scale *= N
+            return out
         exp, log, add, p = self._exp, self._log, self.base.add_enc, self.p
         la, lb = self._log_form(a), self._log_form(b)
         if not (la and lb):
@@ -622,7 +648,10 @@ class ArtinSchreierExtension:
 
     def frob(self, a):
         """a^q = sum_i a_i^q (t^q)^i, the coefficients raised to the q-th
-        power through their logs."""
+        power through their logs.  Below N = q^2, a lies in F_{q^2}, and
+        a^q is read from the table power_map(q) of that level."""
+        if a < self.base.size:
+            return self._frob_base[a]
         exp, add = self._exp, self.base.add_enc
         q, order = self.tower.q, self.base.size - 1
         out = [0] * self.p

@@ -311,10 +311,14 @@ def blind_fixed_point_count(ctx: TowerContext, eta: int, zeta: int,
 
     count = 0
     one = 1  # the encoding of 1
-    # Necessary condition for fixedness wherever the image has a
-    # nonzero last or third coordinate: the second image coordinate
-    # y^q must be proportional to y with ratio zeta.  This prunes the
-    # scan; every survivor still gets the full projective check.
+    # The prune on y follows from fixedness alone.  A fixed P has
+    # image(P) = lambda P for one nonzero lambda.  In the chart Z3 = 1
+    # the last image coordinate is zeta * 1^q = zeta, so lambda = zeta;
+    # on the boundary Z3 = 0, Z2 = 1 the third is zeta (1 + eta * 0)^q =
+    # zeta, so again lambda = zeta.  In both variants the second image
+    # coordinate is y^q, hence y^q = zeta y.  The line Z2 = Z3 = 0 fixes
+    # no lambda this way and is scanned without the prune; every
+    # survivor still gets the full projective check.
     y_ok = [y for y, fy in enumerate(frob) if fy == mul(zk, y)]
     for y in y_ok:
         fy = frob[y]

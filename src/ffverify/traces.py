@@ -50,9 +50,10 @@ def character_difference_at_unipotent(ctx: TowerContext, n: int,
     m = conductor(ctx)
     total = CycNumber.from_rational(m, 0)
     for zeta in ctx.enumerate_mu(ctx.q + 1):
-        t_u = sheaf_trace_A2(ctx, zeta, True, psi)
-        t_plain = sheaf_trace_A2(ctx, zeta, False, psi)
-        total = total + nu_sign(ctx, zeta) * t_u * t_plain ** (n - 1)
+        term = nu_sign(ctx, zeta) * sheaf_trace_A2(ctx, zeta, True, psi)
+        if n > 1:  # T^0 = 1: the plain trace is read only when it counts
+            term = term * sheaf_trace_A2(ctx, zeta, False, psi) ** (n - 1)
+        total = total + term
     return total * Fraction(1, ctx.q + 1)
 
 

@@ -30,7 +30,9 @@ def _report(num: int, name: str, ok: bool):
     assert ok, line
 
 
-TOWERS = {3: (3, 1), 5: (5, 1), 7: (7, 1), 9: (3, 2), 2: (2, 1), 4: (2, 2)}
+TOWERS = {3: (3, 1), 5: (5, 1), 7: (7, 1), 9: (3, 2), 11: (11, 1),
+          13: (13, 1), 2: (2, 1), 4: (2, 2)}
+ODD_GRID_QS = (3, 5, 7, 9, 11, 13)
 
 
 def _grid_vs_closed_form(q: int, with_unipotent: bool) -> bool:
@@ -46,13 +48,13 @@ def _grid_vs_closed_form(q: int, with_unipotent: bool) -> bool:
 
 
 def test_criterion_1_twisted_fixed_point_grid():
-    ok = all(_grid_vs_closed_form(q, True) for q in (3, 5, 7))
-    _report(1, "twisted fixed point grid, q in {3,5,7}", ok)
+    ok = all(_grid_vs_closed_form(q, True) for q in ODD_GRID_QS)
+    _report(1, "twisted fixed point grid, q in {3,5,7,9,11,13}", ok)
 
 
 def test_criterion_2_untwisted_fixed_point_grid():
-    ok = all(_grid_vs_closed_form(q, False) for q in (3, 5, 7))
-    _report(2, "untwisted fixed point grid, q in {3,5,7}", ok)
+    ok = all(_grid_vs_closed_form(q, False) for q in ODD_GRID_QS)
+    _report(2, "untwisted fixed point grid, q in {3,5,7,9,11,13}", ok)
 
 
 def test_criterion_3_gauss_identities():
@@ -72,7 +74,7 @@ def test_criterion_3_gauss_identities():
 
 def test_criterion_4_trace_identities():
     ok = True
-    for q in (3, 5):
+    for q in ODD_GRID_QS:
         ctx = build_tower(*TOWERS[q])
         psi = AdditiveCharacter(ctx, 1)
         m = conductor(ctx)
@@ -84,7 +86,8 @@ def test_criterion_4_trace_identities():
             got = character_difference_at_unipotent(ctx, n, psi)
             ok = ok and got == expected_character_difference(ctx, n, psi)
             ok = ok and bool(got)
-    _report(4, "plane trace, averaged trace and discrepancy identities", ok)
+    _report(4, "plane trace, averaged trace and discrepancy identities, "
+               "q in {3,5,7,9,11,13}", ok)
 
 
 def test_criterion_5_dimension_formulas():

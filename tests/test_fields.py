@@ -581,3 +581,25 @@ def test_encodings_below_q2_are_the_base_field(p, e):
         for b in range(base.size):
             assert K.mul(a, b) == base.mul_enc(a, b)
             assert K.add(a, b) == base.add_enc(a, b)
+
+
+@pytest.mark.parametrize("p,e", [(3, 2), (2, 3), (13, 1)])
+def test_mul_by_a_base_scalar_matches_schoolbook(p, e):
+    """The shortcut for an operand below q^2, in either position, against
+    the tuple route; a = q^2 (the element t) is the first operand past
+    it."""
+    K = ArtinSchreierExtension(build_tower(p, e))
+    N = K.base.size
+    dense = _sample_elements(K, 3, seed=p * 10 + e)[4:]
+    for a in list(range(N)) + [N]:
+        for b in dense:
+            assert K.mul(a, b) == _schoolbook_mul(K, a, b)
+            assert K.mul(b, a) == _schoolbook_mul(K, b, a)
+
+
+@pytest.mark.parametrize("p,e", [(3, 2), (2, 3), (13, 1)])
+def test_frob_on_the_base_field_is_the_tuple_q_power(p, e):
+    K = ArtinSchreierExtension(build_tower(p, e))
+    base, q = K.base, K.tower.q
+    for a in range(base.size):
+        assert K.frob(a) == base.encode(base.pow(base.decode(a), q))

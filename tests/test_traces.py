@@ -85,3 +85,22 @@ def test_untwisted_trace_unrolls_to_the_eta_sum():
     v = sheaf_trace_A2(ctx, 1, False, psi)
     assert v == CycNumber.from_rational(conductor(ctx), 3)
     assert v.as_rational() == Fraction(40 - 13, 9)
+
+
+def test_verify_reads_each_plain_trace_only_where_it_counts(monkeypatch):
+    """At q = 5, verify reads T(zeta) once per zeta for the constant-q
+    check and once more for n = 2, and T_u(zeta) once per zeta for each
+    of the averaged trace and n = 1, 2: 6 + 6 + 6 + 12 = 30 calls.  The
+    n = 1 difference needs no T(zeta), since T^0 = 1."""
+    from ffverify import howe, traces
+    calls = []
+    real = traces.sheaf_trace_A2
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(traces, "sheaf_trace_A2", counted)
+    monkeypatch.setattr(howe, "sheaf_trace_A2", counted)
+    assert howe.verify_all(2, 5, 1, 3)["all_passed"]
+    assert len(calls) == 30
