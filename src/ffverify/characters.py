@@ -9,11 +9,11 @@ collected here as pure integer arithmetic with divisibility asserts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .cyclotomic import CycNumber
 from .fields import is_prime, prime_factors, row_reduce
@@ -52,8 +52,7 @@ def dim_v_isotypic(n: int, q: int, trivial: bool) -> int:
     return _exact_div(q ** n - s, q + 1)
 
 
-@dataclass(frozen=True)
-class IsotypicLabel:
+class IsotypicLabel(NamedTuple):
     """A character of mu_{q+1} by exponent k, with a Frobenius sign
     kappa ('+' or '-') when the character is inversion-stable."""
     k: int
@@ -117,8 +116,7 @@ def dim_mod_ell_unitary(n: int, q: int, k: int, ell: int) -> int:
 # ---------------------------------------------------------------------------
 # The dihedral group of order 2(q+1).
 
-@dataclass(frozen=True)
-class DihedralClass:
+class DihedralClass(NamedTuple):
     kind: str          # "rot" or "refl"
     rep: int           # rotation exponent, or reflection parity
     size: int
@@ -130,8 +128,7 @@ class DihedralClass:
         return f"s{self.rep}"
 
 
-@dataclass(frozen=True)
-class DihedralIrrep:
+class DihedralIrrep(NamedTuple):
     kind: str          # "one" or "two"
     xi: int            # character exponent mod q+1
     kappa: str | None  # sign for kind == "one"
@@ -212,8 +209,7 @@ def irrep_value(q: int, irrep: DihedralIrrep, cls: DihedralClass) -> CycNumber:
     return CycNumber.root_of_unity(m, e) + CycNumber.root_of_unity(m, -e % m)
 
 
-@dataclass
-class CharacterTable:
+class CharacterTable(NamedTuple):
     q: int
     mode: str                      # "ordinary" or "mod-ell"
     ell: int | None

@@ -114,8 +114,8 @@ def cmd_count(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    _check_n(args.n, build_tower(args.p, args.e).q, 2 * args.n)
     _check_ell(args.ell, args.p)
+    _check_n(args.n, build_tower(args.p, args.e).q, 2 * args.n)
     report = verify_all(args.n, args.p, args.e, args.ell)
     if args.format == "md":
         _emit(args, report_to_markdown(report))

@@ -144,10 +144,15 @@ def least_irreducible(p: int, d: int):
     low-degree coefficient vector (c_0, ..., c_{d-1}).  A process-wide
     cache is right: the result is an immutable tuple fixed by (p, d),
     and each Level of that degree, in any tower or the blind scan's
-    model, would otherwise repeat the search.
+    model, would otherwise repeat the search.  A candidate of degree
+    d > 1 with a root in F_p has a linear factor, so it is skipped
+    before the Rabin test; the least irreducible is the same.
     """
     for k in range(p ** d):
         f = tuple(k // p ** i % p for i in range(d)) + (1,)
+        if d > 1 and any(sum(c * a ** i for i, c in enumerate(f)) % p == 0
+                         for a in range(p)):
+            continue
         if _is_irreducible(f, p):
             return f
     raise FieldError(f"no irreducible polynomial of degree {d} over F_{p}")
@@ -300,7 +305,7 @@ class Level:
             exp = [self.encode(self.one)]
             cur = self.one
             for _ in range(order - 1):
-                cur = self.mul(cur, g)
+                cur = self.mul(g, cur)  # mul loops over g's few digits
                 exp.append(self.encode(cur))
             log = [None] * self.size
             for w, k in enumerate(exp):
@@ -437,17 +442,27 @@ class TowerContext:
     def _find_root(f, level: Level):
         """The root of least encoding in level of the irreducible f.
 
-        The roots lie in the subfield F_{p^d}, d = deg f, which is the
-        kernel of the F_p-linear map x -> x^{p^d} - x.
+        The roots lie in the subfield F_{p^m}, m = deg f, which is the
+        kernel of the F_p-linear map x -> x^{p^m} - x.  The kernel is
+        walked in the order of solve_mod_p up to the first root r, and
+        the least encoding among r, r^p, ..., r^{p^(m-1)} is returned.
+        That is the least root: f has its coefficients in F_p, so
+        f(x^p) = f(x)^p and each r^{p^i} is a root; r generates F_{p^m}
+        over F_p, so these m powers are distinct (Lidl and Niederreiter,
+        Finite Fields, Thm. 2.14); and f has at most m roots.  The orbit
+        is therefore the set of all roots.
         """
-        n = level.p ** (len(f) - 1)
+        m = len(f) - 1
         units = (level.decode(level.p ** i) for i in range(level.degree))
-        cols = [level.sub(level.pow(b, n), b) for b in units]
-        roots = [a for a in map(tuple, solve_mod_p(level.p, cols, level.zero))
-                 if level.eval_intpoly_at(f, a) == level.zero]
-        if not roots:
+        cols = [level.sub(level.pow(b, level.p ** m), b) for b in units]
+        root = next((a for a in map(tuple, solve_mod_p(level.p, cols, level.zero))
+                     if level.eval_intpoly_at(f, a) == level.zero), None)
+        if root is None:
             raise FieldError("modulus has no root in the upper level")
-        return min(roots, key=level.encode)
+        orbit = [root]
+        for _ in range(m - 1):
+            orbit.append(level.pow(orbit[-1], level.p))
+        return min(orbit, key=level.encode)
 
     # -- embeddings -----------------------------------------------------------
 

@@ -17,8 +17,8 @@ solves and re-verifies every reported point by direct substitution.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 from .fields import (ArtinSchreierExtension, FieldError, Level, TowerContext,
                      embedding_table)
@@ -26,16 +26,14 @@ from .cyclotomic import nu_sign
 from .varieties import BudgetExceededError
 
 
-@dataclass
-class FixedPointReport:
+class FixedPointReport(NamedTuple):
     total: int
     sigma_counts: dict
     points: list  # projective quadruples of Artin-Schreier encodings
     field_degree: int  # degree of the coordinate field over F_p
 
 
-@dataclass(frozen=True)
-class GridCell:
+class GridCell(NamedTuple):
     """One (eta, zeta) cell of the fixed point grid, without its points."""
     total: int
     sigma_counts: dict

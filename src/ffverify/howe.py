@@ -11,7 +11,7 @@ semisimplification comparison are computed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .characters import (CharacterError, DihedralIrrep, IsotypicLabel,
                          brauer_decompositions, brauer_irreps, char_of,
@@ -27,8 +27,7 @@ from .traces import (averaged_unipotent_trace,
 from .varieties import VarietySpec, count_points
 
 
-@dataclass
-class HoweEntry:
+class HoweEntry(NamedTuple):
     tau: DihedralIrrep
     dim: int
     status: str                      # "irreducible" or "nontrivial-extension"
@@ -50,14 +49,13 @@ class HoweEntry:
         }
 
 
-@dataclass
-class HoweTable:
+class HoweTable(NamedTuple):
     n: int
     q: int
     mode: str                        # "ordinary" or "mod-ell"
     ell: int | None
     entries: list
-    checks: list = field(default_factory=list)
+    checks: list
 
     def to_json(self) -> dict:
         return {
@@ -111,7 +109,7 @@ def theta_ordinary(n: int, q: int) -> HoweTable:
             lusztig_note=_note(tau, q),
             provenance={"dim": "computed", "status": "asserted-by-paper"},
         ))
-    table = HoweTable(n, q, "ordinary", None, entries)
+    table = HoweTable(n, q, "ordinary", None, entries, [])
     total = sum(e.dim * e.tau.dim for e in table.entries)
     table.checks.append({
         "name": "total-dimension",
@@ -141,7 +139,7 @@ def theta_mod_ell(n: int, q: int, ell: int) -> HoweTable:
             lusztig_note=_note(tau, q),
             provenance={"dim": "computed", "status": "asserted-by-paper"},
         ))
-    table = HoweTable(n, q, "mod-ell", ell, entries)
+    table = HoweTable(n, q, "mod-ell", ell, entries, [])
     square = len(brauer_irreps(q, ell)) == len(ell_regular_classes(q, ell))
     table.checks.append({
         "name": "brauer-parametrization-square",

@@ -27,12 +27,10 @@ arithmetic, and so is an independent route.
 
 from __future__ import annotations
 
-import csv
-import io
 import itertools
 import operator
-from dataclasses import dataclass
 from math import gcd, prod
+from typing import NamedTuple
 
 from .fields import TowerContext, FieldError
 
@@ -52,18 +50,23 @@ _PAIR_KINDS = {"Sprime", "Yprime", "Ytildeprime", "Xprime",
 _SURFACE_KINDS = {"Xbar", "D"}
 
 
-@dataclass(frozen=True)
-class VarietySpec:
-    """A variety family member: kind plus the index n >= 1.  The fixed
-    surface kinds Xbar and D ignore n."""
+class _VarietySpecFields(NamedTuple):
     kind: str
     n: int = 1
 
-    def __post_init__(self):
-        if self.kind not in VARIETY_KINDS:
-            raise ValueError(f"unknown variety kind {self.kind!r}")
-        if self.n < 1:
+
+class VarietySpec(_VarietySpecFields):
+    """A variety family member: kind plus the index n >= 1.  The fixed
+    surface kinds Xbar and D ignore n.  The checks live on this subclass
+    because a NamedTuple body cannot define __new__."""
+    __slots__ = ()
+
+    def __new__(cls, kind: str, n: int = 1):
+        if kind not in VARIETY_KINDS:
+            raise ValueError(f"unknown variety kind {kind!r}")
+        if n < 1:
             raise ValueError("n must be at least 1")
+        return super().__new__(cls, kind, n)
 
 
 class _LevelArith:
@@ -351,10 +354,8 @@ def count_points_naive(ctx: TowerContext, spec: VarietySpec, level: int,
 # Export.
 
 def counts_to_csv(rows) -> str:
-    """rows: iterable of (kind, n, level, count)."""
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["variety", "n", "level", "count"])
-    for kind, n, level, count in rows:
-        w.writerow([kind, n, level, count])
-    return buf.getvalue()
+    """rows: iterable of (kind, n, level, count).  No field needs CSV
+    quoting: kinds are VARIETY_KINDS names and the rest are ints."""
+    lines = ["variety,n,level,count"]
+    lines += [f"{kind},{n},{level},{count}" for kind, n, level, count in rows]
+    return "\n".join(lines) + "\n"

@@ -9,8 +9,9 @@ import time
 import pytest
 from hypothesis import assume, event, given, settings, strategies as st
 
+from ffverify import cli
 from ffverify.cli import main
-from ffverify.fields import is_prime
+from ffverify.fields import build_tower, is_prime
 from ffverify.varieties import VARIETY_KINDS
 
 
@@ -147,6 +148,19 @@ def test_an_ell_that_is_not_an_odd_prime_is_rejected_up_front(capsys, command,
     assert time.perf_counter() - start < 2
     assert code == 2 and out == ""
     assert err.startswith("error: --ell ")
+
+
+@pytest.mark.parametrize("ell", ["2", "4"])
+def test_verify_rejects_a_bad_ell_before_building_the_tower(capsys, monkeypatch,
+                                                            ell):
+    calls = []
+    monkeypatch.setattr(cli, "build_tower",
+                        lambda p, e: calls.append((p, e)) or build_tower(p, e))
+    code, out, err = run(capsys, ["verify", "--p", "2", "--e", "4", "--n", "2",
+                                  "--ell", ell])
+    assert code == 2 and out == ""
+    assert err.startswith("error: --ell ")
+    assert calls == []
 
 
 @pytest.mark.parametrize("kind", ["Xbar", "D"])

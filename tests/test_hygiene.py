@@ -1,7 +1,11 @@
 """Source hygiene of the package: no module imports a name it never uses,
-every import sits at module level, and every division is exact."""
+every import sits at module level, every division is exact, and importing
+the command line tool loads no module it does not need."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -115,3 +119,21 @@ def test_inexact_divisions_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_divisions_are_exact(path):
     assert inexact_divisions(path.read_text()) == []
+
+
+# Modules that `import ffverify.cli` must not load: dataclasses (which
+# loads inspect) and csv cost start-up time in every process, and the
+# package needs neither.
+_STARTUP_EXCLUDED = ("dataclasses", "inspect", "csv")
+
+
+def test_cli_import_loads_no_heavy_module():
+    """Under python -S, site imports nothing, so every module loaded is
+    loaded by ffverify.cli and what it imports."""
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    probe = ("import sys, ffverify.cli; "
+             f"print(sorted(m for m in {_STARTUP_EXCLUDED!r} "
+             "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-S", "-c", probe], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
