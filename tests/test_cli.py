@@ -56,7 +56,6 @@ def _reject_constant(name):
 @pytest.mark.parametrize("base,cover", [(3, 7), (0, 7)])
 def test_count_torsor_failed_ratio_is_an_exact_string(capsys, monkeypatch,
                                                       base, cover):
-    from ffverify import cli
     monkeypatch.setattr(cli, "count_points", lambda ctx, spec, level, budget:
                         {"Y": base, "Ytilde": cover}[spec.kind])
     code, out, _ = run(capsys, ["count", "--p", "3", "--torsor", "--n", "2",
@@ -256,8 +255,6 @@ def test_unwritable_output_is_a_usage_error(tmp_path, capsys):
 
 
 def test_internal_error_exits_3(capsys, monkeypatch):
-    import ffverify.cli as cli
-
     def crash(args):
         raise RuntimeError("boom")
 
