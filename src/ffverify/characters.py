@@ -179,16 +179,10 @@ def brauer_irreps(q: int, ell: int) -> list[DihedralIrrep]:
     p = char_of(q)
     if ell == p or ell == 2 or not is_prime(ell):
         raise CharacterError("ell must be an odd prime different from p")
-    m = q + 1
     la, r = ell_parts(q, ell)
-    out = [DihedralIrrep("one", 0, "+"), DihedralIrrep("one", 0, "-")]
-    if r % 2 == 0:
-        out.append(DihedralIrrep("one", m // 2, "+"))
-        out.append(DihedralIrrep("one", m // 2, "-"))
-    for j in range(1, (r + 1) // 2):
-        if 2 * j != r:
-            out.append(DihedralIrrep("two", j * la, None))
-    return out
+    # the irreducibles of the dihedral quotient of order 2r, pulled back
+    # along mu_{q+1} -> mu_r, zeta -> zeta^la: xi on mu_r becomes xi la
+    return [tau._replace(xi=tau.xi * la) for tau in ordinary_irreps(r - 1)]
 
 
 def ell_regular_classes(q: int, ell: int) -> list[DihedralClass]:

@@ -75,42 +75,32 @@ def cmd_count(args) -> int:
     ctx = build_tower(args.p, args.e)
     # a count that grows with n is at most N^(2n+1), N = q^level (X')
     _check_n(args.n, ctx.q ** args.level, 2 * args.n + 1)
-    rows = []
+    kinds = ("Y", "Ytilde") if args.torsor else args.variety
+    rows = [(kind, args.n, args.level,
+             count_points(ctx, VarietySpec(kind, args.n), args.level,
+                          args.budget)) for kind in kinds]
+    ok = True
     if args.torsor:
-        base = count_points(ctx, VarietySpec("Y", args.n), args.level,
-                            args.budget)
-        cover = count_points(ctx, VarietySpec("Ytilde", args.n), args.level,
-                             args.budget)
-        rows.append(("Y", args.n, args.level, base))
-        rows.append(("Ytilde", args.n, args.level, cover))
-        if args.format == "json":
-            _emit(args, _json_dumps({
-                "rows": [dict(zip(("variety", "n", "level", "count"), r))
-                         for r in rows],
-                "ratio": (cover // base if base and cover % base == 0
-                          else f"{cover}/{base}"),
-                "ratio_equals_q_plus_1": base * (ctx.q + 1) == cover,
-            }))
-        else:
-            text = counts_to_csv(rows)
-            text += f"# ratio = {cover}/{base}"
-            text += f" (q+1 = {ctx.q + 1})\n"
-            _emit(args, text)
-        return 0 if base * (ctx.q + 1) == cover else 1
-    for kind in args.variety:
-        rows.append((kind, args.n, args.level,
-                     count_points(ctx, VarietySpec(kind, args.n),
-                                  args.level, args.budget)))
+        base, cover = rows[0][3], rows[1][3]
+        ok = base * (ctx.q + 1) == cover
+        ratio = f"ratio = {cover}/{base} (q+1 = {ctx.q + 1})\n"
     if args.format == "json":
-        _emit(args, _json_dumps(
-            [dict(zip(("variety", "n", "level", "count"), r)) for r in rows]))
+        out = [dict(zip(("variety", "n", "level", "count"), r)) for r in rows]
+        if args.torsor:
+            out = {"rows": out,
+                   "ratio": (cover // base if base and cover % base == 0
+                             else f"{cover}/{base}"),
+                   "ratio_equals_q_plus_1": ok}
+        text = _json_dumps(out)
     elif args.format == "md":
         lines = ["| variety | n | level | count |", "| --- | --- | --- | --- |"]
         lines += [f"| {k} | {n} | {lv} | {c} |" for k, n, lv, c in rows]
-        _emit(args, "\n".join(lines) + "\n")
+        # the ratio line is plain text: "# ratio" would be a heading
+        text = "\n".join(lines) + "\n" + ("\n" + ratio if args.torsor else "")
     else:
-        _emit(args, counts_to_csv(rows))
-    return 0
+        text = counts_to_csv(rows) + ("# " + ratio if args.torsor else "")
+    _emit(args, text)
+    return 0 if ok else 1
 
 
 def cmd_verify(args) -> int:

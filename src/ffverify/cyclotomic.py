@@ -11,10 +11,11 @@ contains both zeta_p = zeta_m^{q+1} and zeta_{q+1} = zeta_m^p.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from functools import lru_cache
 
-from .fields import TowerContext, FieldError, row_reduce
+from .fields import TowerContext, FieldError, power, row_reduce
 
 
 class CycError(ValueError):
@@ -158,14 +159,7 @@ class CycNumber:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        result = CycNumber.from_rational(self.m, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(operator.mul, CycNumber.from_rational(self.m, 1), self, n)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):

@@ -112,14 +112,8 @@ def poly_gcd(a, b, p):
 
 
 def poly_powmod(a, n, f, p):
-    result = (1,)
-    a = poly_mod(a, f, p)
-    while n:
-        if n & 1:
-            result = poly_mod(poly_mul(result, a, p), f, p)
-        a = poly_mod(poly_mul(a, a, p), f, p)
-        n >>= 1
-    return result
+    return power(lambda x, y: poly_mod(poly_mul(x, y, p), f, p), (1,),
+                 poly_mod(a, f, p), n)
 
 
 def _is_irreducible(f, p):
@@ -149,7 +143,7 @@ def least_irreducible(p: int, d: int):
     before the Rabin test; the least irreducible is the same.
     """
     for k in range(p ** d):
-        f = tuple(k // p ** i % p for i in range(d)) + (1,)
+        f = tuple(_digits(k, p, d)) + (1,)
         if d > 1 and any(sum(c * a ** i for i, c in enumerate(f)) % p == 0
                          for a in range(p)):
             continue
@@ -159,7 +153,37 @@ def least_irreducible(p: int, d: int):
 
 
 # ---------------------------------------------------------------------------
-# Exact linear algebra: the one Gauss-Jordan elimination of the package.
+# The one square-and-multiply, the one base conversion and the one
+# Gauss-Jordan elimination of the package.
+
+def power(mul, acc, a, n: int):
+    """acc * a^n for n >= 0 by square and multiply: n.bit_length() - 1
+    + popcount(n) calls of mul, as the square after the top bit is skipped."""
+    while n:
+        if n & 1:
+            acc = mul(acc, a)
+        n >>= 1
+        if n:
+            a = mul(a, a)
+    return acc
+
+
+def _digits(k: int, base: int, n: int) -> list[int]:
+    """The n lowest base-`base` digits of k, least significant first."""
+    out = []
+    for _ in range(n):
+        k, r = divmod(k, base)
+        out.append(r)
+    return out
+
+
+def _undigits(ds, base: int) -> int:
+    """The integer with base-`base` digits ds, least significant first."""
+    k = 0
+    for d in reversed(ds):
+        k = k * base + d
+    return k
+
 
 def row_reduce(rows, ncols, inverse, reduce):
     """Gauss-Jordan elimination in place on the first ncols columns.
@@ -226,12 +250,10 @@ def solve_mod_p(p: int, cols, rhs) -> list[list[int]]:
 class Level:
     """F_p[x]/(modulus), elements are coefficient tuples of fixed length."""
 
-    def __init__(self, p: int, degree: int, modulus=None):
+    def __init__(self, p: int, degree: int):
         self.p = p
         self.degree = degree
-        self.modulus = modulus if modulus is not None else least_irreducible(p, degree)
-        if len(self.modulus) != degree + 1 or self.modulus[-1] != 1:
-            raise FieldError("modulus must be monic of the stated degree")
+        self.modulus = least_irreducible(p, degree)
         self.size = p ** degree
         self.zero = (0,) * degree
         self.one = self._pad((1,))
@@ -346,26 +368,13 @@ class Level:
         return [0 if n else 1] + [exp[w * n % (self.size - 1)] for w in log[1:]]
 
     def pow(self, a, n):
-        result = self.one
-        while n:
-            if n & 1:
-                result = self.mul(result, a)
-            a = self.mul(a, a)
-            n >>= 1
-        return result
+        return power(self.mul, self.one, a, n)
 
     def encode(self, a) -> int:
-        k = 0
-        for c in reversed(a):
-            k = k * self.p + c
-        return k
+        return _undigits(a, self.p)
 
     def decode(self, k: int):
-        coeffs = []
-        for _ in range(self.degree):
-            coeffs.append(k % self.p)
-            k //= self.p
-        return tuple(coeffs)
+        return tuple(_digits(k, self.p, self.degree))
 
     def elements(self):
         return (self.decode(k) for k in range(self.size))
@@ -590,12 +599,6 @@ class ArtinSchreierExtension:
         log = self._log
         return [(i, log[x]) for i, x in enumerate(self._coeffs(a)) if x]
 
-    def _encode(self, coeffs):
-        N, a = self.base.size, 0
-        for x in reversed(coeffs):
-            a = a * N + x
-        return a
-
     def add(self, a, b):
         N, add = self.base.size, self.base.add_enc
         out, scale = 0, 1
@@ -607,7 +610,7 @@ class ArtinSchreierExtension:
         return out
 
     def neg(self, a):
-        return self._encode(list(map(self.base.neg_enc, self._coeffs(a))))
+        return self.mul(self.p - 1, a)  # -1 has encoding p - 1 < N
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
@@ -650,16 +653,10 @@ class ArtinSchreierExtension:
             if x:
                 out[k - p + 1] = add(out[k - p + 1], x)
                 out[k - p] = add(out[k - p], exp[log[x] + log_c])
-        return self._encode(out[:p])
+        return _undigits(out[:p], N)
 
     def pow(self, a, n):
-        result = 1
-        while n:
-            if n & 1:
-                result = self.mul(result, a)
-            a = self.mul(a, a)
-            n >>= 1
-        return result
+        return power(self.mul, 1, a, n)
 
     def frob(self, a):
         """a^q = sum_i a_i^q (t^q)^i, the coefficients raised to the q-th
@@ -674,7 +671,7 @@ class ArtinSchreierExtension:
             u = u * q % order
             for j, v in self._tq_powers[i]:
                 out[j] = add(out[j], exp[u + v])
-        return self._encode(out)
+        return _undigits(out, self.base.size)
 
     def solve_affine(self, linear_map, rhs):
         """All solutions of linear_map(x) = rhs for an F_p-linear map,
@@ -682,14 +679,6 @@ class ArtinSchreierExtension:
         F_p-coordinates of an element are the base-p digits of its
         encoding, and p^i is the i-th basis vector."""
         p, dim = self.p, self.dim
-
-        def coords(a):
-            out = []
-            for _ in range(dim):
-                a, r = divmod(a, p)
-                out.append(r)
-            return out
-
-        cols = [coords(linear_map(p ** i)) for i in range(dim)]
-        return [sum(v * p ** i for i, v in enumerate(vec))
-                for vec in solve_mod_p(p, cols, coords(rhs))]
+        cols = [_digits(linear_map(p ** i), p, dim) for i in range(dim)]
+        return [_undigits(vec, p)
+                for vec in solve_mod_p(p, cols, _digits(rhs, p, dim))]

@@ -252,6 +252,9 @@ def differential_vanishes(ctx: TowerContext, with_unipotent: bool) -> bool:
 # 2ep), built independently of the Artin-Schreier extension, and test
 # each point for fixedness directly.
 
+BLIND_MAX_FIELD_SIZE = 4096  # F_{q^{2p}} at q = 8, the largest q scanned
+
+
 def _absolute_model(ctx: TowerContext, d: int):
     """The level F = F_{p^d} and the embedding table of F_{q^2} into F,
     through the lex-least root there of the modulus of F_{q^2}; cached
@@ -264,8 +267,7 @@ def _absolute_model(ctx: TowerContext, d: int):
 
 
 def blind_fixed_point_count(ctx: TowerContext, eta: int, zeta: int,
-                            with_unipotent: bool,
-                            max_field_size: int = 4096) -> int:
+                            with_unipotent: bool) -> int:
     """Independent count: scan the whole surface over F_{q^{2p}}.
 
     eta is a level-1 encoding and zeta a level-2 encoding.  Only
@@ -276,7 +278,7 @@ def blind_fixed_point_count(ctx: TowerContext, eta: int, zeta: int,
     ctx.discrete_log_mu(zeta, ctx.q + 1)  # raises unless zeta is in mu_{q+1}
     p, q = ctx.p, ctx.q
     d = 2 * ctx.e * p
-    if p ** d > max_field_size:
+    if p ** d > BLIND_MAX_FIELD_SIZE:
         raise BudgetExceededError("blind enumeration field too large")
     F, emb = _absolute_model(ctx, d)
     add, mul, neg = F.add_enc, F.mul_enc, F.neg_enc

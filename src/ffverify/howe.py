@@ -80,11 +80,7 @@ class HoweTable(NamedTuple):
                          f"| {e.status} | {cons} |")
         if self.checks:
             lines.append("")
-            lines.append("| check | expected | actual | pass |")
-            lines.append("| --- | --- | --- | --- |")
-            for c in self.checks:
-                lines.append(f"| {c['name']} | {c['expected']} | {c['actual']} "
-                             f"| {'yes' if c['pass'] else 'no'} |")
+            lines += _checks_markdown(self.checks)
         lines.append("")
         return "\n".join(lines)
 
@@ -292,14 +288,17 @@ def verify_all(n: int, p: int, e: int, ell: int) -> dict:
     }
 
 
+def _checks_markdown(checks) -> list[str]:
+    """The lines of the markdown table of checks."""
+    lines = ["| check | expected | actual | pass |", "| --- | --- | --- | --- |"]
+    return lines + [f"| {c['name']} | {c['expected']} | {c['actual']} "
+                    f"| {'yes' if c['pass'] else 'no'} |" for c in checks]
+
+
 def report_to_markdown(report: dict) -> str:
     lines = ["# Verification report", "",
-             f"Parameters: {json.dumps(report['params'])}", "",
-             "| check | expected | actual | pass |",
-             "| --- | --- | --- | --- |"]
-    for c in report["checks"]:
-        lines.append(f"| {c['name']} | {c['expected']} | {c['actual']} "
-                     f"| {'yes' if c['pass'] else 'no'} |")
+             f"Parameters: {json.dumps(report['params'])}", ""]
+    lines += _checks_markdown(report["checks"])
     lines.append("")
     lines.append(f"All passed: {'yes' if report['all_passed'] else 'no'}")
     lines.append("")

@@ -32,7 +32,7 @@ import operator
 from math import gcd, prod
 from typing import NamedTuple
 
-from .fields import TowerContext, FieldError
+from .fields import TowerContext, FieldError, power
 
 
 class BudgetExceededError(RuntimeError):
@@ -174,15 +174,9 @@ class _LevelArith:
             raise ArithmeticError(f"{w}-bit slots are too narrow")
         acc = [1] * N
         for a, n in factors:
-            while n:  # square and multiply
-                if n & 1:
-                    acc = self._mul(acc, a)
-                n >>= 1
-                if n:
-                    a = self._mul(a, a)
+            acc = power(self._mul, acc, a, n)
         dots = [0]  # <u, c> for every u, one digit at a time
-        for i in range(self.level.degree):
-            ci = c // p ** i % p
+        for ci in self.level.decode(c):
             dots = [(s + j * ci) % p for j in range(p) for s in dots]
         by_dot = [0] * p
         for v, r in zip(acc, dots):

@@ -8,6 +8,7 @@ from ffverify import (CharacterError, IsotypicLabel, brauer_decompose,
                       ell_parts, ell_regular_classes, o_minus_table,
                       ordinary_irreps)
 from ffverify.characters import DihedralIrrep, irrep_value
+from ffverify.fields import is_prime
 
 
 QS = (2, 3, 4, 5, 7, 8, 9)
@@ -129,6 +130,39 @@ def test_brauer_table_is_square(q, ell):
     assert len(brauer_irreps(q, ell)) == len(ell_regular_classes(q, ell))
     tab = o_minus_table(q, "mod-ell", ell)
     assert len(tab.classes) == len(tab.irreps)
+
+
+def _brauer_irreps_reference(q, ell):
+    """The mod-ell irreducibles enumerated directly: the characters of
+    O_2^-(F_q) that are trivial on the ell-part of mu_{q+1}."""
+    m = q + 1
+    la, r = ell_parts(q, ell)
+    out = [DihedralIrrep("one", 0, "+"), DihedralIrrep("one", 0, "-")]
+    if r % 2 == 0:
+        out.append(DihedralIrrep("one", m // 2, "+"))
+        out.append(DihedralIrrep("one", m // 2, "-"))
+    for j in range(1, (r + 1) // 2):
+        if 2 * j != r:
+            out.append(DihedralIrrep("two", j * la, None))
+    return out
+
+
+PRIME_POWERS_TO_32 = [q for q in range(2, 33)
+                      if len({d for d in range(2, q + 1)
+                              if q % d == 0 and is_prime(d)}) == 1]
+
+
+def test_brauer_irreps_match_the_explicit_enumeration():
+    assert len(PRIME_POWERS_TO_32) == 18
+    assert [ell_parts(q, ell)[1] for q, ell in
+            [(2, 3), (8, 3), (5, 3), (13, 7)]] == [1, 1, 2, 2]
+    cases = 0
+    for q in PRIME_POWERS_TO_32:
+        for ell in range(3, 38, 2):
+            if is_prime(ell) and q % ell:
+                assert brauer_irreps(q, ell) == _brauer_irreps_reference(q, ell)
+                cases += 1
+    assert cases == 185
 
 
 def test_brauer_irreps_reject_bad_ell():

@@ -66,6 +66,31 @@ def test_count_torsor_failed_ratio_is_an_exact_string(capsys, monkeypatch,
     assert blob["ratio_equals_q_plus_1"] is False
 
 
+def test_count_torsor_md(capsys):
+    """The table of count rows, then the ratio as plain text: a line
+    starting with # would be a markdown heading."""
+    code, out, _ = run(capsys, ["count", "--p", "3", "--torsor", "--n", "2",
+                                "--level", "2", "--format", "md"])
+    assert code == 0
+    assert out == ("| variety | n | level | count |\n"
+                   "| --- | --- | --- | --- |\n"
+                   "| Y | 2 | 2 | 6 |\n"
+                   "| Ytilde | 2 | 2 | 24 |\n"
+                   "\n"
+                   "ratio = 24/6 (q+1 = 4)\n")
+
+
+@pytest.mark.parametrize("base,cover", [(3, 7), (0, 7)])
+def test_count_torsor_failed_ratio_exits_1_in_md(capsys, monkeypatch,
+                                                 base, cover):
+    monkeypatch.setattr(cli, "count_points", lambda ctx, spec, level, budget:
+                        {"Y": base, "Ytilde": cover}[spec.kind])
+    code, out, _ = run(capsys, ["count", "--p", "3", "--torsor", "--n", "2",
+                                "--level", "2", "--format", "md"])
+    assert code == 1
+    assert out.endswith(f"\n\nratio = {cover}/{base} (q+1 = 4)\n")
+
+
 @pytest.mark.parametrize("command", [["verify", "--ell", "5"], ["howe"],
                                      ["gauss"]], ids=lambda c: c[0])
 def test_format_lists_only_what_the_command_renders(capsys, command):

@@ -12,7 +12,7 @@ from ffverify import (AdditiveCharacter, FieldError, blind_fixed_point_count,
                       fixed_points_surface)
 from ffverify.fields import (ArtinSchreierExtension, Level, TowerContext,
                              _is_irreducible, is_prime, least_irreducible,
-                             poly_mod, poly_powmod, prime_factors,
+                             poly_mod, poly_powmod, power, prime_factors,
                              solve_mod_p)
 
 # (p, e) of every tower with q <= 16.
@@ -24,6 +24,21 @@ def test_is_prime_small():
     primes = {2, 3, 5, 7, 11, 13, 17, 19, 23}
     for n in range(25):
         assert is_prime(n) == (n in primes)
+
+
+def test_power_counts_its_multiplications():
+    """acc * a^n with bit_length - 1 squares and popcount multiplies."""
+    calls = []
+
+    def mul(x, y):
+        calls.append((x, y))
+        return x * y % 101
+
+    assert power(mul, 7, 3, 0) == 7 and calls == []
+    for n in range(1, 201):
+        calls.clear()
+        assert power(mul, 7, 3, n) == 7 * pow(3, n, 101) % 101
+        assert len(calls) == n.bit_length() - 1 + bin(n).count("1")
 
 
 def test_prime_factors():
@@ -627,7 +642,8 @@ def test_encodings_below_q2_are_the_base_field(p, e):
 def test_mul_by_a_base_scalar_matches_schoolbook(p, e):
     """The shortcut for an operand below q^2, in either position, against
     the tuple route; a = q^2 (the element t) is the first operand past
-    it."""
+    it.  K.neg, the product by the scalar p - 1, against negating each
+    coefficient."""
     K = ArtinSchreierExtension(build_tower(p, e))
     N = K.base.size
     dense = _sample_elements(K, 3, seed=p * 10 + e)[4:]
@@ -635,6 +651,9 @@ def test_mul_by_a_base_scalar_matches_schoolbook(p, e):
         for b in dense:
             assert K.mul(a, b) == _schoolbook_mul(K, a, b)
             assert K.mul(b, a) == _schoolbook_mul(K, b, a)
+    for b in list(range(N)) + dense:
+        assert K.neg(b) == sum(K.base.neg_enc(x) * N ** i
+                               for i, x in enumerate(K._coeffs(b)))
 
 
 @pytest.mark.parametrize("p,e", [(3, 2), (2, 3), (13, 1)])

@@ -1,6 +1,7 @@
 """Source hygiene of the package: no module imports a name it never uses,
-every import sits at module level, every division is exact, and importing
-the command line tool loads no module it does not need."""
+every import sits at module level, one function holds the square-and-
+multiply loop, every division is exact, and importing the command line
+tool loads no module it does not need."""
 
 import ast
 import os
@@ -78,6 +79,50 @@ def test_function_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_function_level_imports(path):
     assert function_imports(path.read_text()) == []
+
+
+def right_shift_assignments(source: str) -> list[str]:
+    """The `>>=` statements, as "f (line n)" with f the dotted name of
+    the innermost enclosing class or function ("<module>" at top level),
+    in source order."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.AugAssign)
+                    and isinstance(child.op, ast.RShift)):
+                found.append(f"{scope or '<module>'} (line {child.lineno})")
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef,
+                                  ast.AsyncFunctionDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+            else:
+                visit(child, scope)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_right_shift_assignments_are_found():
+    source = ("n = 8\n"
+              "n >>= 1\n"
+              "class A:\n"
+              "    def power(self, n):\n"
+              "        n >>= 1\n"
+              "        def inner(m):\n"
+              "            m >>= 2\n"
+              "        return n >> 1\n")
+    assert right_shift_assignments(source) == [
+        "<module> (line 2)", "A.power (line 5)", "A.power.inner (line 7)"]
+
+
+def test_one_square_and_multiply():
+    """fields.power is the package's one square-and-multiply loop; every
+    other exponentiation calls it, so `>>=` appears nowhere else."""
+    found = {path.name: [f.split(" ")[0]
+                         for f in right_shift_assignments(path.read_text())]
+             for path in sorted(SRC.glob("*.py"))}
+    assert {name: f for name, f in found.items() if f} == {
+        "fields.py": ["power"]}
 
 
 def inexact_divisions(source: str) -> list[str]:

@@ -247,6 +247,17 @@ def test_budget_guard():
         count_points_naive(ctx, VarietySpec("Ytilde", 3), 4, budget=10)
 
 
+def test_budget_spent_is_pinned():
+    """The budget a count spends is a fixed number: X' at n = 5 over F_9,
+    whose count raises a spectrum to the fifth power, spends exactly 189
+    units, so a budget of 188 raises."""
+    ctx = build_tower(3, 1)
+    assert count_points(ctx, VarietySpec("Xprime", 5), 2, budget=189) == \
+        count_points(ctx, VarietySpec("Xprime", 5), 2)
+    with pytest.raises(BudgetExceededError):
+        count_points(ctx, VarietySpec("Xprime", 5), 2, budget=188)
+
+
 def test_csv_export():
     text = counts_to_csv([("Ytilde", 2, 2, 63), ("Y", 2, 2, 21)])
     lines = text.strip().split("\n")
