@@ -432,17 +432,19 @@ class TowerContext:
         self.e = e
         self.q = q
         self.levels = lv = {k: Level(p, e * k) for k in self.KEYS}
-        # Embeddings by root-finding: the 1->4 map is the composite
-        # through level 2, so commutativity holds by construction.
-        up12 = embedding_table(self._find_root(lv[1].modulus, lv[2]), lv[1], lv[2])
-        up24 = embedding_table(self._find_root(lv[2].modulus, lv[4]), lv[2], lv[4])
-        self._up = {(1, 2): up12, (2, 4): up24, (1, 4): [up24[k] for k in up12]}
+        # Embeddings by root-finding; embed builds those into level 4,
+        # which only level-4 callers read, on first use.
+        self._up = {(1, 2): embedding_table(
+            self._find_root(lv[1].modulus, lv[2]), lv[1], lv[2])}
         # Filled on first use by fixed_points: the Artin-Schreier
         # coordinate field, the blind scan's absolute model and the
         # fixed point grid of each endomorphism variant.
         self._coordinate_ext = None
         self._abs_field = None
         self._grid_cache = {}
+        # Filled on first use by varieties: {(level key, slot width):
+        # {masses: spectrum}}, for one (level key, slot width) at a time.
+        self._spectra = {}
 
     def __repr__(self):
         return f"TowerContext(p={self.p}, e={self.e})"
@@ -476,9 +478,22 @@ class TowerContext:
     # -- embeddings -----------------------------------------------------------
 
     def embed(self, k: int, lo: int, hi: int) -> int:
-        """The level-hi encoding of the level-lo encoding k."""
+        """The level-hi encoding of the level-lo encoding k.
+
+        The first call with hi = 4 builds the 2->4 table, and the 1->4
+        table as the composite through level 2, so that commutativity
+        holds by construction.
+        """
         self.levels[lo].check_enc(k)
-        return k if lo == hi else self._up[(lo, hi)][k]
+        if lo == hi:
+            return k
+        if hi == 4 and (2, 4) not in self._up:
+            lv = self.levels
+            up24 = embedding_table(self._find_root(lv[2].modulus, lv[4]),
+                                   lv[2], lv[4])
+            self._up[2, 4] = up24
+            self._up[1, 4] = [up24[j] for j in self._up[1, 2]]
+        return self._up[lo, hi][k]
 
     # -- named operations -----------------------------------------------------
 
@@ -539,9 +554,11 @@ class TowerContext:
 def build_tower(p: int, e: int) -> TowerContext:
     """Deterministic tower for q = p^e.
 
-    A process-wide singleton, so that the caches on the tower (log
-    tables, K, the blind scan's model, the fixed point grid) are shared
-    by every caller; apart from those caches the tower is immutable.
+    A process-wide singleton, so that the caches on the tower are shared
+    by every caller: the log tables, K, the blind scan's model, the fixed
+    point grid, the counting spectra of one (level, slot width), and the
+    2->4 and 1->4 embedding tables, built on the first embed into level
+    4.  Apart from those caches the tower is immutable.
     """
     return TowerContext(p, e)
 

@@ -77,6 +77,13 @@ class _LevelArith:
     ranges over at most N^dim tuples, which fixes the slot width w.  The
     budget is charged N per distribution, N d p per spectrum and N per
     product of spectra.
+
+    The tower keeps the spectra of one (level, w) at a time, keyed by
+    the masses, so that the counts of a kind list share them.  A spectrum
+    taken from there is charged as if computed, so the budget a count
+    spends does not depend on what was counted before.  The counts draw
+    from six distributions at most, so the cache stays bounded however
+    many counts run.
     """
 
     def __init__(self, ctx: TowerContext, key: int, budget: int, dim: int):
@@ -138,13 +145,21 @@ class _LevelArith:
                                          for v in range(1, N)]
 
     def spectrum(self, f: list[int]) -> list[int]:
-        """The packed A_f(u) for every u, in encoding order.
+        """The packed A_f(u) for every u, in encoding order, as a new
+        list: the cached one stays intact whatever the caller does.
 
         Each pass of the butterfly transforms the top digit and moves it
         to the bottom, so after one pass per digit all are in place.
         """
         N, p, w = self.N, self.level.p, self.w
         self._spend(N * self.level.degree * p)
+        spectra = self.ctx._spectra
+        if (self.key, w) not in spectra:
+            spectra.clear()
+        known = spectra.setdefault((self.key, w), {})
+        masses = tuple(f)
+        if masses in known:
+            return list(known[masses])
         mask = (1 << w * p) - 1
         a = list(f)
         m = N // p
@@ -158,7 +173,8 @@ class _LevelArith:
                     acc = [x + ((y << lo | y >> hi) & mask)
                            for x, y in zip(part, acc)]
                 a[t::p] = acc
-        return a
+        known[masses] = a
+        return list(a)
 
     def _mul(self, a: list[int], b: list[int]) -> list[int]:
         self._spend(self.N)

@@ -156,6 +156,18 @@ def test_embedding_commutes_through_middle_level(p, e):
     assert len(images) == ctx.q
 
 
+def test_level_four_embeddings_are_built_on_first_use():
+    ctx = TowerContext(2, 4)  # not the shared tower: its tables are unbuilt
+    assert set(ctx._up) == {(1, 2)}
+    with pytest.raises(FieldError):
+        ctx.embed(ctx.q ** 2, 2, 4)
+    assert set(ctx._up) == {(1, 2)}
+    ctx.embed(ctx.q, 2, 4)
+    assert set(ctx._up) == {(1, 2), (2, 4), (1, 4)}
+    for a in range(ctx.q):
+        assert ctx.embed(a, 1, 4) == ctx.embed(ctx.embed(a, 1, 2), 2, 4)
+
+
 @pytest.mark.parametrize("p,e", [(3, 1), (2, 2), (5, 1)])
 def test_frobenius_properties(p, e):
     ctx = build_tower(p, e)

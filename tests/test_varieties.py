@@ -10,6 +10,7 @@ from ffverify import (BudgetExceededError, VarietySpec, build_tower,
                       dickson_sl2_quotient_count, dickson_u_quotient_count,
                       varieties)
 from ffverify.cli import main
+from ffverify.fields import TowerContext
 
 TOWERS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1),
           (13, 1), (2, 4)]
@@ -74,6 +75,19 @@ def test_a_wrong_spectrum_slot_fails_the_character_sum_check(monkeypatch,
     captured = capsys.readouterr()
     assert code == 3 and captured.out == ""
     assert captured.err.startswith("internal error: character sum check")
+
+
+def test_a_returned_spectrum_cannot_poison_the_cache():
+    ctx = TowerContext(3, 1)  # not the shared tower: its cache starts cold
+    ar = varieties._LevelArith(ctx, 2, 10 ** 9, 3)  # the w of Ytilde_2
+    f = ar.dist_hermitian()
+    cold = ar.spectrum(f)
+    for a in (cold, ar.spectrum(f)):  # from a miss, then from a hit
+        a[1] += 1
+        assert count_points(ctx, VarietySpec("Ytilde", 2), 2) == 3 ** 3 - 3
+        a[1] -= 1
+    assert list(ctx._spectra[2, ar.w]) == [tuple(f)]  # the counts reused it
+    assert ar.spectrum(f) == cold
 
 
 @pytest.mark.parametrize("p,e", TOWERS)
@@ -256,6 +270,25 @@ def test_budget_spent_is_pinned():
         count_points(ctx, VarietySpec("Xprime", 5), 2)
     with pytest.raises(BudgetExceededError):
         count_points(ctx, VarietySpec("Xprime", 5), 2, budget=188)
+
+
+def test_budget_spent_does_not_depend_on_the_cache(capsys):
+    """The 189 units of test_budget_spent_is_pinned are spent whether
+    the tower already holds the count's spectra or not."""
+    spec = VarietySpec("Xprime", 5)
+    expected = count_points(build_tower(3, 1), spec, 2)
+    ctx = TowerContext(3, 1)
+    assert count_points(ctx, spec, 2, budget=189) == expected  # cold
+    assert ctx._spectra
+    assert count_points(ctx, spec, 2, budget=189) == expected  # warm
+    with pytest.raises(BudgetExceededError):
+        count_points(ctx, spec, 2, budget=188)
+    with pytest.raises(BudgetExceededError):
+        count_points(TowerContext(3, 1), spec, 2, budget=188)
+    count_points(build_tower(3, 1), VarietySpec("Ytilde", 3), 4)
+    assert main(["count", "--p", "3", "--variety", "Ytilde", "--n", "3",
+                 "--level", "4", "--budget", "10"]) == 2
+    assert "budget" in capsys.readouterr().err
 
 
 def test_csv_export():
