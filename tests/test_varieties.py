@@ -285,7 +285,7 @@ def test_budget_spent_does_not_depend_on_the_cache(capsys):
         count_points(ctx, spec, 2, budget=188)
     with pytest.raises(BudgetExceededError):
         count_points(TowerContext(3, 1), spec, 2, budget=188)
-    count_points(build_tower(3, 1), VarietySpec("Ytilde", 3), 4)
+    count_points(build_tower(3, 1), VarietySpec("Ytilde", 3), 4)  # main's tower
     assert main(["count", "--p", "3", "--variety", "Ytilde", "--n", "3",
                  "--level", "4", "--budget", "10"]) == 2
     assert "budget" in capsys.readouterr().err
