@@ -212,21 +212,23 @@ def row_reduce(rows, ncols, inverse, reduce):
     return pivots
 
 
-def solve_mod_p(p: int, cols, rhs) -> list[list[int]]:
-    """Every solution x of sum_j x_j cols[j] = rhs over F_p.
+def reduce_mod_p(p: int, cols, m: int):
+    """One Gauss-Jordan reduction of the m x n matrix A with columns cols
+    over F_p, kept for solve_reduced so that every right-hand side
+    reuses it.
 
-    The particular solution (free variables 0) plus every F_p-combination
-    of the kernel basis, the free variables taken in column order by
-    itertools.product(range(p)); [] if the system is inconsistent.
+    Returns (ops, pivots, offsets).  ops[i] is column i of the m x m
+    matrix T of row operations, T A in reduced form: it is read off
+    the identity columns that row_reduce carries along.  pivots are the
+    pivot columns, and offsets every F_p-combination of the kernel
+    basis, the free variables taken in column order by
+    itertools.product(range(p)).
     """
     n = len(cols)
-    rows = [[c[i] % p for c in cols] + [b % p] for i, b in enumerate(rhs)]
+    rows = [[c[i] % p for c in cols] + [int(i == j) for j in range(m)]
+            for i in range(m)]
     pivots = row_reduce(rows, n, lambda a: pow(a, p - 2, p), lambda a: a % p)
-    if any(row[n] for row in rows[len(pivots):]):
-        return []
-    particular = [0] * n
-    for row, col in zip(rows, pivots):
-        particular[col] = row[n]
+    ops = [[row[n + i] for row in rows] for i in range(m)]
     kernel = []
     for fc in (c for c in range(n) if c not in pivots):
         vec = [0] * n
@@ -234,14 +236,37 @@ def solve_mod_p(p: int, cols, rhs) -> list[list[int]]:
         for row, col in zip(rows, pivots):
             vec[col] = -row[fc] % p
         kernel.append(vec)
-    solutions = []
+    offsets = []
     for combo in itertools.product(range(p), repeat=len(kernel)):
-        vec = list(particular)
+        vec = [0] * n
         for coeff, kv in zip(combo, kernel):
             if coeff:
                 vec = [(v + coeff * k) % p for v, k in zip(vec, kv)]
-        solutions.append(vec)
-    return solutions
+        offsets.append(vec)
+    return ops, pivots, offsets
+
+
+def solve_reduced(p: int, reduction, rhs) -> list[list[int]]:
+    """Every solution x of A x = rhs over F_p, for the reduction of A by
+    reduce_mod_p: the particular solution (free variables 0) plus each
+    kernel offset in turn; [] if the system is inconsistent."""
+    ops, pivots, offsets = reduction
+    b = [0] * len(ops)
+    for op, bi in zip(ops, rhs):  # b = T rhs, over the nonzero entries
+        if bi % p:
+            b = [x + bi * t for x, t in zip(b, op)]
+    if any(x % p for x in b[len(pivots):]):
+        return []
+    particular = [0] * len(offsets[0])
+    for x, col in zip(b, pivots):
+        particular[col] = x % p
+    return [[(x + o) % p for x, o in zip(particular, off)] for off in offsets]
+
+
+def solve_mod_p(p: int, cols, rhs) -> list[list[int]]:
+    """Every solution x of sum_j x_j cols[j] = rhs over F_p, in the order
+    of solve_reduced; [] if the system is inconsistent."""
+    return solve_reduced(p, reduce_mod_p(p, cols, len(rhs)), rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -324,11 +349,7 @@ class Level:
                 if all(self.pow(g, order // t) != self.one
                        for t in prime_factors(order)):
                     break
-            exp = [self.encode(self.one)]
-            cur = self.one
-            for _ in range(order - 1):
-                cur = self.mul(g, cur)  # mul loops over g's few digits
-                exp.append(self.encode(cur))
+            exp = self._powers_of(g)
             log = [None] * self.size
             for w, k in enumerate(exp):
                 log[k] = w
@@ -336,6 +357,54 @@ class Level:
             self._zech = [log[k - k % p + (k + 1) % p] for k in exp]
             self._log_tables = (exp, log)
         return self._log_tables
+
+    def _powers_of(self, g):
+        """The encodings of g^w for 0 <= w < size - 1, each a product by
+        g on integers.
+
+        The walk keeps an element as the integer sum c_i 2^(s i), its
+        digits s bits apart with 2^(s-1) >= p, so that two reduced
+        values add digit by digit with no carry and one subtraction of p
+        per digit of at least p reduces the sum; that digit is read off
+        bit s - 1 after adding 2^(s-1) - p to each digit.  The product by
+        g is F_p-linear, so it is read from the rows g x^i through two
+        tables, one per half of the digits: the table of a half maps each
+        element supported there to its product with g and its encoding.
+        """
+        p, d = self.p, self.degree
+        s = p.bit_length() + 1
+        ones = sum(1 << (s * i) for i in range(d))
+        bias = ones * ((1 << (s - 1)) - p)
+
+        def add(a, b):
+            t = a + b
+            return t - (((t + bias) >> (s - 1)) & ones) * p
+
+        rows, row = [], g
+        for _ in range(d):  # g x^i
+            rows.append(sum(c << (s * i) for i, c in enumerate(row)))
+            row = self._shift_reduce(row)
+
+        def half(lo, hi):
+            table = {0: (0, 0)}
+            for i in range(lo, hi):
+                multiples = [0]
+                for _ in range(p - 1):
+                    multiples.append(add(multiples[-1], rows[i]))
+                table = {key + (c << (s * i)): (add(gk, multiples[c]),
+                                                enc + c * p ** i)
+                         for c in range(p) for key, (gk, enc) in table.items()}
+            return table
+
+        h = d // 2
+        low, high, mask = half(0, h), half(h, d), (1 << (s * h)) - 1
+        exp, cur = [], 1
+        for _ in range(self.size - 1):
+            lo = cur & mask
+            (g_lo, enc_lo), (g_hi, enc_hi) = low[lo], high[cur - lo]
+            exp.append(enc_lo + enc_hi)
+            cur = add(g_lo, g_hi)
+        return exp
 
     def check_enc(self, k: int) -> int:
         """k, if it is an encoding of this level; FieldError otherwise.
@@ -603,6 +672,10 @@ class ArtinSchreierExtension:
         for _ in range(self.p):
             self._tq_powers.append(self._log_form(power))
             power = self.mul(power, tq)
+        # Filled on first use, per zeta in mu_{q+1}: the reduction of
+        # x -> x^q - zeta x (solve_affine) and its kernel (coset).
+        self._solvers = {}
+        self._cosets = {}
 
     def _coeffs(self, a):
         """The level-2 encodings a_0, a_1, ... up to the last nonzero."""
@@ -617,7 +690,17 @@ class ArtinSchreierExtension:
         return [(i, log[x]) for i, x in enumerate(self._coeffs(a)) if x]
 
     def add(self, a, b):
+        """Coefficient-wise through the Zech table of F_{q^2}.  An operand
+        below N = q^2 changes only the constant coefficient, and at p = 2
+        the encodings are bit vectors over F_2, added by a ^ b."""
+        if self.p == 2:
+            return a ^ b
         N, add = self.base.size, self.base.add_enc
+        if a > b:
+            a, b = b, a
+        if a < N:
+            low = b % N
+            return b - low + add(low, a)
         out, scale = 0, 1
         while a or b:
             a, x = divmod(a, N)
@@ -627,6 +710,8 @@ class ArtinSchreierExtension:
         return out
 
     def neg(self, a):
+        if self.p == 2:  # -1 = 1
+            return a
         return self.mul(self.p - 1, a)  # -1 has encoding p - 1 < N
 
     def sub(self, a, b):
@@ -690,12 +775,41 @@ class ArtinSchreierExtension:
                 out[j] = add(out[j], exp[u + v])
         return _undigits(out, self.base.size)
 
-    def solve_affine(self, linear_map, rhs):
-        """All solutions of linear_map(x) = rhs for an F_p-linear map,
-        in the order of solve_mod_p (empty if there are none).  The
-        F_p-coordinates of an element are the base-p digits of its
-        encoding, and p^i is the i-th basis vector."""
-        p, dim = self.p, self.dim
-        cols = [_digits(linear_map(p ** i), p, dim) for i in range(dim)]
-        return [_undigits(vec, p)
-                for vec in solve_mod_p(p, cols, _digits(rhs, p, dim))]
+    def check_mu(self, zeta):
+        """zeta, if it is a level-2 encoding in mu_{q+1}; FieldError
+        otherwise."""
+        base = self.base
+        if base.mul_enc(base.check_enc(zeta), self._frob_base[zeta]) != 1:
+            raise FieldError("zeta must lie in mu_{q+1}")
+        return zeta
+
+    def coset(self, zeta):
+        """The pairs (a, a^q) with a^q = zeta a, for zeta in mu_{q+1}, in
+        the encoding order of a.  They are the kernel of x -> x^q - zeta x
+        on K, which lies in F_{q^2} (a^{q^2} = zeta^{q+1} a = a), read
+        off the table of x -> x^q on F_{q^2}; kept on K per zeta."""
+        pairs = self._cosets.get(zeta)
+        if pairs is None:
+            mul = self.base.mul_enc
+            pairs = self._cosets[self.check_mu(zeta)] = [
+                (a, fa) for a, fa in enumerate(self._frob_base)
+                if fa == mul(zeta, a)]
+        return pairs
+
+    def solve_affine(self, zeta, rhs):
+        """Every x in K with x^q - zeta x = rhs, for zeta in mu_{q+1} a
+        level-2 encoding, in the order of solve_reduced (empty if there
+        are none).  The map is F_p-linear; the F_p-coordinates of an
+        element are the base-p digits of its encoding, and p^i is the
+        i-th basis vector.  The map of each zeta is reduced once and kept
+        on K, at most q + 1 reductions per tower."""
+        reduction = self._solvers.get(zeta)
+        if reduction is None:
+            self.check_mu(zeta)
+            p, dim = self.p, self.dim
+            cols = [_digits(self.sub(self.frob(p ** i), self.mul(zeta, p ** i)),
+                            p, dim) for i in range(dim)]
+            reduction = self._solvers[zeta] = reduce_mod_p(p, cols, dim)
+        return [_undigits(vec, self.p)
+                for vec in solve_reduced(self.p, reduction,
+                                         _digits(rhs, self.p, self.dim))]

@@ -50,30 +50,47 @@ def coordinate_extension(ctx: TowerContext) -> ArtinSchreierExtension:
     return ctx._coordinate_ext
 
 
-def _surface_holds(K: ArtinSchreierExtension, P) -> bool:
-    z0, z1, z2, z3 = P
-    lhs = K.sub(K.mul(K.frob(z2), z3), K.mul(z2, K.frob(z3)))
-    rhs = K.sub(K.mul(z0, K.frob(z1)), K.mul(K.frob(z0), z1))
-    return lhs == rhs
+class _FrobMemo(dict):
+    """K.frob, memoised by value: frob[a] is a^q.  The coordinates of one
+    cell's points come from a few small sets, so each x^q is computed
+    once per cell."""
+
+    def __init__(self, K: ArtinSchreierExtension):
+        super().__init__()
+        self.K = K
+
+    def __missing__(self, a):
+        fa = self[a] = self.K.frob(a)
+        return fa
 
 
-def _apply_endo(K: ArtinSchreierExtension, zeta_k, eta_k, with_u: bool, P):
+def _surface_holds(K: ArtinSchreierExtension, frob, P) -> bool:
+    """Z2^q Z3 - Z2 Z3^q = Z0 Z1^q - Z0^q Z1, tested as a + d = c + b
+    for the equation a - b = c - d."""
     z0, z1, z2, z3 = P
-    w0 = K.frob(K.add(z0, z1) if with_u else z0)
-    w1 = K.frob(z1)
-    w2 = K.mul(zeta_k, K.frob(K.add(z2, K.mul(eta_k, z3))))
-    w3 = K.mul(zeta_k, K.frob(z3))
+    return (K.add(K.mul(frob[z2], z3), K.mul(frob[z0], z1))
+            == K.add(K.mul(z0, frob[z1]), K.mul(z2, frob[z3])))
+
+
+def _apply_endo(K: ArtinSchreierExtension, frob, zeta_k, eta_k, with_u: bool, P):
+    z0, z1, z2, z3 = P
+    w0 = frob[K.add(z0, z1) if with_u else z0]
+    w1 = frob[z1]
+    w2 = K.mul(zeta_k, frob[K.add(z2, K.mul(eta_k, z3))])
+    w3 = K.mul(zeta_k, frob[z3])
     return (w0, w1, w2, w3)
 
 
 def _projectively_equal(K: ArtinSchreierExtension, P, Q) -> bool:
     """All 2x2 minors of the 2x4 matrix (P; Q) vanish.
 
-    For P != 0 the three minors through the first nonzero coordinate i
-    of P suffice: they give Q = (Q[i] / P[i]) P, and then every minor
-    vanishes.  For P = 0 all six are tested.
+    For P != 0 the three minors through any nonzero coordinate i of P
+    suffice: they give Q = (Q[i] / P[i]) P, and then every minor
+    vanishes.  The last one is taken, Z3 = 1 on the chart, so that each
+    product has a factor in F_{q^2} wherever Q[i] is.  For P = 0 all six
+    are tested.
     """
-    for i in range(4):
+    for i in (3, 2, 1, 0):
         if P[i]:
             return all(K.mul(P[i], Q[j]) == K.mul(P[j], Q[i])
                        for j in range(4) if j != i)
@@ -90,14 +107,10 @@ def fixed_points_surface(ctx: TowerContext, eta: int, zeta: int,
     projective fixed-point condition.
     """
     ctx.levels[1].check_enc(eta)
-    lv2 = ctx.levels[2]
-    lv2.check_enc(zeta)
-    add, mul, neg = lv2.add_enc, lv2.mul_enc, lv2.neg_enc
-    frob = lv2.power_map(ctx.q)
-    if mul(zeta, frob[zeta]) != 1:  # zeta^{q+1} = 1
-        raise FieldError("zeta must lie in mu_{q+1}")
-
     K = coordinate_extension(ctx)
+    K.check_mu(zeta)
+    lv2 = ctx.levels[2]
+    add, mul, neg = lv2.add_enc, lv2.mul_enc, lv2.neg_enc
     eta2 = ctx.embed(eta, 1, 2)
 
     points = []
@@ -105,10 +118,10 @@ def fixed_points_surface(ctx: TowerContext, eta: int, zeta: int,
 
     # In the chart Z3 = 1 both variants need z^q - z = -eta.
     neg_eta = neg(eta2)
-    z_solutions = K.solve_affine(lambda a: K.sub(K.frob(a), a), neg_eta)
+    z_solutions = K.solve_affine(1, neg_eta)
     # Both variants use the coset {a in F_{q^2} : a^q = zeta a}, kept
     # as pairs (a, a^q) in encoding order.
-    coset = [(a, fa) for a, fa in enumerate(frob) if fa == mul(zeta, a)]
+    coset = K.coset(zeta)
     if with_unipotent:
         # Stratum 1 (chart Z3 = 1): y^q = zeta y, zeta y^2 = -eta,
         # x^q - zeta x = -zeta y.
@@ -116,9 +129,7 @@ def fixed_points_surface(ctx: TowerContext, eta: int, zeta: int,
         for y, _ in coset:
             if mul(zeta, mul(y, y)) != neg_eta:
                 continue
-            rhs = neg(mul(zeta, y))
-            xs = K.solve_affine(lambda a: K.sub(K.frob(a), K.mul(zeta, a)), rhs)
-            for x in xs:
+            for x in K.solve_affine(zeta, neg(mul(zeta, y))):
                 for z in z_solutions:
                     s1.append((x, y, z, 1))
         # Stratum 2 (boundary): [z : 0 : 1 : 0] with z^q = zeta z,
@@ -142,11 +153,12 @@ def fixed_points_surface(ctx: TowerContext, eta: int, zeta: int,
         s3.append((0, 1, 0, 0))
         strata = {"sigma1": s1, "sigma2": s2, "sigma3": s3}
 
+    frob = _FrobMemo(K)
     for name, pts in strata.items():
         for P in pts:
-            if not _surface_holds(K, P):
+            if not _surface_holds(K, frob, P):
                 raise FieldError(f"reported point violates the surface equation ({name})")
-            img = _apply_endo(K, zeta, eta2, with_unipotent, P)
+            img = _apply_endo(K, frob, zeta, eta2, with_unipotent, P)
             if not _projectively_equal(K, P, img):
                 raise FieldError(f"reported point is not fixed ({name})")
         sigma_counts[name] = len(pts)

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from ffverify import (AdditiveCharacter, FieldError, blind_fixed_point_count,
                       build_tower, closed_form_fixed_count,
                       fixed_points_surface)
+from ffverify.fixed_points import coordinate_extension
 from ffverify.fields import (ArtinSchreierExtension, Level, TowerContext,
                              _is_irreducible, is_prime, least_irreducible,
                              poly_mod, poly_powmod, power, prime_factors,
@@ -258,6 +259,33 @@ def test_log_tables_against_a_brute_scan(field):
         assert lv.decode(exp[(w + 1) % order]) == lv.mul(lv.decode(k), lv.decode(g))
 
 
+def _tuple_log_tables(lv):
+    """(exp, log, zech) from tuple products and sums alone: the route
+    log_tables took before it walked exp on integers, kept here as the
+    reference."""
+    order = lv.size - 1
+    g = next(a for a in lv.elements() if a != lv.zero and all(
+        lv.pow(a, order // t) != lv.one for t in prime_factors(order)))
+    exp, cur = [], lv.one
+    for _ in range(order):
+        exp.append(lv.encode(cur))
+        cur = lv.mul(g, cur)
+    log = [None] * lv.size
+    for w, k in enumerate(exp):
+        log[k] = w
+    zech = [log[lv.encode(lv.add(lv.one, lv.decode(k)))] for k in exp]
+    return exp, log, zech
+
+
+@pytest.mark.parametrize("p,d", sorted({(p, e * k) for p, e in TOWERS
+                                        for k in (1, 2, 4)}))
+def test_log_tables_match_the_tuple_route(p, d):
+    """exp, log and zech at every level of every tower with q <= 16."""
+    lv = Level(p, d)  # fresh: no caller has built its tables
+    exp, log = lv.log_tables()
+    assert (exp, log, lv._zech) == _tuple_log_tables(lv)
+
+
 def _check_encoding_arithmetic(lv, q, pairs):
     """add_enc, neg_enc, mul_enc and power_map against the tuple
     arithmetic of the level, on the given pairs of encodings."""
@@ -391,6 +419,8 @@ _ENTRY_POINTS = {
         (1, lambda ctx, k: closed_form_fixed_count(ctx, k, 1, True)),
     "closed_form_fixed_count-zeta":
         (2, lambda ctx, k: closed_form_fixed_count(ctx, 0, k, True)),
+    "solve_affine-zeta":
+        (2, lambda ctx, k: coordinate_extension(ctx).solve_affine(k, 0)),
     "blind_fixed_point_count-eta":
         (1, lambda ctx, k: blind_fixed_point_count(ctx, k, 1, True)),
     "blind_fixed_point_count-zeta":
@@ -562,15 +592,81 @@ def test_artin_schreier_solve_affine(p, e):
         return K.sub(K.pow(x, q), x)
 
     # the map x -> x^q - x is F_p-linear with kernel F_q
-    sols = K.solve_affine(art, 0)
+    sols = K.solve_affine(1, 0)
     assert len(sols) == q
     probe = 3  # an element of F_{q^2}
     rhs = art(probe)
-    sols = K.solve_affine(art, rhs)
+    sols = K.solve_affine(1, rhs)
     assert probe in sols
     assert len(sols) == q
     for s in sols:
         assert art(s) == rhs
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1),
+                                 (2, 3), (3, 2)])
+def test_solve_affine_matches_solve_mod_p_on_the_map_columns(p, e):
+    """For every zeta in mu_{q+1}, the kept reduction of x -> x^q - zeta x
+    against solve_mod_p on that map's columns, built here from K.pow:
+    the same list in the same order, for right-hand sides in the image
+    and outside it.  Each solution is substituted back."""
+    ctx = build_tower(p, e)
+    K = ArtinSchreierExtension(ctx)
+    q, dim = ctx.q, K.dim
+    rnd = random.Random(q)
+
+    def digits(a):
+        return [a // p ** i % p for i in range(dim)]
+
+    inconsistent = 0
+    for zeta in ctx.enumerate_mu(q + 1):
+        def f(x):
+            return K.sub(K.pow(x, q), K.mul(zeta, x))
+
+        cols = [digits(f(p ** i)) for i in range(dim)]
+        rhss = [0, f(K.base.size), f(rnd.randrange(p ** dim)),
+                rnd.randrange(p ** dim), rnd.randrange(p ** dim),
+                K.add(f(rnd.randrange(p ** dim)), 1)]
+        for rhs in rhss:
+            expected = [sum(x * p ** i for i, x in enumerate(vec))
+                        for vec in solve_mod_p(p, cols, digits(rhs))]
+            sols = K.solve_affine(zeta, rhs)
+            assert sols == expected
+            assert len(sols) in (0, q)
+            inconsistent += not sols
+            for x in sols:
+                assert f(x) == rhs
+    assert inconsistent > 0
+    assert len(K._solvers) == q + 1
+
+
+def test_solve_affine_rejects_zeta_outside_mu():
+    ctx = build_tower(3, 1)
+    K = ArtinSchreierExtension(ctx)
+    fourth = ctx.levels[2].power_map(4)
+    for zeta in range(ctx.levels[2].size):
+        if fourth[zeta] != 1:
+            with pytest.raises(FieldError, match="mu_"):
+                K.solve_affine(zeta, 0)
+            with pytest.raises(FieldError, match="mu_"):
+                K.coset(zeta)
+    assert K._solvers == {} and K._cosets == {}
+
+
+@pytest.mark.parametrize("p,e", TOWERS)
+def test_coset_is_the_kernel_of_the_map(p, e):
+    """coset(zeta) lists the a of F_{q^2} with a^q = zeta a in encoding
+    order, with a^q; as a set it is solve_affine(zeta, 0)."""
+    ctx = build_tower(p, e)
+    K = ArtinSchreierExtension(ctx)
+    base, q = K.base, ctx.q
+    for zeta in ctx.enumerate_mu(q + 1):
+        pairs = K.coset(zeta)
+        assert [a for a, _ in pairs] == sorted(
+            a for a in range(base.size)
+            if base.encode(base.pow(base.decode(a), q)) == base.mul_enc(zeta, a))
+        assert all(fa == K.pow(a, q) for a, fa in pairs)
+        assert sorted(K.solve_affine(zeta, 0)) == [a for a, _ in pairs]
 
 
 def _every_element(K):
@@ -666,6 +762,30 @@ def test_mul_by_a_base_scalar_matches_schoolbook(p, e):
     for b in list(range(N)) + dense:
         assert K.neg(b) == sum(K.base.neg_enc(x) * N ** i
                                for i, x in enumerate(K._coeffs(b)))
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1),
+                                 (3, 2), (13, 1)])
+def test_add_and_neg_match_the_coefficient_route(p, e):
+    """K.add and K.neg against adding and negating each coefficient
+    through the level-2 tables, on operands below q^2 and dense ones:
+    covers the XOR sum and the identity negation at p = 2, and the sum
+    with an operand below q^2 at odd p."""
+    K = ArtinSchreierExtension(build_tower(p, e))
+    N, base = K.base.size, K.base
+
+    def coeffs(a):
+        return [a // N ** i % N for i in range(p)]
+
+    sample = _sample_elements(K, 6, seed=p * 10 + e) + [N - 1, N, N + 1]
+    sample += random.Random(e).sample(range(N), min(N, 8))
+    for a in sample:
+        assert K.neg(a) == sum(base.neg_enc(x) * N ** i
+                               for i, x in enumerate(coeffs(a)))
+        for b in sample:
+            assert K.add(a, b) == sum(
+                base.add_enc(x, y) * N ** i
+                for i, (x, y) in enumerate(zip(coeffs(a), coeffs(b))))
 
 
 @pytest.mark.parametrize("p,e", [(3, 2), (2, 3), (13, 1)])

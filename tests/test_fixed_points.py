@@ -2,6 +2,7 @@
 
 import pytest
 
+from ffverify import fields
 from ffverify import (FieldError, blind_fixed_point_count,
                       build_tower, closed_form_fixed_count,
                       differential_vanishes, fixed_point_grid,
@@ -21,18 +22,54 @@ def test_report_is_internally_consistent():
                 assert rep.field_degree == 2 * ctx.e * ctx.p
 
 
+class _PowQ:
+    """a^q by square and multiply, in the place of the frob memo."""
+
+    def __init__(self, K):
+        self.K = K
+
+    def __getitem__(self, a):
+        return self.K.pow(a, self.K.tower.q)
+
+
 def test_every_point_satisfies_all_equations():
     ctx = build_tower(3, 1)
     K = coordinate_extension(ctx)
+    frob = _PowQ(K)
     for with_u in (True, False):
         for zeta in ctx.enumerate_mu(4):
             for eta in range(ctx.q):
                 ek = ctx.embed(eta, 1, 2)
                 rep = fixed_points_surface(ctx, eta, zeta, with_u)
                 for P in rep.points:
-                    assert _surface_holds(K, P)
-                    Q = _apply_endo(K, zeta, ek, with_u, P)
+                    assert _surface_holds(K, frob, P)
+                    Q = _apply_endo(K, frob, zeta, ek, with_u, P)
                     assert _projectively_equal(K, P, Q)
+
+
+def test_one_reduction_per_map_and_a_fresh_solver_cache_per_tower(monkeypatch):
+    """Both grids at q = 5 row-reduce each map x -> x^q - zeta x once,
+    at most q + 1 reductions; a tower built after cache_clear starts
+    with no kept reduction."""
+    build_tower.cache_clear()
+    ctx = build_tower(5, 1)
+    calls = 0
+    row_reduce = fields.row_reduce
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return row_reduce(*args)
+
+    monkeypatch.setattr(fields, "row_reduce", counting)
+    for with_u in (True, False):
+        assert all(cell.matches for cell in fixed_point_grid(ctx, with_u).values())
+    assert 0 < calls <= ctx.q + 1
+    assert len(coordinate_extension(ctx)._solvers) == calls
+    build_tower.cache_clear()
+    fresh = build_tower(5, 1)
+    assert fresh is not ctx
+    assert coordinate_extension(fresh)._solvers == {}
 
 
 def test_no_duplicate_points():

@@ -23,6 +23,9 @@ CLI_CASES = [
     ("fixed-points_p3.csv", ["fixed-points", "--p", "3", "--format", "csv"]),
     ("fixed-points_p3.md", ["fixed-points", "--p", "3", "--format", "md"]),
     ("fixed-points_p2.json", ["fixed-points", "--p", "2", "--format", "json"]),
+    # the benchmark's own fixed-points job, and a larger odd q
+    ("fixed-points_p5.json", ["fixed-points", "--p", "5", "--format", "json"]),
+    ("fixed-points_p7.csv", ["fixed-points", "--p", "7", "--format", "csv"]),
     ("verify_p3_n2_ell5.json",
      ["verify", "--p", "3", "--n", "2", "--ell", "5", "--format", "json"]),
     ("verify_p3_n2_ell5.md",
