@@ -728,8 +728,8 @@ class ArtinSchreierExtension:
             a, b = b, a
         N = self.base.size
         if a < N:
-            if not a:
-                return 0
+            if a < 2:  # 0 or 1
+                return a and b
             exp, log = self._exp, self._log
             u = log[a]
             if b < N:

@@ -92,8 +92,10 @@ def _projectively_equal(K: ArtinSchreierExtension, P, Q) -> bool:
     """
     for i in (3, 2, 1, 0):
         if P[i]:
-            return all(K.mul(P[i], Q[j]) == K.mul(P[j], Q[i])
-                       for j in range(4) if j != i)
+            for j in range(4):
+                if j != i and K.mul(P[i], Q[j]) != K.mul(P[j], Q[i]):
+                    return False
+            return True
     return all(K.mul(P[i], Q[j]) == K.mul(P[j], Q[i])
                for i in range(4) for j in range(i + 1, 4))
 
