@@ -86,9 +86,9 @@ def _projectively_equal(K: ArtinSchreierExtension, P, Q) -> bool:
 
     For P != 0 the three minors through any nonzero coordinate i of P
     suffice: they give Q = (Q[i] / P[i]) P, and then every minor
-    vanishes.  The last one is taken, Z3 = 1 on the chart, so that each
-    product has a factor in F_{q^2} wherever Q[i] is.  For P = 0 all six
-    are tested.
+    vanishes.  The last one is taken: on the chart P[3] = 1 and Q[3] =
+    zeta, so every product has a factor in F_{q^2}, which K.mul takes by
+    its shortcut.  For P = 0 all six are tested.
     """
     for i in (3, 2, 1, 0):
         if P[i]:
@@ -121,8 +121,7 @@ def fixed_points_surface(ctx: TowerContext, eta: int, zeta: int,
     # In the chart Z3 = 1 both variants need z^q - z = -eta.
     neg_eta = neg(eta2)
     z_solutions = K.solve_affine(1, neg_eta)
-    # Both variants use the coset {a in F_{q^2} : a^q = zeta a}, kept
-    # as pairs (a, a^q) in encoding order.
+    # Both variants use the coset {a in F_{q^2} : a^q = zeta a}.
     coset = K.coset(zeta)
     if with_unipotent:
         # Stratum 1 (chart Z3 = 1): y^q = zeta y, zeta y^2 = -eta,
