@@ -15,7 +15,7 @@ from math import gcd
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .cyclotomic import CycNumber
+from .cyclotomic import CycNumber, _dot
 from .fields import is_prime, prime_factors, row_reduce
 
 
@@ -203,6 +203,16 @@ def irrep_value(q: int, irrep: DihedralIrrep, cls: DihedralClass) -> CycNumber:
     return CycNumber.root_of_unity(m, e) + CycNumber.root_of_unity(m, -e % m)
 
 
+def _gram_ok(m: int, xs, ys, diagonal) -> bool:
+    """Whether sum_k xs[i][k] ys[j][k] is diagonal[i] for i = j and 0
+    otherwise, each entry one _dot; ys holds the conjugates, each
+    computed once."""
+    zero = CycNumber.from_rational(m, 0)
+    return all(_dot(m, x, y) == (CycNumber.from_rational(m, diagonal[i])
+                                 if i == j else zero)
+               for i, x in enumerate(xs) for j, y in enumerate(ys))
+
+
 class CharacterTable(NamedTuple):
     q: int
     mode: str                      # "ordinary" or "mod-ell"
@@ -217,29 +227,16 @@ class CharacterTable(NamedTuple):
 
     def row_orthogonality_ok(self) -> bool:
         """Ordinary tables only: <chi_i, chi_j> = delta_ij."""
-        n = len(self.irreps)
-        order = self.group_order()
-        for i in range(n):
-            for j in range(n):
-                acc = CycNumber.from_rational(self.conductor, 0)
-                for c, cls in enumerate(self.classes):
-                    acc = acc + cls.size * self.values[i][c] * self.values[j][c].conjugate()
-                want = order if i == j else 0
-                if acc != CycNumber.from_rational(self.conductor, want):
-                    return False
-        return True
+        conj = [[cls.size * v.conjugate() for cls, v in zip(self.classes, row)]
+                for row in self.values]
+        return _gram_ok(self.conductor, self.values, conj,
+                        [self.group_order()] * len(conj))
 
     def column_orthogonality_ok(self) -> bool:
-        order = self.group_order()
-        for a, ca in enumerate(self.classes):
-            for b, cb in enumerate(self.classes):
-                acc = CycNumber.from_rational(self.conductor, 0)
-                for i in range(len(self.irreps)):
-                    acc = acc + self.values[i][a] * self.values[i][b].conjugate()
-                want = Fraction(order, ca.size) if a == b else 0
-                if acc != CycNumber.from_rational(self.conductor, want):
-                    return False
-        return True
+        cols = list(zip(*self.values))
+        return _gram_ok(self.conductor, cols,
+                        [[v.conjugate() for v in col] for col in cols],
+                        [Fraction(self.group_order(), c.size) for c in self.classes])
 
     def to_json(self) -> dict:
         return {

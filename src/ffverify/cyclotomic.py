@@ -1,10 +1,11 @@
 """Exact arithmetic in Q(zeta_m) and characters valued there.
 
 Numbers are coefficient vectors modulo the m-th cyclotomic polynomial,
-so every identity check is exact.  A coefficient is an int or a
-Fraction, exactly as exact arithmetic yields it: sums of roots of unity,
-such as character values and Gauss sums, keep int coefficients, and a
-Fraction appears only after a division.  The conductor used for a
+so every identity check is exact.  A number is int numerators over one
+positive int denominator, in lowest terms, so sums and products build
+no Fraction: sums of roots of unity, such as character values and Gauss
+sums, have denominator 1, a larger one appears only after a division.
+Every product goes through one kernel, _dot.  The conductor used for a
 tower with q = p^e is m = p(q+1); since p and q+1 are coprime this field
 contains both zeta_p = zeta_m^{q+1} and zeta_{q+1} = zeta_m^p.
 """
@@ -14,6 +15,7 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 
 from .fields import TowerContext, FieldError, power, row_reduce
 
@@ -77,10 +79,50 @@ def _power_table(m: int):
     return tuple(table)
 
 
-class CycNumber:
-    """An element of Q(zeta_m), exact."""
+def _make(m: int, num, den: int) -> "CycNumber":
+    """num / den, int numerators over a positive int, put in lowest
+    terms: the route of every arithmetic result, which checks no types."""
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            den //= g
+            num = [n // g for n in num]
+    z = object.__new__(CycNumber)
+    z.m, z.num, z.den = m, tuple(num), den
+    return z
 
-    __slots__ = ("m", "coeffs")
+
+def _dot(m: int, xs, ys) -> "CycNumber":
+    """sum_k xs[k] ys[k] in Q(zeta_m), the one product kernel: a
+    schoolbook over the nonzero numerators into one unreduced array, on
+    the common denominator of the terms, and one reduction mod Phi_m."""
+    table = _power_table(m)
+    deg = len(table[0])
+    # x^deg = table[deg] mod Phi_m, read over its nonzero entries
+    top = [(i, t) for i, t in enumerate(table[deg]) if t]
+    den = lcm(*(x.den * y.den for x, y in zip(xs, ys)))
+    acc = [0] * (2 * deg - 1)
+    for x, y in zip(xs, ys):
+        s = den // (x.den * y.den)
+        ynz = [(j, s * b) for j, b in enumerate(y.num) if b]
+        if ynz:
+            for i, a in enumerate(x.num):
+                if a:
+                    for j, b in ynz:
+                        acc[i + j] += a * b
+    for k in range(2 * deg - 2, deg - 1, -1):
+        c = acc[k]
+        if c:
+            for i, t in top:
+                acc[k - deg + i] += c * t
+    return _make(m, acc[:deg], den)
+
+
+class CycNumber:
+    """An element of Q(zeta_m), exact: int numerators num over one
+    positive int den, in lowest terms, so == compares (num, den)."""
+
+    __slots__ = ("m", "num", "den")
 
     def __init__(self, m: int, coeffs):
         self.m = m
@@ -92,8 +134,16 @@ class CycNumber:
         # as "True" in to_json
         if not all(type(c) is int or type(c) is Fraction for c in cs):
             raise CycError("coefficients must be int or Fraction")
-        cs += [0] * (deg - len(cs))
-        self.coeffs = tuple(cs)
+        # the lcm of reduced denominators leaves the numerators coprime to it
+        self.den = lcm(*(c.denominator for c in cs))
+        self.num = tuple([c.numerator * (self.den // c.denominator) for c in cs]
+                         + [0] * (deg - len(cs)))
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients: ints when den is 1, else Fractions."""
+        return (self.num if self.den == 1
+                else tuple(Fraction(n, self.den) for n in self.num))
 
     @classmethod
     def from_rational(cls, m: int, r) -> "CycNumber":
@@ -101,7 +151,7 @@ class CycNumber:
 
     @classmethod
     def root_of_unity(cls, m: int, k: int) -> "CycNumber":
-        return cls(m, _power_table(m)[k % m])
+        return _make(m, _power_table(m)[k % m], 1)
 
     def _check(self, other):
         if not isinstance(other, CycNumber):
@@ -110,41 +160,37 @@ class CycNumber:
             raise CycError("mixed conductors")
         return other
 
-    def __add__(self, other):
+    def _plus(self, other, sign: int):
         other = self._check(other)
-        return CycNumber(self.m, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        a, b = other.den, sign * self.den
+        return _make(self.m, [a * x + b * y for x, y in zip(self.num, other.num)],
+                     self.den * other.den)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._check(other)
-        return CycNumber(self.m, [a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         return self._check(other) - self
 
     def __neg__(self):
-        return CycNumber(self.m, [-a for a in self.coeffs])
+        return _make(self.m, [-a for a in self.num], self.den)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return CycNumber(self.m, [a * other for a in self.coeffs])
+        # a CycNumber is tested first: isinstance(x, Fraction) is an ABC check
+        if not isinstance(other, CycNumber) and isinstance(other, (int, Fraction)):
+            return _make(self.m, [a * other.numerator for a in self.num],
+                         self.den * other.denominator)
         other = self._check(other)
-        deg = len(self.coeffs)
-        prod = [0] * (2 * deg - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        prod[i + j] += a * b
-        phi = cyclotomic_coeffs(self.m)
-        for k in range(2 * deg - 2, deg - 1, -1):
-            c = prod[k]
-            if c:
-                prod[k] = 0
-                for i in range(deg):
-                    prod[k - deg + i] -= c * phi[i]
-        return CycNumber(self.m, prod[:deg])
+        # a rational operand, zero included, scales the other one
+        for a, b in ((self, other), (other, self)):
+            if not any(a.num[1:]):
+                return _make(self.m, [a.num[0] * x for x in b.num], a.den * b.den)
+        return _dot(self.m, (self,), (other,))
 
     __rmul__ = __mul__
 
@@ -162,42 +208,44 @@ class CycNumber:
         return power(operator.mul, CycNumber.from_rational(self.m, 1), self, n)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, CycNumber) and isinstance(other, (int, Fraction)):
             other = CycNumber.from_rational(self.m, other)
         if not isinstance(other, CycNumber):
             return NotImplemented
-        return self.m == other.m and self.coeffs == other.coeffs
+        return self.m == other.m and self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash((self.m, self.coeffs))
+        # a rational number hashes as its value, which it equals
+        if self.is_rational():
+            return hash(self.as_rational())
+        return hash((self.m, self.num, self.den))
 
     def __bool__(self):
-        return any(self.coeffs)
+        return any(self.num)
 
     def __repr__(self):
         return f"Cyc({self.m}; {[str(c) for c in self.coeffs]})"
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.num[1:])
 
     def as_rational(self) -> int | Fraction:
         if not self.is_rational():
             raise CycError("not rational")
-        return self.coeffs[0]
+        return self.num[0] if self.den == 1 else Fraction(self.num[0], self.den)
 
     def is_integer(self) -> bool:
-        return self.is_rational() and self.coeffs[0].denominator == 1
+        return self.den == 1 and self.is_rational()
 
     def conjugate(self) -> "CycNumber":
         """Complex conjugation, zeta -> zeta^{-1}."""
         table = _power_table(self.m)
-        deg = len(self.coeffs)
-        out = [0] * deg
-        for i, c in enumerate(self.coeffs):
+        out = [0] * len(self.num)
+        for i, c in enumerate(self.num):
             if c:
                 for j, t in enumerate(table[(-i) % self.m]):
                     out[j] += c * t
-        return CycNumber(self.m, out)
+        return _make(self.m, out, self.den)
 
     def inverse(self) -> "CycNumber":
         """Inverse by solving self * x = 1 as a linear system over Q,

@@ -673,9 +673,11 @@ class ArtinSchreierExtension:
             self._tq_powers.append(self._log_form(power))
             power = self.mul(power, tq)
         # Filled on first use, per zeta in mu_{q+1}: the reduction of
-        # x -> x^q - zeta x (solve_affine) and its kernel (coset).
+        # x -> x^q - zeta x (solve_affine), its kernel (coset) and the
+        # pairs of that kernel by value (coset_pairs).
         self._solvers = {}
         self._cosets = {}
+        self._coset_pairs = {}
 
     def _coeffs(self, a):
         """The level-2 encodings a_0, a_1, ... up to the last nonzero."""
@@ -795,6 +797,20 @@ class ArtinSchreierExtension:
                 (a, fa) for a, fa in enumerate(self._frob_base)
                 if fa == mul(zeta, a)]
         return pairs
+
+    def coset_pairs(self, zeta):
+        """{v: [(x, y), ...]}, the pairs x, y of coset(zeta) grouped by
+        v = x y^q - x^q y, each group in the encoding order of (x, y);
+        kept on K per zeta, so each value is computed once per tower."""
+        groups = self._coset_pairs.get(zeta)
+        if groups is None:
+            coset, lv = self.coset(zeta), self.base
+            groups = self._coset_pairs[zeta] = {}
+            for x, x_q in coset:
+                for y, y_q in coset:
+                    v = lv.add_enc(lv.mul_enc(x, y_q), lv.neg_enc(lv.mul_enc(x_q, y)))
+                    groups.setdefault(v, []).append((x, y))
+        return groups
 
     def solve_affine(self, zeta, rhs):
         """Every x in K with x^q - zeta x = rhs, for zeta in mu_{q+1} a

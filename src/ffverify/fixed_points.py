@@ -112,7 +112,7 @@ def fixed_points_surface(ctx: TowerContext, eta: int, zeta: int,
     K = coordinate_extension(ctx)
     K.check_mu(zeta)
     lv2 = ctx.levels[2]
-    add, mul, neg = lv2.add_enc, lv2.mul_enc, lv2.neg_enc
+    mul, neg = lv2.mul_enc, lv2.neg_enc
     eta2 = ctx.embed(eta, 1, 2)
 
     points = []
@@ -141,12 +141,8 @@ def fixed_points_surface(ctx: TowerContext, eta: int, zeta: int,
     else:
         # Stratum 1 (chart Z3 = 1): x^q = zeta x, y^q = zeta y,
         # x y^q - x^q y = -eta.
-        s1 = []
-        for x, x_q in coset:
-            for y, y_q in coset:
-                if add(mul(x, y_q), neg(mul(x_q, y))) == neg_eta:
-                    for z in z_solutions:
-                        s1.append((x, y, z, 1))
+        s1 = [(x, y, z, 1) for x, y in K.coset_pairs(zeta).get(neg_eta, ())
+              for z in z_solutions]
         # Stratum 2: [x : y : 1 : 0] with x, y in the same coset.
         s2 = [(x, y, 1, 0) for x, _ in coset for y, _ in coset]
         # Stratum 3: the rational line [Z0 : Z1 : 0 : 0] over F_q.

@@ -124,6 +124,22 @@ def test_ordinary_orthogonality(q):
     assert tab.column_orthogonality_ok()
 
 
+@pytest.mark.parametrize("q", [3, 4, 5, 13])
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_orthogonality_fails_on_one_changed_value(q, where):
+    """Adding 1 to one value breaks both relations: every entry of both
+    Gram matrices is checked."""
+    tab = o_minus_table(q, "ordinary")
+    n, c = len(tab.values), len(tab.classes)
+    i, j = {"first": (0, 0), "middle": (n // 2, c // 2),
+            "last": (n - 1, c - 1)}[where]
+    values = [list(row) for row in tab.values]
+    values[i][j] = values[i][j] + 1
+    bad = tab._replace(values=values)
+    assert not bad.row_orthogonality_ok()
+    assert not bad.column_orthogonality_ok()
+
+
 @pytest.mark.parametrize("q,ell", [(2, 3), (3, 5), (4, 5), (5, 3), (8, 3),
                                    (9, 5), (7, 3)])
 def test_brauer_table_is_square(q, ell):

@@ -1,6 +1,7 @@
 """Exact cyclotomic arithmetic, characters and Gauss sums."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -93,6 +94,128 @@ def test_inexact_coefficients_are_rejected(bad):
         CycNumber(12, [1, bad])
     with pytest.raises(CycError):
         CycNumber.from_rational(12, bad)
+
+
+def _ref_reduce(m, poly):
+    """poly mod Phi_m with Fraction coefficients, top down: the route of
+    the Fraction-coefficient representation, kept as the reference."""
+    phi = cyclotomic_coeffs(m)
+    deg = len(phi) - 1
+    poly = [Fraction(c) for c in poly] + [Fraction(0)] * max(0, deg - len(poly))
+    for k in range(len(poly) - 1, deg - 1, -1):
+        c = poly[k]
+        if c:
+            for i in range(deg + 1):
+                poly[k - deg + i] -= c * phi[i]
+    return poly[:deg]
+
+
+def _ref_mul(m, a, b):
+    prod = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    prod[i + j] += x * y
+    return _ref_reduce(m, prod)
+
+
+def _ref_conj(m, a):
+    poly = [Fraction(0)] * m
+    for i, x in enumerate(a):
+        poly[-i % m] += x
+    return _ref_reduce(m, poly)
+
+
+def _assert_is(m, value, ref):
+    """value is the number with the Fraction coefficients ref, held in
+    lowest terms, with the coeffs, to_json and hash that ref gives."""
+    deg = len(cyclotomic_coeffs(m)) - 1
+    assert value.m == m and len(value.num) == deg == len(ref)
+    assert all(type(n) is int for n in value.num) and type(value.den) is int
+    assert value.den > 0 and gcd(value.den, *value.num) == 1
+    assert value.coeffs == tuple(ref)
+    integral = all(c.denominator == 1 for c in ref)
+    assert {type(c) for c in value.coeffs} == ({int} if integral else {Fraction})
+    assert value.to_json() == {"conductor": m, "coeffs": [str(c) for c in ref]}
+    same = CycNumber(m, ref)
+    assert value == same and hash(value) == hash(same)
+    if not any(ref[1:]):
+        assert value == ref[0] and hash(value) == hash(ref[0])
+
+
+def _sparse(m):
+    """Up to six nonzero coefficients, ints and Fractions, at any
+    positions below the degree."""
+    deg = len(cyclotomic_coeffs(m)) - 1
+    entry = (st.integers(min_value=-6, max_value=6)
+             | st.fractions(min_value=-5, max_value=5, max_denominator=6))
+    return st.dictionaries(st.integers(min_value=0, max_value=deg - 1), entry,
+                           max_size=6).map(
+        lambda d: [d.get(i, 0) for i in range(max(d, default=-1) + 1)])
+
+
+@pytest.mark.parametrize("m", [9, 12, 14, 42, 182])
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_arithmetic_matches_the_fraction_reference(m, data):
+    deg = len(cyclotomic_coeffs(m)) - 1
+    ca, cb = data.draw(_sparse(m)), data.draw(_sparse(m))
+    r = data.draw(st.integers(min_value=-4, max_value=4)
+                  | st.fractions(min_value=-3, max_value=3, max_denominator=5))
+    ra, rb = (_ref_reduce(m, c) for c in (ca, cb))
+    a, b = CycNumber(m, ca), CycNumber(m, cb)
+    _assert_is(m, a, ra)
+    _assert_is(m, a + b, [x + y for x, y in zip(ra, rb)])
+    _assert_is(m, a - b, [x - y for x, y in zip(ra, rb)])
+    _assert_is(m, -a, [-x for x in ra])
+    _assert_is(m, a * b, _ref_mul(m, ra, rb))
+    _assert_is(m, a * r, [x * r for x in ra])
+    _assert_is(m, r * a, [x * r for x in ra])
+    _assert_is(m, a + r, [ra[0] + r] + ra[1:])
+    _assert_is(m, a.conjugate(), _ref_conj(m, ra))
+    assert (a == b) == (ra == rb)
+    # inverse is a dense solve in deg unknowns, seconds at degree 72
+    # unless the number is a binomial
+    if any(ra) and (deg <= 12 or sum(map(bool, ra)) <= 2):
+        inv = a.inverse()
+        ri = [Fraction(c) for c in inv.coeffs]
+        _assert_is(m, inv, ri)
+        assert _ref_mul(m, ra, ri) == [1] + [0] * (deg - 1)
+
+
+def test_hash_agrees_with_equality():
+    assert CycNumber.from_rational(12, 12) * Fraction(1, 4) == 3
+    for value in (3, Fraction(3, 4), -2, 0):
+        a = CycNumber.from_rational(12, value)
+        assert a == value and hash(a) == hash(value)
+        assert len({a, value}) == 1
+    a = CycNumber.from_rational(12, 12) / 4
+    assert len({a, 3}) == 1
+    z = CycNumber.root_of_unity(12, 1) * Fraction(1, 3)
+    assert hash(z) == hash(CycNumber(12, [0, Fraction(1, 3)]))
+
+
+def test_sums_and_products_build_no_fraction(monkeypatch):
+    m = 12
+    ca = [Fraction(1, 2), Fraction(2, 3), 0, Fraction(-5, 4)]
+    cb = [Fraction(3, 7), 1, Fraction(1, 6)]
+    a, b = CycNumber(m, ca), CycNumber(m, cb)
+    calls = 0
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    total, prod = a + b, a * b
+    assert calls == 0
+    monkeypatch.undo()
+    ra, rb = _ref_reduce(m, ca), _ref_reduce(m, cb)
+    _assert_is(m, total, [x + y for x, y in zip(ra, rb)])
+    _assert_is(m, prod, _ref_mul(m, ra, rb))
 
 
 @pytest.mark.parametrize("q", [3, 5, 13])

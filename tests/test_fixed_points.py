@@ -72,6 +72,34 @@ def test_one_reduction_per_map_and_a_fresh_solver_cache_per_tower(monkeypatch):
     assert coordinate_extension(fresh)._solvers == {}
 
 
+def test_untwisted_pair_values_once_per_zeta(monkeypatch):
+    """The untwisted grid at q = 5 takes x y^q - x^q y once per pair of
+    each coset, not once per pair in every eta cell.  Each value costs
+    two level-2 products, so per cell that is at least 2 (q + 1) q^3 =
+    1500 products (2467 in all before the grouping); per zeta it is
+    2 (q + 1) q^2 = 300, and the grid stays under (q + 1) q^3 = 750."""
+    build_tower.cache_clear()
+    ctx = build_tower(5, 1)
+    lv2, q = ctx.levels[2], ctx.q
+    calls = 0
+    mul_enc = lv2.mul_enc
+
+    def counting(i, j):
+        nonlocal calls
+        calls += 1
+        return mul_enc(i, j)
+
+    monkeypatch.setattr(lv2, "mul_enc", counting)
+    assert all(cell.matches for cell in fixed_point_grid(ctx, False).values())
+    assert 0 < calls < (q + 1) * q ** 3
+    K = coordinate_extension(ctx)
+    for zeta, groups in K._coset_pairs.items():
+        pairs = [(x, y) for x, _ in K.coset(zeta) for y, _ in K.coset(zeta)]
+        assert sorted(p for ps in groups.values() for p in ps) == pairs
+        assert all(ps == sorted(ps) for ps in groups.values())
+    build_tower.cache_clear()
+
+
 def test_no_duplicate_points():
     ctx = build_tower(3, 1)
     K = coordinate_extension(ctx)
