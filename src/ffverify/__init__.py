@@ -3,18 +3,15 @@ formulas, exact character arithmetic and theta correspondence tables."""
 
 from .fields import (ArtinSchreierExtension, FieldError, TowerContext,
                      build_tower)
-from .cyclotomic import (AdditiveCharacter, CentralCharacter, CycError,
-                         CycNumber, conductor, gauss_sum, nu_character,
-                         nu_sign)
+from .cyclotomic import (AdditiveCharacter, CycError, CycNumber, conductor,
+                         gauss_sum, nu_sign)
 from .varieties import (BudgetExceededError, VarietySpec, count_points,
-                        count_points_naive, counts_to_csv,
-                        dickson_sl2_quotient_count, dickson_u_quotient_count)
+                        count_points_naive, counts_to_csv)
 from .fixed_points import (FixedPointReport, GridCell,
                            blind_fixed_point_count, closed_form_fixed_count,
                            differential_vanishes, fixed_point_grid,
                            fixed_points_surface)
-from .traces import (averaged_unipotent_trace,
-                     character_difference_at_unipotent,
+from .traces import (character_difference_at_unipotent,
                      expected_character_difference, sheaf_trace_A2)
 from .characters import (CharacterError, CharacterTable, DihedralClass,
                          DihedralIrrep, IsotypicLabel, brauer_decompose,

@@ -295,27 +295,6 @@ class AdditiveCharacter:
         return self.a == 0
 
 
-class CentralCharacter:
-    """chi_k on mu_{q+1}, zeta -> zeta_{q+1}^{k dlog(zeta)}, for
-    level-2 encodings zeta."""
-
-    def __init__(self, ctx: TowerContext, k: int):
-        self.ctx = ctx
-        self.k = k % (ctx.q + 1)
-        self.m = conductor(ctx)
-
-    def __call__(self, zeta: int) -> CycNumber:
-        d = self.ctx.discrete_log_mu(zeta, self.ctx.q + 1)
-        return CycNumber.root_of_unity(self.m, self.ctx.p * self.k * d)
-
-
-def nu_character(ctx: TowerContext) -> CentralCharacter:
-    """The order-2 character of mu_{q+1}; needs odd characteristic."""
-    if ctx.p == 2:
-        raise FieldError("the quadratic character of mu_{q+1} needs p odd")
-    return CentralCharacter(ctx, (ctx.q + 1) // 2)
-
-
 def nu_sign(ctx: TowerContext, zeta: int) -> int:
     if ctx.p == 2:
         raise FieldError("the quadratic character of mu_{q+1} needs p odd")

@@ -16,6 +16,7 @@ stay inside Level, the embedding tables and varieties.count_points_naive.
 from __future__ import annotations
 
 import itertools
+import operator
 from functools import lru_cache
 from math import gcd
 
@@ -76,27 +77,30 @@ def poly_sub(a, b, p):
 
 
 def poly_mul(a, b, p):
+    """The product, each coefficient summed over the integers and
+    reduced mod p once."""
     if not a or not b:
         return ()
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _trim(out)
+                out[i + j] += ai * bj
+    return _trim([c % p for c in out])
 
 
 def poly_mod(a, f, p):
-    """Remainder of a modulo the monic polynomial f."""
+    """Remainder of a modulo the monic polynomial f.  A coefficient is
+    reduced mod p once: when it leads, or at the end."""
     a = list(a)
     d = len(f) - 1
     while len(a) > d:
-        lead = a[-1] % p
+        lead = a.pop() % p
         if lead:
-            for i in range(d + 1):
-                a[len(a) - 1 - d + i] = (a[len(a) - 1 - d + i] - lead * f[i]) % p
-        a.pop()
-    return _trim(a)
+            top = len(a) - d
+            for i in range(d):
+                a[top + i] -= lead * f[i]
+    return _trim([c % p for c in a])
 
 
 def poly_gcd(a, b, p):
@@ -273,7 +277,8 @@ def solve_mod_p(p: int, cols, rhs) -> list[list[int]]:
 # A single level of the tower.
 
 class Level:
-    """F_p[x]/(modulus), elements are coefficient tuples of fixed length."""
+    """F_p[x]/(modulus), elements are coefficient tuples of fixed length;
+    their arithmetic is that of the poly_* kernels."""
 
     def __init__(self, p: int, degree: int):
         self.p = p
@@ -282,56 +287,20 @@ class Level:
         self.size = p ** degree
         self.zero = (0,) * degree
         self.one = self._pad((1,))
-        # x^(degree+k) mod modulus for k = 0 .. degree-2, used by mul.
-        red = []
-        cur = tuple((-c) % p for c in self.modulus[:-1])
-        for _ in range(max(degree - 1, 0)):
-            red.append(cur)
-            cur = self._shift_reduce(cur)
-        self._red = red
         self._log_tables = None  # built by log_tables
-
-    def _shift_reduce(self, c):
-        shifted = (0,) + tuple(c)
-        if len(shifted) <= self.degree:
-            return _trim(shifted)
-        lead = shifted[self.degree]
-        base = _trim(shifted[:self.degree])
-        if lead == 0:
-            return base
-        head = tuple((-lead * m) % self.p for m in self.modulus[:-1])
-        return poly_add(base, head, self.p)
 
     def _pad(self, c):
         return tuple(c) + (0,) * (self.degree - len(c))
 
     def add(self, a, b):
-        p = self.p
-        return tuple((x + y) % p for x, y in zip(a, b))
+        return self._pad(poly_add(a, b, self.p))
 
     def sub(self, a, b):
-        p = self.p
-        return tuple((x - y) % p for x, y in zip(a, b))
-
-    def scalar(self, c, a):
-        p = self.p
-        c %= p
-        return tuple((c * x) % p for x in a)
+        return self._pad(poly_sub(a, b, self.p))
 
     def mul(self, a, b):
-        p, d = self.p, self.degree
-        out = [0] * (2 * d - 1 if d > 0 else 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] = (out[i + j] + ai * bj) % p
-        low = out[:d]
-        for k in range(d, len(out)):
-            c = out[k]
-            if c:
-                for i, r in enumerate(self._red[k - d]):
-                    low[i] = (low[i] + c * r) % p
-        return self._pad(_trim(low))
+        p = self.p
+        return self._pad(poly_mod(poly_mul(a, b, p), self.modulus, p))
 
     def log_tables(self):
         """(exp, log) for g, the primitive element of least encoding.
@@ -383,7 +352,7 @@ class Level:
         rows, row = [], g
         for _ in range(d):  # g x^i
             rows.append(sum(c << (s * i) for i, c in enumerate(row)))
-            row = self._shift_reduce(row)
+            row = self.mul(row, (0, 1))
 
         def half(lo, hi):
             table = {0: (0, 0)}
@@ -468,14 +437,9 @@ def embedding_table(root, lo: Level, hi: Level) -> list[int]:
     pows = [hi.one]
     for _ in range(lo.degree - 1):
         pows.append(hi.mul(pows[-1], root))
-    table = []
-    for a in lo.elements():
-        acc = hi.zero
-        for c, rp in zip(a, pows):
-            if c:
-                acc = hi.add(acc, hi.scalar(c, rp))
-        table.append(hi.encode(acc))
-    return table
+    p, coords = hi.p, list(zip(*pows))  # coords[j][i]: coordinate j of root^i
+    return [hi.encode([sum(map(operator.mul, a, col)) % p for col in coords])
+            for a in lo.elements()]
 
 
 class TowerContext:
@@ -679,17 +643,10 @@ class ArtinSchreierExtension:
         self._cosets = {}
         self._coset_pairs = {}
 
-    def _coeffs(self, a):
-        """The level-2 encodings a_0, a_1, ... up to the last nonzero."""
-        N, out = self.base.size, []
-        while a:
-            a, r = divmod(a, N)
-            out.append(r)
-        return out
-
     def _log_form(self, a):
         log = self._log
-        return [(i, log[x]) for i, x in enumerate(self._coeffs(a)) if x]
+        return [(i, log[x])
+                for i, x in enumerate(_digits(a, self.base.size, self.p)) if x]
 
     def add(self, a, b):
         """Coefficient-wise through the Zech table of F_{q^2}.  An operand

@@ -222,37 +222,29 @@ def fixed_point_grid(ctx: TowerContext, with_unipotent: bool) -> dict:
 # Formal transversality: every coordinate of either endomorphism is a
 # polynomial in q-th powers, so the differential of the map vanishes
 # identically and the differential of (map - id) is -id, which is
-# invertible.  The check below expands the chart components and
-# verifies that all formal partials are divisible by p.
-
-def chart_components(q: int, with_unipotent: bool):
-    """Chart Z3 = 1 components as monomial dicts {(a,b,c): coeff} in
-    (x, y, z), with the zeta and eta parameters left symbolic (they do
-    not affect the x, y, z exponents)."""
-    if with_unipotent:
-        x_comp = {(k, q - k, 0): comb(q, k) for k in range(q + 1)}
-    else:
-        x_comp = {(q, 0, 0): 1}
-    y_comp = {(0, q, 0): 1}
-    z_comp = {(0, 0, k): comb(q, k) for k in range(q + 1)}  # (z + eta)^q up to eta powers
-    comps = [x_comp, y_comp, z_comp]
-    return comps
-
+# invertible.
 
 def differential_vanishes(ctx: TowerContext, with_unipotent: bool) -> bool:
     """True when every formal partial of every chart component is 0 mod p.
+
+    On the chart Z3 = 1 the components are (x + y)^q (x^q without the
+    unipotent part), y^q and (z + eta)^q, up to the factor zeta, which
+    does not change the exponents of x, y and z.  Their monomials are
+    C(q, k) x^k y^(q-k) and C(q, k) z^k for 0 <= k <= q, so the formal
+    partial of each is 0 or j C(q, j) times a monomial, for some
+    1 <= j <= q: j = k for d/dx and d/dz, and j = q - k for d/dy, as
+    C(q, k) = C(q, q - k).  The powers x^q and y^q are the case j = q.
+    The condition is therefore j C(q, j) = 0 mod p for 1 <= j <= q, the
+    same for both variants.  It holds because j C(q, j) = q C(q-1, j-1)
+    and p divides q; the case j = q, which is q itself, shows that it
+    needs p | q.
 
     This makes the differential of (endomorphism - identity) equal to
     minus the identity at every fixed point, so each fixed point is
     transverse (multiplicity one).
     """
     p, q = ctx.p, ctx.q
-    for comp in chart_components(q, with_unipotent):
-        for (a, b, c), coeff in comp.items():
-            for exp in (a, b, c):
-                if exp > 0 and (coeff * exp) % p != 0:
-                    return False
-    return True
+    return all(j * comb(q, j) % p == 0 for j in range(1, q + 1))
 
 
 # ---------------------------------------------------------------------------

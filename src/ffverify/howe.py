@@ -21,8 +21,7 @@ from .characters import (CharacterError, DihedralIrrep, IsotypicLabel,
 from .cyclotomic import AdditiveCharacter, CycNumber, conductor, gauss_sum
 from .fields import build_tower
 from .fixed_points import differential_vanishes, fixed_point_grid
-from .traces import (averaged_unipotent_trace,
-                     character_difference_at_unipotent,
+from .traces import (character_difference_at_unipotent,
                      expected_character_difference, sheaf_trace_A2)
 from .varieties import VarietySpec, count_points
 
@@ -267,13 +266,14 @@ def verify_all(n: int, p: int, e: int, ell: int) -> dict:
             == CycNumber.from_rational(m, q)
             for zeta in ctx.enumerate_mu(q + 1))
         checks.append(_check("plain-trace-constant-q", True, plain_ok))
-        checks.append(_check("averaged-unipotent-trace-gauss", g,
-                             averaged_unipotent_trace(ctx, psi)))
-        for nn in (1, 2):
-            checks.append(_check(
-                f"character-difference-n{nn}",
-                expected_character_difference(ctx, nn, psi),
-                character_difference_at_unipotent(ctx, nn, psi)))
+        diffs = {nn: character_difference_at_unipotent(ctx, nn, psi)
+                 for nn in (1, 2)}
+        # The averaged twisted trace is the n = 1 difference (T^0 = 1).
+        checks.append(_check("averaged-unipotent-trace-gauss", g, diffs[1]))
+        for nn, diff in diffs.items():
+            checks.append(_check(f"character-difference-n{nn}",
+                                 expected_character_difference(ctx, nn, psi),
+                                 diff))
         grid_ok = all(cell.matches for with_u in (True, False)
                       for cell in fixed_point_grid(ctx, with_u).values())
         checks.append(_check("fixed-point-grid-closed-form", True, grid_ok))

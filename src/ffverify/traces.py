@@ -57,12 +57,6 @@ def character_difference_at_unipotent(ctx: TowerContext, n: int,
     return total * Fraction(1, ctx.q + 1)
 
 
-def averaged_unipotent_trace(ctx: TowerContext, psi: AdditiveCharacter) -> CycNumber:
-    """(1/(q+1)) sum_zeta nu(zeta) T_u(zeta), the n = 1 case of
-    character_difference_at_unipotent (T^0 = 1); equals the Gauss sum."""
-    return character_difference_at_unipotent(ctx, 1, psi)
-
-
 def expected_character_difference(ctx: TowerContext, n: int,
                                   psi: AdditiveCharacter) -> CycNumber:
     return gauss_sum(ctx, psi) * ctx.q ** (n - 1)

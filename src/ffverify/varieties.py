@@ -82,7 +82,7 @@ class _LevelArith:
     the masses, so that the counts of a kind list share them.  A spectrum
     taken from there is charged as if computed, so the budget a count
     spends does not depend on what was counted before.  The counts draw
-    from six distributions at most, so the cache stays bounded however
+    from four distributions at most, so the cache stays bounded however
     many counts run.
     """
 
@@ -272,28 +272,6 @@ def count_points(ctx: TowerContext, spec: VarietySpec, level: int,
     # The chart Z3 = 1: z^q - z = x y^q - x^q y.
     das = ar.spectrum(ar.dist_artin_schreier(-1))
     return boundary + ar.count([(ar.spectrum(dpair), 1), (das, 1)])
-
-
-# ---------------------------------------------------------------------------
-# Quotient models for the Dickson-style invariants.
-
-def dickson_sl2_quotient_count(ctx: TowerContext, n: int, level: int,
-                               budget: int = 50_000_000) -> int:
-    """Count of the affine model {sum s_i = 1} x A^n of the SL2-quotient
-    of the primed hypersurface; equals N^{2n-1}."""
-    ar = _LevelArith(ctx, level, budget, n)
-    uniform = ar.spectrum([1] * ar.N)
-    return ar.count([(uniform, n)], 1) * ar.N ** n
-
-
-def dickson_u_quotient_count(ctx: TowerContext, n: int, level: int,
-                             budget: int = 50_000_000) -> int:
-    """Count of {sum s_i t_i = 1} in A^{2n} over the given level."""
-    ar = _LevelArith(ctx, level, budget, 2 * n)
-    ar._spend(ar.N * ar.N)
-    mul = ar.level.mul_enc
-    dprod = ar._dist(mul(i, j) for i in range(ar.N) for j in range(ar.N))
-    return ar.count([(ar.spectrum(dprod), n)], 1)
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,9 @@ from ffverify import (AdditiveCharacter, FieldError, blind_fixed_point_count,
                       fixed_points_surface)
 from ffverify.fixed_points import coordinate_extension
 from ffverify.fields import (ArtinSchreierExtension, Level, TowerContext,
-                             _is_irreducible, is_prime, least_irreducible,
-                             poly_mod, poly_powmod, power, prime_factors,
-                             solve_mod_p)
+                             _digits, _is_irreducible, embedding_table,
+                             is_prime, least_irreducible, poly_mod, poly_mul,
+                             poly_powmod, power, prime_factors, solve_mod_p)
 
 # (p, e) of every tower with q <= 16.
 TOWERS = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (5, 1), (7, 1),
@@ -46,6 +46,54 @@ def test_prime_factors():
     assert prime_factors(12) == [2, 3]
     assert prime_factors(1) == []
     assert prime_factors(30) == [2, 3, 5]
+
+
+def _trim_reference(c):
+    while c and c[-1] == 0:
+        c = c[:-1]
+    return tuple(c)
+
+
+def _poly_mul_every_step(a, b, p):
+    """poly_mul as it was when it reduced mod p after every step, kept as
+    the reference for the merged kernels."""
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] = (out[i + j] + ai * bj) % p
+    return _trim_reference(out)
+
+
+def _poly_mod_every_step(a, f, p):
+    """poly_mod as it was when it reduced mod p after every step."""
+    a = list(a)
+    d = len(f) - 1
+    while len(a) > d:
+        lead = a[-1] % p
+        if lead:
+            for i in range(d + 1):
+                a[len(a) - 1 - d + i] = (a[len(a) - 1 - d + i] - lead * f[i]) % p
+        a.pop()
+    return _trim_reference(a)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_poly_mul_and_mod_match_the_reduce_every_step_route(data):
+    """poly_mul then poly_mod, each reducing a coefficient mod p once,
+    against the versions that reduced after every step, for random a, b
+    and a random monic f."""
+    p = data.draw(st.sampled_from([2, 3, 5, 13]))
+    coeffs = st.lists(st.integers(0, p - 1), max_size=12).map(tuple)
+    a, b = data.draw(coeffs), data.draw(coeffs)
+    f = tuple(data.draw(st.lists(st.integers(0, p - 1), max_size=8))) + (1,)
+    product = poly_mul(a, b, p)
+    assert product == _poly_mul_every_step(a, b, p)
+    assert poly_mod(product, f, p) == _poly_mod_every_step(product, f, p)
+    assert poly_mod(a, f, p) == _poly_mod_every_step(a, f, p)
 
 
 @pytest.mark.parametrize("p,d", [(2, 1), (2, 2), (2, 4), (3, 2), (3, 3),
@@ -155,6 +203,36 @@ def test_embedding_commutes_through_middle_level(p, e):
         images.add(via_mid)
     # embed is injective: each a is the only preimage of its image
     assert len(images) == ctx.q
+
+
+def _embedding_table_by_sums(root, lo, hi):
+    """embedding_table as it was: the image of each lo element summed
+    term by term, c_i root^i through hi's tuple arithmetic."""
+    pows = [hi.one]
+    for _ in range(lo.degree - 1):
+        pows.append(hi.mul(pows[-1], root))
+    table = []
+    for a in lo.elements():
+        acc = hi.zero
+        for c, rp in zip(a, pows):
+            if c:
+                acc = hi.add(acc, tuple(c * x % hi.p for x in rp))
+        table.append(hi.encode(acc))
+    return table
+
+
+@pytest.mark.parametrize("p,e", TOWERS)
+def test_embedding_tables_match_the_term_by_term_route(p, e):
+    """The direct F_p-linear combination against the sum of scaled
+    powers, and the tower's tables against both, at every tower with
+    q <= 16."""
+    ctx = build_tower(p, e)
+    for lo, hi in ((1, 2), (2, 4)):
+        a, b = ctx.levels[lo], ctx.levels[hi]
+        root = TowerContext._find_root(a.modulus, b)
+        table = embedding_table(root, a, b)
+        assert table == _embedding_table_by_sums(root, a, b)
+        assert table == [ctx.embed(k, lo, hi) for k in range(a.size)]
 
 
 def test_level_four_embeddings_are_built_on_first_use():
@@ -761,7 +839,7 @@ def test_mul_by_a_base_scalar_matches_schoolbook(p, e):
             assert K.mul(b, a) == _schoolbook_mul(K, b, a)
     for b in list(range(N)) + dense:
         assert K.neg(b) == sum(K.base.neg_enc(x) * N ** i
-                               for i, x in enumerate(K._coeffs(b)))
+                               for i, x in enumerate(_digits(b, N, K.p)))
 
 
 @pytest.mark.parametrize("p,e", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1),

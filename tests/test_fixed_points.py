@@ -208,6 +208,15 @@ def test_differential_of_displacement_is_invertible(p, e):
     assert differential_vanishes(ctx, False)
 
 
+def test_differential_condition_is_computed_not_assumed():
+    """At q = 4 and p = 3, which no tower has, the partial of y^q is
+    q y^(q-1) = y^3, not 0 mod 3: the condition reads p and q."""
+    class StandIn:
+        p, q = 3, 4
+    assert not differential_vanishes(StandIn(), True)
+    assert not differential_vanishes(StandIn(), False)
+
+
 def _six_minors_vanish(K, P, Q):
     """The definition: every 2x2 minor of (P; Q) is zero."""
     return all(K.sub(K.mul(P[i], Q[j]), K.mul(P[j], Q[i])) == 0

@@ -1,7 +1,8 @@
 """Source hygiene of the package: no module imports a name it never uses,
 every import sits at module level, one function holds the square-and-
-multiply loop, every division is exact, and importing the command line
-tool loads no module it does not need."""
+multiply loop, every division is exact, importing the command line
+tool loads no module it does not need, and every public function and
+class is reached from the package, its scripts or its benchmark."""
 
 import ast
 import os
@@ -11,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "ffverify"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "ffverify"
 # __init__.py imports names only to re-export them.
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
@@ -182,3 +184,62 @@ def test_cli_import_loads_no_heavy_module():
     out = subprocess.run([sys.executable, "-S", "-c", probe], env=env,
                          capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def unreached_definitions(modules: dict, readers: list) -> list[str]:
+    """The public module-level functions and classes of modules ({name:
+    source}) that no source in readers reads, as "module.name" in source
+    order.  A read is a bare name or an attribute; a read inside the
+    module-level definition of the same name (a recursive call) does not
+    count, and neither does an import, so a re-export reaches nothing."""
+    read = set()
+    for source in readers:
+        tree = ast.parse(source)
+
+        def visit(node, own):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, ast.Name) and child.id != own:
+                    read.add(child.id)
+                elif isinstance(child, ast.Attribute) and child.attr != own:
+                    read.add(child.attr)
+                visit(child, child.name if node is tree and isinstance(
+                    child, (ast.FunctionDef, ast.ClassDef)) else own)
+
+        visit(tree, None)
+    return [f"{module}.{node.name}" for module, source in modules.items()
+            for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_") and node.name not in read]
+
+
+def test_unreached_definitions_are_found():
+    module = ("def used():\n"
+              "    return 1\n"
+              "def dead(n):\n"
+              "    return dead(n - 1) if n else used()\n"
+              "def _private():\n"
+              "    pass\n"
+              "class Dead:\n"
+              "    pass\n"
+              "class Used:\n"
+              "    pass\n")
+    reexport = "from .m import Dead, dead, used\n"
+    caller = "import m\nm.used()\nx = isinstance(1, Used)\n"
+    assert unreached_definitions({"m": module}, [module, reexport, caller]) == [
+        "m.dead", "m.Dead"]
+
+
+# The tests compare the structured counts against count_points_naive, the
+# independent route, so it is kept although only tests call it.
+_TEST_ONLY_ROUTES = ["varieties.count_points_naive"]
+
+
+def test_every_public_definition_is_reached():
+    """No public function or class of the package is reached only by
+    tests: src/ (but the re-exports of __init__.py), scripts/ and
+    perfbench/ read each one."""
+    readers = [path.read_text() for top in ("src", "scripts", "perfbench")
+               for path in sorted((ROOT / top).rglob("*.py"))
+               if path != SRC / "__init__.py"]
+    modules = {path.stem: path.read_text() for path in MODULES}
+    assert unreached_definitions(modules, readers) == _TEST_ONLY_ROUTES

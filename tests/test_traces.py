@@ -7,8 +7,7 @@ from ffverify import (AdditiveCharacter, CycNumber, build_tower, conductor,
                       gauss_sum)
 from ffverify.fields import FieldError
 from ffverify.fixed_points import fixed_point_grid
-from ffverify.traces import (averaged_unipotent_trace,
-                             character_difference_at_unipotent,
+from ffverify.traces import (character_difference_at_unipotent,
                              expected_character_difference, sheaf_trace_A2)
 
 
@@ -41,7 +40,7 @@ def test_trivial_psi_rejected():
 def test_averaged_twisted_trace_is_the_gauss_sum(p, e):
     ctx = build_tower(p, e)
     psi = AdditiveCharacter(ctx, 1)
-    assert averaged_unipotent_trace(ctx, psi) == gauss_sum(ctx, psi)
+    assert character_difference_at_unipotent(ctx, 1, psi) == gauss_sum(ctx, psi)
 
 
 @pytest.mark.parametrize("p,e", [(3, 1), (5, 1)])
@@ -90,8 +89,9 @@ def test_untwisted_trace_unrolls_to_the_eta_sum():
 def test_verify_reads_each_plain_trace_only_where_it_counts(monkeypatch):
     """At q = 5, verify reads T(zeta) once per zeta for the constant-q
     check and once more for n = 2, and T_u(zeta) once per zeta for each
-    of the averaged trace and n = 1, 2: 6 + 6 + 6 + 12 = 30 calls.  The
-    n = 1 difference needs no T(zeta), since T^0 = 1."""
+    of n = 1 and 2: 6 + 6 + 12 = 24 calls.  The n = 1 difference needs
+    no T(zeta), since T^0 = 1, and it is also the averaged trace, so it
+    is computed once for both of its checks."""
     from ffverify import howe, traces
     calls = []
     real = traces.sheaf_trace_A2
@@ -103,4 +103,4 @@ def test_verify_reads_each_plain_trace_only_where_it_counts(monkeypatch):
     monkeypatch.setattr(traces, "sheaf_trace_A2", counted)
     monkeypatch.setattr(howe, "sheaf_trace_A2", counted)
     assert howe.verify_all(2, 5, 1, 3)["all_passed"]
-    assert len(calls) == 30
+    assert len(calls) == 24

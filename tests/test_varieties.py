@@ -7,7 +7,6 @@ import pytest
 
 from ffverify import (BudgetExceededError, VarietySpec, build_tower,
                       count_points, count_points_naive, counts_to_csv,
-                      dickson_sl2_quotient_count, dickson_u_quotient_count,
                       varieties)
 from ffverify.cli import main
 from ffverify.fields import TowerContext
@@ -213,35 +212,6 @@ def test_xprime_fibers_over_artin_schreier_values(p, e):
                     if acc == target:
                         brute += 1
         assert direct == brute
-
-
-@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2)])
-@pytest.mark.parametrize("n", [1, 2, 3])
-@pytest.mark.parametrize("level", [1, 2, 4])
-def test_dickson_quotients(p, e, n, level):
-    ctx = build_tower(p, e)
-    N = ctx.levels[level].size
-    assert dickson_sl2_quotient_count(ctx, n, level) == N ** (2 * n - 1)
-    if n == 1:
-        assert dickson_u_quotient_count(ctx, 1, level) == N - 1
-
-
-def test_dickson_u_quotient_n2():
-    # {s1 t1 + s2 t2 = 1} in A^4, checked against brute enumeration
-    ctx = build_tower(2, 1)
-    for level in (1, 2):
-        count = dickson_u_quotient_count(ctx, 2, level)
-        lv = ctx.levels[level]
-        els = list(lv.elements())
-        brute = 0
-        for s1 in els:
-            for t1 in els:
-                for s2 in els:
-                    for t2 in els:
-                        v = lv.add(lv.mul(s1, t1), lv.mul(s2, t2))
-                        if v == lv.one:
-                            brute += 1
-        assert count == brute
 
 
 def test_surface_and_boundary_counts():
