@@ -122,11 +122,6 @@ class DihedralClass(NamedTuple):
     size: int
     element_order: int
 
-    def label(self) -> str:
-        if self.kind == "rot":
-            return f"r{self.rep}"
-        return f"s{self.rep}"
-
 
 class DihedralIrrep(NamedTuple):
     kind: str          # "one" or "two"
@@ -237,26 +232,6 @@ class CharacterTable(NamedTuple):
         return _gram_ok(self.conductor, cols,
                         [[v.conjugate() for v in col] for col in cols],
                         [Fraction(self.group_order(), c.size) for c in self.classes])
-
-    def to_json(self) -> dict:
-        return {
-            "q": self.q,
-            "mode": self.mode,
-            "ell": self.ell,
-            "conductor": self.conductor,
-            "group_order": self.group_order(),
-            "classes": [
-                {"label": c.label(), "kind": c.kind, "rep": c.rep,
-                 "size": c.size, "element_order": c.element_order}
-                for c in self.classes
-            ],
-            "irreps": [
-                {"label": r.label(), "kind": r.kind, "xi": r.xi,
-                 "kappa": r.kappa, "dim": r.dim}
-                for r in self.irreps
-            ],
-            "values": [[v.to_json() for v in row] for row in self.values],
-        }
 
 
 def o_minus_table(q: int, mode: str = "ordinary",

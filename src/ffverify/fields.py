@@ -6,16 +6,16 @@ polynomial of the right degree (coefficients compared low-degree-first).
 An element is the integer encoding sum(c_i * p^i) of its coefficient
 vector over F_p, low degree first.  Encodings are the interface of this
 module: Level computes on them through its log and Zech tables, the
-tower embeds them through tables, and the encoding order is the total
-order used everywhere a "least" or "sorted" choice is needed.
+tower embeds F_q in F_{q^2} through a table, and the encoding order is
+the total order used everywhere a "least" or "sorted" choice is needed,
+such as the root of the modulus of F_q that defines that embedding.
 The Artin-Schreier extension K encodes its elements the same way, so
 that the encodings below q^2 are F_{q^2} itself.  Coefficient tuples
-stay inside Level, the embedding tables and varieties.count_points_naive.
+stay inside Level, embedding_table and varieties.count_points_naive.
 """
 
 from __future__ import annotations
 
-import itertools
 import operator
 from functools import lru_cache
 from math import gcd
@@ -221,56 +221,32 @@ def reduce_mod_p(p: int, cols, m: int):
     over F_p, kept for solve_reduced so that every right-hand side
     reuses it.
 
-    Returns (ops, pivots, offsets).  ops[i] is column i of the m x m
-    matrix T of row operations, T A in reduced form: it is read off
-    the identity columns that row_reduce carries along.  pivots are the
-    pivot columns, and offsets every F_p-combination of the kernel
-    basis, the free variables taken in column order by
-    itertools.product(range(p)).
+    Returns (ops, pivots).  ops[i] is column i of the m x m matrix T of
+    row operations, T A in reduced form: it is read off the identity
+    columns that row_reduce carries along.  pivots are the pivot columns.
     """
     n = len(cols)
     rows = [[c[i] % p for c in cols] + [int(i == j) for j in range(m)]
             for i in range(m)]
     pivots = row_reduce(rows, n, lambda a: pow(a, p - 2, p), lambda a: a % p)
-    ops = [[row[n + i] for row in rows] for i in range(m)]
-    kernel = []
-    for fc in (c for c in range(n) if c not in pivots):
-        vec = [0] * n
-        vec[fc] = 1
-        for row, col in zip(rows, pivots):
-            vec[col] = -row[fc] % p
-        kernel.append(vec)
-    offsets = []
-    for combo in itertools.product(range(p), repeat=len(kernel)):
-        vec = [0] * n
-        for coeff, kv in zip(combo, kernel):
-            if coeff:
-                vec = [(v + coeff * k) % p for v, k in zip(vec, kv)]
-        offsets.append(vec)
-    return ops, pivots, offsets
+    return [[row[n + i] for row in rows] for i in range(m)], pivots
 
 
-def solve_reduced(p: int, reduction, rhs) -> list[list[int]]:
-    """Every solution x of A x = rhs over F_p, for the reduction of A by
-    reduce_mod_p: the particular solution (free variables 0) plus each
-    kernel offset in turn; [] if the system is inconsistent."""
-    ops, pivots, offsets = reduction
+def solve_reduced(p: int, reduction, rhs, n: int) -> list[int] | None:
+    """The solution x in F_p^n of A x = rhs with every free variable 0,
+    for the reduction of A by reduce_mod_p; None if the system is
+    inconsistent."""
+    ops, pivots = reduction
     b = [0] * len(ops)
     for op, bi in zip(ops, rhs):  # b = T rhs, over the nonzero entries
         if bi % p:
             b = [x + bi * t for x, t in zip(b, op)]
     if any(x % p for x in b[len(pivots):]):
-        return []
-    particular = [0] * len(offsets[0])
-    for x, col in zip(b, pivots):
-        particular[col] = x % p
-    return [[(x + o) % p for x, o in zip(particular, off)] for off in offsets]
-
-
-def solve_mod_p(p: int, cols, rhs) -> list[list[int]]:
-    """Every solution x of sum_j x_j cols[j] = rhs over F_p, in the order
-    of solve_reduced; [] if the system is inconsistent."""
-    return solve_reduced(p, reduce_mod_p(p, cols, len(rhs)), rhs)
+        return None
+    x = [0] * n
+    for bi, col in zip(b, pivots):
+        x[col] = bi % p
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -417,24 +393,17 @@ class Level:
     def elements(self):
         return (self.decode(k) for k in range(self.size))
 
-    def eval_intpoly_at(self, f, a):
-        """Evaluate a polynomial with F_p integer coefficients at a."""
-        acc = self.zero
-        for c in reversed(f):
-            acc = self.add(self.mul(acc, a), self._pad((c % self.p,)))
-        return acc
-
 
 # ---------------------------------------------------------------------------
-# The tower: levels, and the embeddings between them as tables.
+# The tower: levels, and the embedding of F_q in F_{q^2} as a table.
 
-def embedding_table(root, lo: Level, hi: Level) -> list[int]:
+def embedding_table(root: int, lo: Level, hi: Level) -> list[int]:
     """The encoding in hi of each lo encoding, in encoding order.
 
-    root is a root in hi of lo's modulus, so the embedding is the
-    F_p-linear map sending x^i to root^i.
+    root is the hi encoding of a root in hi of lo's modulus, so the
+    embedding is the F_p-linear map sending x^i to root^i.
     """
-    pows = [hi.one]
+    root, pows = hi.decode(root), [hi.one]
     for _ in range(lo.degree - 1):
         pows.append(hi.mul(pows[-1], root))
     p, coords = hi.p, list(zip(*pows))  # coords[j][i]: coordinate j of root^i
@@ -443,7 +412,8 @@ def embedding_table(root, lo: Level, hi: Level) -> list[int]:
 
 
 class TowerContext:
-    """The tower F_p < F_q < F_{q^2} < F_{q^4} and its embedding tables.
+    """The tower F_p < F_q < F_{q^2} < F_{q^4} and the embedding table of
+    F_q in F_{q^2}.
 
     Immutable after construction apart from its caches; all operations
     are pure.  Level keys are the degree over F_q: 1, 2 and 4, and every
@@ -465,10 +435,8 @@ class TowerContext:
         self.e = e
         self.q = q
         self.levels = lv = {k: Level(p, e * k) for k in self.KEYS}
-        # Embeddings by root-finding; embed builds those into level 4,
-        # which only level-4 callers read, on first use.
-        self._up = {(1, 2): embedding_table(
-            self._find_root(lv[1].modulus, lv[2]), lv[1], lv[2])}
+        self._embedding = embedding_table(
+            self._find_root(lv[1].modulus, lv[2]), lv[1], lv[2])
         # Filled on first use by fixed_points: the Artin-Schreier
         # coordinate field, the blind scan's absolute model and the
         # fixed point grid of each endomorphism variant.
@@ -483,50 +451,23 @@ class TowerContext:
         return f"TowerContext(p={self.p}, e={self.e})"
 
     @staticmethod
-    def _find_root(f, level: Level):
-        """The root of least encoding in level of the irreducible f.
+    def _find_root(f, level: Level) -> int:
+        """The encoding of the least root in level of f, a polynomial with
+        coefficients in F_p: the first encoding, in encoding order, at
+        which f vanishes by Horner's rule on encodings.  A coefficient
+        c < p is its own encoding."""
+        mul, add = level.mul_enc, level.add_enc
+        for a in range(level.size):
+            acc = 0
+            for c in reversed(f):
+                acc = add(mul(acc, a), c)
+            if not acc:
+                return a
+        raise FieldError("modulus has no root in the upper level")
 
-        The roots lie in the subfield F_{p^m}, m = deg f, which is the
-        kernel of the F_p-linear map x -> x^{p^m} - x.  The kernel is
-        walked in the order of solve_mod_p up to the first root r, and
-        the least encoding among r, r^p, ..., r^{p^(m-1)} is returned.
-        That is the least root: f has its coefficients in F_p, so
-        f(x^p) = f(x)^p and each r^{p^i} is a root; r generates F_{p^m}
-        over F_p, so these m powers are distinct (Lidl and Niederreiter,
-        Finite Fields, Thm. 2.14); and f has at most m roots.  The orbit
-        is therefore the set of all roots.
-        """
-        m = len(f) - 1
-        units = (level.decode(level.p ** i) for i in range(level.degree))
-        cols = [level.sub(level.pow(b, level.p ** m), b) for b in units]
-        root = next((a for a in map(tuple, solve_mod_p(level.p, cols, level.zero))
-                     if level.eval_intpoly_at(f, a) == level.zero), None)
-        if root is None:
-            raise FieldError("modulus has no root in the upper level")
-        orbit = [root]
-        for _ in range(m - 1):
-            orbit.append(level.pow(orbit[-1], level.p))
-        return min(orbit, key=level.encode)
-
-    # -- embeddings -----------------------------------------------------------
-
-    def embed(self, k: int, lo: int, hi: int) -> int:
-        """The level-hi encoding of the level-lo encoding k.
-
-        The first call with hi = 4 builds the 2->4 table, and the 1->4
-        table as the composite through level 2, so that commutativity
-        holds by construction.
-        """
-        self.levels[lo].check_enc(k)
-        if lo == hi:
-            return k
-        if hi == 4 and (2, 4) not in self._up:
-            lv = self.levels
-            up24 = embedding_table(self._find_root(lv[2].modulus, lv[4]),
-                                   lv[2], lv[4])
-            self._up[2, 4] = up24
-            self._up[1, 4] = [up24[j] for j in self._up[1, 2]]
-        return self._up[lo, hi][k]
+    def embed(self, k: int) -> int:
+        """The level-2 encoding of the level-1 encoding k."""
+        return self._embedding[self.levels[1].check_enc(k)]
 
     # -- named operations -----------------------------------------------------
 
@@ -589,9 +530,8 @@ def build_tower(p: int, e: int) -> TowerContext:
 
     A process-wide singleton, so that the caches on the tower are shared
     by every caller: the log tables, K, the blind scan's model, the fixed
-    point grid, the counting spectra of one (level, slot width), and the
-    2->4 and 1->4 embedding tables, built on the first embed into level
-    4.  Apart from those caches the tower is immutable.
+    point grid and the counting spectra of one (level, slot width).
+    Apart from those caches the tower is immutable.
     """
     return TowerContext(p, e)
 
@@ -771,18 +711,22 @@ class ArtinSchreierExtension:
 
     def solve_affine(self, zeta, rhs):
         """Every x in K with x^q - zeta x = rhs, for zeta in mu_{q+1} a
-        level-2 encoding, in the order of solve_reduced (empty if there
-        are none).  The map is F_p-linear; the F_p-coordinates of an
-        element are the base-p digits of its encoding, and p^i is the
-        i-th basis vector.  The map of each zeta is reduced once and kept
-        on K, at most q + 1 reductions per tower."""
+        level-2 encoding (empty if there are none): x0 + a for a in
+        coset(zeta), in the order of a, with x0 the solution of
+        solve_reduced.  The map is F_p-linear with kernel coset(zeta);
+        the F_p-coordinates of an element are the base-p digits of its
+        encoding, and p^i is the i-th basis vector.  The map of each zeta
+        is reduced once and kept on K, at most q + 1 reductions per
+        tower."""
+        p, dim = self.p, self.dim
         reduction = self._solvers.get(zeta)
         if reduction is None:
             self.check_mu(zeta)
-            p, dim = self.p, self.dim
             cols = [_digits(self.sub(self.frob(p ** i), self.mul(zeta, p ** i)),
                             p, dim) for i in range(dim)]
             reduction = self._solvers[zeta] = reduce_mod_p(p, cols, dim)
-        return [_undigits(vec, self.p)
-                for vec in solve_reduced(self.p, reduction,
-                                         _digits(rhs, self.p, self.dim))]
+        x0 = solve_reduced(p, reduction, _digits(rhs, p, dim), dim)
+        if x0 is None:
+            return []
+        x0 = _undigits(x0, p)
+        return [self.add(x0, a) for a, _ in self.coset(zeta)]

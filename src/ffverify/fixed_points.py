@@ -10,8 +10,10 @@ zeta in mu_{q+1}:
 Fixed points in the affine chart Z3 = 1 satisfy x^{q^2} = x - 2y (with
 the unipotent part), hence x^{q^{2p}} = x: their coordinates live in
 F_{q^{2p}}, realized here as the Artin-Schreier extension of F_{q^2}.
-The solver enumerates the defining equation systems by small F_p-linear
-solves and re-verifies every reported point by direct substitution.
+The solver enumerates the defining equation systems: each affine
+equation x^q - zeta x = r has one solution from an F_p-linear solve,
+plus its kernel, the coset {a in F_{q^2} : a^q = zeta a}.  Every
+reported point is re-verified by direct substitution.
 """
 
 from __future__ import annotations
@@ -113,7 +115,7 @@ def fixed_points_surface(ctx: TowerContext, eta: int, zeta: int,
     K.check_mu(zeta)
     lv2 = ctx.levels[2]
     mul, neg = lv2.mul_enc, lv2.neg_enc
-    eta2 = ctx.embed(eta, 1, 2)
+    eta2 = ctx.embed(eta)
 
     points = []
     sigma_counts = {}
@@ -146,7 +148,7 @@ def fixed_points_surface(ctx: TowerContext, eta: int, zeta: int,
         # Stratum 2: [x : y : 1 : 0] with x, y in the same coset.
         s2 = [(x, y, 1, 0) for x, _ in coset for y, _ in coset]
         # Stratum 3: the rational line [Z0 : Z1 : 0 : 0] over F_q.
-        s3 = [(1, ctx.embed(a, 1, 2), 0, 0) for a in range(ctx.q)]
+        s3 = [(1, ctx.embed(a), 0, 0) for a in range(ctx.q)]
         s3.append((0, 1, 0, 0))
         strata = {"sigma1": s1, "sigma2": s2, "sigma3": s3}
 
@@ -224,8 +226,9 @@ def fixed_point_grid(ctx: TowerContext, with_unipotent: bool) -> dict:
 # identically and the differential of (map - id) is -id, which is
 # invertible.
 
-def differential_vanishes(ctx: TowerContext, with_unipotent: bool) -> bool:
-    """True when every formal partial of every chart component is 0 mod p.
+def differential_vanishes(ctx: TowerContext) -> bool:
+    """True when every formal partial of every chart component of either
+    endomorphism is 0 mod p.
 
     On the chart Z3 = 1 the components are (x + y)^q (x^q without the
     unipotent part), y^q and (z + eta)^q, up to the factor zeta, which
@@ -283,7 +286,7 @@ def blind_fixed_point_count(ctx: TowerContext, eta: int, zeta: int,
         raise BudgetExceededError("blind enumeration field too large")
     F, emb = _absolute_model(ctx, d)
     add, mul, neg = F.add_enc, F.mul_enc, F.neg_enc
-    ek = emb[ctx.embed(eta, 1, 2)]
+    ek = emb[ctx.embed(eta)]
     zk = emb[zeta]
 
     frob = F.power_map(q)

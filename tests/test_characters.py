@@ -258,13 +258,6 @@ def test_tables_live_in_q_zeta_q_plus_1(q):
         assert {v.m for row in table.values for v in row} == {q + 1}
 
 
-def test_table_json_schema():
-    blob = o_minus_table(3, "ordinary").to_json()
-    assert set(blob) >= {"q", "mode", "classes", "irreps", "values"}
-    assert len(blob["values"]) == len(blob["irreps"])
-    assert all(len(row) == len(blob["classes"]) for row in blob["values"])
-
-
 def test_mode_validation():
     with pytest.raises(CharacterError):
         o_minus_table(3, "weird")

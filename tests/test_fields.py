@@ -14,7 +14,8 @@ from ffverify.fixed_points import coordinate_extension
 from ffverify.fields import (ArtinSchreierExtension, Level, TowerContext,
                              _digits, _is_irreducible, embedding_table,
                              is_prime, least_irreducible, poly_mod, poly_mul,
-                             poly_powmod, power, prime_factors, solve_mod_p)
+                             poly_powmod, power, prime_factors, reduce_mod_p,
+                             row_reduce, solve_reduced)
 
 # (p, e) of every tower with q <= 16.
 TOWERS = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (5, 1), (7, 1),
@@ -184,31 +185,21 @@ def test_encoding_roundtrip(pe, k):
 @pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1)])
 def test_embedding_is_ring_homomorphism(p, e):
     ctx = build_tower(p, e)
-    lv1 = ctx.levels[1]
+    lv1, lv2 = ctx.levels[1], ctx.levels[2]
     for a in range(ctx.q):
         for b in range(ctx.q):
-            for key in (2, 4):
-                lv, ea, eb = ctx.levels[key], ctx.embed(a, 1, key), ctx.embed(b, 1, key)
-                assert ctx.embed(lv1.add_enc(a, b), 1, key) == lv.add_enc(ea, eb)
-                assert ctx.embed(lv1.mul_enc(a, b), 1, key) == lv.mul_enc(ea, eb)
-
-
-@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (5, 1)])
-def test_embedding_commutes_through_middle_level(p, e):
-    ctx = build_tower(p, e)
-    images = set()
-    for a in range(ctx.q):
-        via_mid = ctx.embed(ctx.embed(a, 1, 2), 2, 4)
-        assert ctx.embed(a, 1, 4) == via_mid
-        images.add(via_mid)
+            ea, eb = ctx.embed(a), ctx.embed(b)
+            assert ctx.embed(lv1.add_enc(a, b)) == lv2.add_enc(ea, eb)
+            assert ctx.embed(lv1.mul_enc(a, b)) == lv2.mul_enc(ea, eb)
     # embed is injective: each a is the only preimage of its image
-    assert len(images) == ctx.q
+    assert len({ctx.embed(a) for a in range(ctx.q)}) == ctx.q
 
 
 def _embedding_table_by_sums(root, lo, hi):
     """embedding_table as it was: the image of each lo element summed
-    term by term, c_i root^i through hi's tuple arithmetic."""
-    pows = [hi.one]
+    term by term, c_i root^i through hi's tuple arithmetic; root is an
+    encoding."""
+    root, pows = hi.decode(root), [hi.one]
     for _ in range(lo.degree - 1):
         pows.append(hi.mul(pows[-1], root))
     table = []
@@ -224,27 +215,14 @@ def _embedding_table_by_sums(root, lo, hi):
 @pytest.mark.parametrize("p,e", TOWERS)
 def test_embedding_tables_match_the_term_by_term_route(p, e):
     """The direct F_p-linear combination against the sum of scaled
-    powers, and the tower's tables against both, at every tower with
+    powers, and the tower's table against both, at every tower with
     q <= 16."""
     ctx = build_tower(p, e)
-    for lo, hi in ((1, 2), (2, 4)):
-        a, b = ctx.levels[lo], ctx.levels[hi]
-        root = TowerContext._find_root(a.modulus, b)
-        table = embedding_table(root, a, b)
-        assert table == _embedding_table_by_sums(root, a, b)
-        assert table == [ctx.embed(k, lo, hi) for k in range(a.size)]
-
-
-def test_level_four_embeddings_are_built_on_first_use():
-    ctx = TowerContext(2, 4)  # not the shared tower: its tables are unbuilt
-    assert set(ctx._up) == {(1, 2)}
-    with pytest.raises(FieldError):
-        ctx.embed(ctx.q ** 2, 2, 4)
-    assert set(ctx._up) == {(1, 2)}
-    ctx.embed(ctx.q, 2, 4)
-    assert set(ctx._up) == {(1, 2), (2, 4), (1, 4)}
-    for a in range(ctx.q):
-        assert ctx.embed(a, 1, 4) == ctx.embed(ctx.embed(a, 1, 2), 2, 4)
+    a, b = ctx.levels[1], ctx.levels[2]
+    root = TowerContext._find_root(a.modulus, b)
+    table = embedding_table(root, a, b)
+    assert table == _embedding_table_by_sums(root, a, b)
+    assert table == [ctx.embed(k) for k in range(a.size)]
 
 
 @pytest.mark.parametrize("p,e", [(3, 1), (2, 2), (5, 1)])
@@ -268,7 +246,7 @@ def test_norm_and_trace_of_f_q2_land_in_f_q(p, e):
     ctx = build_tower(p, e)
     q, lv = ctx.q, ctx.levels[2]
     frob = lv.power_map(q)
-    f_q = {ctx.embed(b, 1, 2): b for b in range(q)}  # the image of embed
+    f_q = {ctx.embed(b): b for b in range(q)}  # the image of embed
     norm = {}
     for a in range(lv.size):
         n = lv.mul_enc(a, frob[a])
@@ -447,7 +425,7 @@ def test_epsilon_sets_partition_sizes(p, e):
     plus = eps_set(1)    # a + a^q = 0
     minus = eps_set(-1)  # a - a^q = 0, i.e. F_q itself
     assert len(plus) == q and len(minus) == q
-    assert minus == {ctx.embed(a, 1, 2) for a in range(q)}
+    assert minus == {ctx.embed(a) for a in range(q)}
     for a in minus:
         assert frob[a] == a
     for a in plus:
@@ -482,8 +460,7 @@ def test_legendre_rejected_in_characteristic_two():
 
 # Each entry point that takes an element, with the level of that element.
 _ENTRY_POINTS = {
-    "embed-1-2": (1, lambda ctx, k: ctx.embed(k, 1, 2)),
-    "embed-2-4": (2, lambda ctx, k: ctx.embed(k, 2, 4)),
+    "embed-1-2": (1, lambda ctx, k: ctx.embed(k)),
     "legendre": (1, lambda ctx, k: ctx.legendre(k)),
     "discrete_log_mu": (2, lambda ctx, k: ctx.discrete_log_mu(k, ctx.q + 1)),
     "trace_to_prime-1": (1, lambda ctx, k: ctx.trace_to_prime(k, 1)),
@@ -534,7 +511,7 @@ def test_artin_schreier_extension_structure(p, e):
 
 def _linear_system(p, case, rnd):
     """(cols, rhs) of a small system over F_p; entries are drawn from
-    [-p, 2p) so that solve_mod_p has to reduce them."""
+    [-p, 2p) so that reduce_mod_p and solve_reduced have to reduce them."""
     def vec(m):
         return [rnd.randrange(-p, 2 * p) for _ in range(m)]
 
@@ -570,10 +547,45 @@ def _image_rank(p, cols, m):
     return rank
 
 
+def _solve_mod_p(p, cols, rhs):
+    """Every solution x of sum_j x_j cols[j] = rhs over F_p, [] if there
+    is none: the kernel-offset solver the package used before its affine
+    solves read their kernel off coset, kept as the reference.  The
+    augmented matrix is row-reduced, the particular solution has every
+    free variable 0, and each F_p-combination of the kernel basis is
+    added to it, the free variables taken in column order by
+    itertools.product(range(p))."""
+    n = len(cols)
+    rows = [[c[i] % p for c in cols] + [b % p] for i, b in enumerate(rhs)]
+    pivots = row_reduce(rows, n, lambda a: pow(a, p - 2, p), lambda a: a % p)
+    if any(row[n] for row in rows[len(pivots):]):
+        return []
+    particular = [0] * n
+    for row, col in zip(rows, pivots):
+        particular[col] = row[n]
+    kernel = []
+    for fc in (c for c in range(n) if c not in pivots):
+        vec = [0] * n
+        vec[fc] = 1
+        for row, col in zip(rows, pivots):
+            vec[col] = -row[fc] % p
+        kernel.append(vec)
+    sols = []
+    for combo in itertools.product(range(p), repeat=len(kernel)):
+        vec = particular
+        for coeff, kv in zip(combo, kernel):
+            vec = [(v + coeff * k) % p for v, k in zip(vec, kv)]
+        sols.append(vec)
+    return sols
+
+
 @pytest.mark.parametrize("case", ["full-rank", "rank-deficient", "wide",
                                   "tall", "inconsistent"])
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_solve_mod_p_against_a_brute_scan(p, case):
+    """reduce_mod_p, solve_reduced and the kernel-offset reference against
+    every x in F_p^n: solve_reduced gives the solution whose free
+    variables are 0, or None, and the pivots give the rank."""
     rnd = random.Random(f"{p}-{case}")
     for _ in range(5):
         cols, rhs = _linear_system(p, case, rnd)
@@ -581,58 +593,62 @@ def test_solve_mod_p_against_a_brute_scan(p, case):
         brute = [list(xs) for xs in itertools.product(range(p), repeat=n)
                  if all(sum(x * c[i] for x, c in zip(xs, cols)) % p == b % p
                         for i, b in enumerate(rhs))]
-        sols = solve_mod_p(p, cols, rhs)
-        assert sorted(sols) == brute
+        assert sorted(_solve_mod_p(p, cols, rhs)) == brute
+        reduction = reduce_mod_p(p, cols, m)
+        pivots = reduction[1]
+        x = solve_reduced(p, reduction, rhs, n)
         rank = _image_rank(p, cols, m)
+        assert len(pivots) == rank
         if case == "inconsistent":
-            assert sols == []
+            assert x is None and brute == []
         else:
-            assert len(sols) == p ** (n - rank)
-            assert len({tuple(x) for x in sols}) == len(sols)
+            assert x in brute
+            assert all(x[c] == 0 for c in range(n) if c not in pivots)
+            assert len(brute) == p ** (n - rank)
         if case == "full-rank":
             assert rank == n
         if case == "rank-deficient":
             assert rank < n
 
 
+def _is_root(f, level, k):
+    """f(a) == 0 for the element a of encoding k, by Horner's rule
+    through the tuple Level.add and Level.mul; a coefficient c < p
+    decodes to the constant c."""
+    a, acc = level.decode(k), level.zero
+    for c in reversed(f):
+        acc = level.add(level.mul(acc, a), level.decode(c))
+    return acc == level.zero
+
+
 def _first_root_by_scan(f, level):
-    for k in range(level.size):
-        a = level.decode(k)
-        if level.eval_intpoly_at(f, a) == level.zero:
-            return a
-
-
-# The scan of F_{2^16} for the level-2 modulus of the (2, 4) tower takes
-# seconds; this is the encoding of its first root.
-_PINNED_FIRST_ROOTS = {(2, 4, 4): 16845}
+    """The tuple Horner scan: the first encoding at which f vanishes."""
+    return next(k for k in range(level.size) if _is_root(f, level, k))
 
 
 @pytest.mark.parametrize("p,e", TOWERS)
 def test_find_root_is_the_first_root_in_encoding_order(p, e):
     ctx = build_tower(p, e)
-    for lo, hi in ((1, 2), (2, 4)):
-        f, level = ctx.levels[lo].modulus, ctx.levels[hi]
-        root = TowerContext._find_root(f, level)
-        pinned = _PINNED_FIRST_ROOTS.get((p, e, hi))
-        if pinned is None:
-            assert root == _first_root_by_scan(f, level)
-        else:
-            assert level.encode(root) == pinned
+    f, level = ctx.levels[1].modulus, ctx.levels[2]
+    assert TowerContext._find_root(f, level) == _first_root_by_scan(f, level)
 
 
 @pytest.mark.parametrize("p,e", TOWERS)
 def test_find_root_has_an_orbit_of_deg_f_roots(p, e):
-    """The p-power orbit of the root is deg f distinct roots, so the
-    least encoding over it is the least root."""
+    """The Frobenius-orbit route the root finder once took, kept as a
+    second route to the least root: the p-power orbit of the root is
+    deg f distinct roots of f, hence every root (f has at most deg f),
+    and the root is its least encoding."""
     ctx = build_tower(p, e)
-    for lo, hi in ((1, 2), (2, 4)):
-        f, level = ctx.levels[lo].modulus, ctx.levels[hi]
-        orbit = [TowerContext._find_root(f, level)]
-        for _ in range(len(f) - 1):
-            orbit.append(level.pow(orbit[-1], p))
-        assert orbit[-1] == orbit[0]
-        assert len(set(orbit)) == len(f) - 1
-        assert all(level.eval_intpoly_at(f, a) == level.zero for a in orbit)
+    f, level = ctx.levels[1].modulus, ctx.levels[2]
+    frob = level.power_map(p)
+    orbit = [TowerContext._find_root(f, level)]
+    for _ in range(len(f) - 1):
+        orbit.append(frob[orbit[-1]])
+    assert orbit[-1] == orbit[0]
+    assert len(set(orbit)) == len(f) - 1
+    assert all(_is_root(f, level, k) for k in orbit)
+    assert orbit[0] == min(orbit)
 
 
 @pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2)])
@@ -645,8 +661,9 @@ def test_find_root_in_the_blind_scan_model(p, e):
 
 def test_tower_build_does_not_scan_the_top_level(monkeypatch):
     """Building the q = 16 tower stays far below the ~152k Level.mul
-    calls of a root scan over F_{16^4}, and below the ~2.6k of a build
-    that tests all 256 elements of F_{16^2} for a root."""
+    calls of a tuple root scan over F_{16^4}: the root of the level-1
+    modulus is scanned for on the encodings of F_{16^2}, through its
+    log tables."""
     calls = 0
     mul = Level.mul
 
@@ -684,10 +701,11 @@ def test_artin_schreier_solve_affine(p, e):
 @pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1),
                                  (2, 3), (3, 2)])
 def test_solve_affine_matches_solve_mod_p_on_the_map_columns(p, e):
-    """For every zeta in mu_{q+1}, the kept reduction of x -> x^q - zeta x
-    against solve_mod_p on that map's columns, built here from K.pow:
-    the same list in the same order, for right-hand sides in the image
-    and outside it.  Each solution is substituted back."""
+    """For every zeta in mu_{q+1} at q <= 9, one solution plus coset(zeta)
+    against the kernel-offset reference _solve_mod_p on the columns of
+    x -> x^q - zeta x, built here from K.pow: the same solutions, for
+    right-hand sides in the image and outside it.  Each solution is
+    substituted back."""
     ctx = build_tower(p, e)
     K = ArtinSchreierExtension(ctx)
     q, dim = ctx.q, K.dim
@@ -707,9 +725,9 @@ def test_solve_affine_matches_solve_mod_p_on_the_map_columns(p, e):
                 K.add(f(rnd.randrange(p ** dim)), 1)]
         for rhs in rhss:
             expected = [sum(x * p ** i for i, x in enumerate(vec))
-                        for vec in solve_mod_p(p, cols, digits(rhs))]
+                        for vec in _solve_mod_p(p, cols, digits(rhs))]
             sols = K.solve_affine(zeta, rhs)
-            assert sols == expected
+            assert sorted(sols) == sorted(expected)
             assert len(sols) in (0, q)
             inconsistent += not sols
             for x in sols:

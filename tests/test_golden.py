@@ -26,6 +26,9 @@ CLI_CASES = [
     # the benchmark's own fixed-points job, and a larger odd q
     ("fixed-points_p5.json", ["fixed-points", "--p", "5", "--format", "json"]),
     ("fixed-points_p7.csv", ["fixed-points", "--p", "7", "--format", "csv"]),
+    # e > 1: the embedding of F_q in F_{q^2} is not the identity
+    ("fixed-points_p2_e2.csv",
+     ["fixed-points", "--p", "2", "--e", "2", "--format", "csv"]),
     ("verify_p3_n2_ell5.json",
      ["verify", "--p", "3", "--n", "2", "--ell", "5", "--format", "json"]),
     ("verify_p3_n2_ell5.md",
@@ -63,6 +66,8 @@ CLI_CASES = [
 SCRIPT_CASES = [
     ("fixed_point_grid_p3_blind.txt", ["--p", "3", "--blind"]),
     ("fixed_point_grid_p2.txt", ["--p", "2"]),
+    # the blind model embeds a degree-4 modulus in F_{2^8}
+    ("fixed_point_grid_p2_e2_blind.txt", ["--p", "2", "--e", "2", "--blind"]),
 ]
 
 
