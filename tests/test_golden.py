@@ -1,7 +1,9 @@
 """Byte-identical stdout for a fixed matrix of CLI and script calls.
 
-The files under `tests/golden/` pin the exact output; a refactor that
-changes a single byte of it fails here.
+The files under `tests/golden/` pin the exact output, and
+`tests/golden/howe_tables/` the files that `build_howe_tables.py`
+writes by default; a refactor that changes a single byte of it fails
+here.
 """
 
 import os
@@ -48,6 +50,13 @@ CLI_CASES = [
     ("count_p3_torsor_n2_level2.json",
      ["count", "--p", "3", "--torsor", "--n", "2", "--level", "2",
       "--format", "json"]),
+    # the ratio line follows the markdown table
+    ("count_p3_torsor_n2_level2.md",
+     ["count", "--p", "3", "--torsor", "--n", "2", "--level", "2",
+      "--format", "md"]),
+    ("count_p3_n2_level2.json",
+     ["count", "--p", "3", "--variety", "Ytilde", "X", "S", "Y", "--n", "2",
+      "--level", "2", "--format", "json"]),
     ("count_p3_e2_all_n2_level2.csv",
      ["count", "--p", "3", "--e", "2", "--variety", *ALL_KINDS, "--n", "2",
       "--level", "2", "--format", "csv"]),
@@ -59,6 +68,11 @@ CLI_CASES = [
       "--level", "4", "--format", "csv"]),
     ("howe_p5_n2_ell3.md",
      ["howe", "--p", "5", "--n", "2", "--ell", "3", "--format", "md"]),
+    # ell = 3 divides q + 1 = 6: the table has the extension row
+    ("howe_p5_n2_ell3.json",
+     ["howe", "--p", "5", "--n", "2", "--ell", "3", "--format", "json"]),
+    ("howe_p5_n2.json", ["howe", "--p", "5", "--n", "2", "--format", "json"]),
+    ("howe_p5_n2.md", ["howe", "--p", "5", "--n", "2", "--format", "md"]),
     ("gauss_p5.json", ["gauss", "--p", "5", "--format", "json"]),
     ("gauss_p5.md", ["gauss", "--p", "5", "--format", "md"]),
 ]
@@ -82,11 +96,27 @@ def test_cli_stdout_matches_golden(name, argv, capsys):
 @pytest.mark.parametrize("name,argv", SCRIPT_CASES,
                          ids=[c[0] for c in SCRIPT_CASES])
 def test_fixed_point_grid_script_matches_golden(name, argv):
+    proc = run_script("fixed_point_grid.py", argv)
+    assert proc.stdout == (GOLDEN / name).read_text()
+
+
+def test_build_howe_tables_default_files_match_golden(tmp_path):
+    """The script's default parameter set, file by file."""
+    run_script("build_howe_tables.py", ["--outdir", str(tmp_path)])
+    expected = sorted(p.name for p in (GOLDEN / "howe_tables").iterdir())
+    assert sorted(p.name for p in tmp_path.iterdir()) == expected
+    for name in expected:
+        assert ((tmp_path / name).read_text()
+                == (GOLDEN / "howe_tables" / name).read_text()), name
+
+
+def run_script(name, argv):
+    """Run scripts/<name> with src/ on the path; it must exit 0."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "fixed_point_grid.py")] + argv,
+        [sys.executable, str(ROOT / "scripts" / name)] + argv,
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == (GOLDEN / name).read_text()
+    return proc
