@@ -8,7 +8,8 @@ Writes one markdown file per parameter triple into the output directory
 import argparse
 import os
 
-from ffverify import compare_semisimplifications, theta_mod_ell, theta_ordinary
+from ffverify import (compare_semisimplifications, markdown_table,
+                      theta_mod_ell, theta_ordinary)
 
 DEFAULT_PARAMS = [(2, 2, 3), (2, 3, 5), (2, 4, 5), (3, 2, 3)]
 
@@ -16,16 +17,13 @@ DEFAULT_PARAMS = [(2, 2, 3), (2, 3, 5), (2, 4, 5), (3, 2, 3)]
 def render(n, q, ell):
     parts = [theta_ordinary(n, q).to_markdown(),
              theta_mod_ell(n, q, ell).to_markdown()]
-    rows = compare_semisimplifications(n, q, ell)
-    lines = ["# Semisimplification comparison", "",
-             "| pi | dim Theta(pi) | reduction | dim Theta(ss) | deficit "
-             "| exceptional |",
-             "| --- | --- | --- | --- | --- | --- |"]
-    for r in rows:
-        red = " + ".join(f"{m} x {lab}" for lab, m in r["reduction"])
-        lines.append(f"| {r['pi']} | {r['dim_theta_pi']} | {red} "
-                     f"| {r['dim_theta_ss']} | {r['deficit']} "
-                     f"| {'yes' if r['exceptional'] else 'no'} |")
+    lines = ["# Semisimplification comparison", ""] + markdown_table(
+        ("pi", "dim Theta(pi)", "reduction", "dim Theta(ss)", "deficit",
+         "exceptional"),
+        [(r["pi"], r["dim_theta_pi"],
+          " + ".join(f"{m} x {lab}" for lab, m in r["reduction"]),
+          r["dim_theta_ss"], r["deficit"], "yes" if r["exceptional"] else "no")
+         for r in compare_semisimplifications(n, q, ell)])
     parts.append("\n".join(lines) + "\n")
     return "\n".join(parts)
 

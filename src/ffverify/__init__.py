@@ -6,7 +6,7 @@ from .fields import (ArtinSchreierExtension, FieldError, TowerContext,
 from .cyclotomic import (AdditiveCharacter, CycError, CycNumber, conductor,
                          gauss_sum, nu_sign)
 from .varieties import (BudgetExceededError, VarietySpec, count_points,
-                        count_points_naive, counts_to_csv)
+                        count_points_naive)
 from .fixed_points import (FixedPointReport, GridCell,
                            blind_fixed_point_count, closed_form_fixed_count,
                            differential_vanishes, fixed_point_grid,
@@ -20,8 +20,8 @@ from .characters import (CharacterError, CharacterTable, DihedralClass,
                          dim_v_isotypic, dim_w_isotypic, ell_parts,
                          ell_regular_classes, o_minus_table, ordinary_irreps)
 from .howe import (HoweEntry, HoweTable, compare_semisimplifications,
-                   report_to_markdown, theta_mod_ell, theta_ordinary,
-                   verify_all)
+                   markdown_table, report_to_markdown, theta_mod_ell,
+                   theta_ordinary, verify_all)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

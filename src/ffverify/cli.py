@@ -4,6 +4,8 @@ Subcommands: count, verify, howe, gauss, fixed-points.  Output is
 deterministic (byte-identical across runs for the same arguments).
 Exit codes: 0 success, 1 verification failure, 2 usage or budget error,
 3 internal error (an exception the tool does not expect).
+Each cmd_* returns its exit code and its text; main writes the text to
+stdout or to --output.
 The environment variable FFVERIFY_OUTDIR sets the default directory for
 --output paths that are not absolute.
 """
@@ -19,10 +21,10 @@ from .fields import FieldError, build_tower, is_prime
 from .cyclotomic import (AdditiveCharacter, CycError, CycNumber, conductor,
                          gauss_sum)
 from .varieties import (BudgetExceededError, VarietySpec, VARIETY_KINDS,
-                        count_points, counts_to_csv)
+                        count_points)
 from .fixed_points import fixed_point_grid
-from .howe import (report_to_markdown, theta_mod_ell, theta_ordinary,
-                   verify_all)
+from .howe import (markdown_table, report_to_markdown, theta_mod_ell,
+                   theta_ordinary, verify_all)
 from .characters import CharacterError
 
 
@@ -68,7 +70,14 @@ def _check_ell(ell: int, p: int):
                          f"p = {p}")
 
 
-def cmd_count(args) -> int:
+def _csv(header, rows) -> str:
+    """CSV text: the header line and one line per row.  No field needs
+    quoting: every value is a name, an int or a bool."""
+    return "\n".join([",".join(header)]
+                     + [",".join(map(str, row)) for row in rows]) + "\n"
+
+
+def cmd_count(args):
     if args.torsor and args.level != 2:
         raise UsageError("--torsor checks the count ratio q+1, which "
                          "holds over F_{q^2} only: use --level 2")
@@ -76,6 +85,7 @@ def cmd_count(args) -> int:
     # a count that grows with n is at most N^(2n+1), N = q^level (X')
     _check_n(args.n, ctx.q ** args.level, 2 * args.n + 1)
     kinds = ("Y", "Ytilde") if args.torsor else args.variety
+    header = ("variety", "n", "level", "count")
     rows = [(kind, args.n, args.level,
              count_points(ctx, VarietySpec(kind, args.n), args.level,
                           args.budget)) for kind in kinds]
@@ -85,7 +95,7 @@ def cmd_count(args) -> int:
         ok = base * (ctx.q + 1) == cover
         ratio = f"ratio = {cover}/{base} (q+1 = {ctx.q + 1})\n"
     if args.format == "json":
-        out = [dict(zip(("variety", "n", "level", "count"), r)) for r in rows]
+        out = [dict(zip(header, r)) for r in rows]
         if args.torsor:
             out = {"rows": out,
                    "ratio": (cover // base if base and cover % base == 0
@@ -93,28 +103,24 @@ def cmd_count(args) -> int:
                    "ratio_equals_q_plus_1": ok}
         text = _json_dumps(out)
     elif args.format == "md":
-        lines = ["| variety | n | level | count |", "| --- | --- | --- | --- |"]
-        lines += [f"| {k} | {n} | {lv} | {c} |" for k, n, lv, c in rows]
         # the ratio line is plain text: "# ratio" would be a heading
-        text = "\n".join(lines) + "\n" + ("\n" + ratio if args.torsor else "")
+        text = ("\n".join(markdown_table(header, rows)) + "\n"
+                + ("\n" + ratio if args.torsor else ""))
     else:
-        text = counts_to_csv(rows) + ("# " + ratio if args.torsor else "")
-    _emit(args, text)
-    return 0 if ok else 1
+        text = _csv(header, rows) + ("# " + ratio if args.torsor else "")
+    return (0 if ok else 1), text
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args):
     _check_ell(args.ell, args.p)
     _check_n(args.n, build_tower(args.p, args.e).q, 2 * args.n)
     report = verify_all(args.n, args.p, args.e, args.ell)
-    if args.format == "md":
-        _emit(args, report_to_markdown(report))
-    else:
-        _emit(args, _json_dumps(report))
-    return 0 if report["all_passed"] else 1
+    text = (report_to_markdown(report) if args.format == "md"
+            else _json_dumps(report))
+    return (0 if report["all_passed"] else 1), text
 
 
-def cmd_howe(args) -> int:
+def cmd_howe(args):
     if not is_prime(args.p) or args.e < 1:
         raise UsageError(f"q = p^e needs a prime p and e >= 1, "
                          f"got p = {args.p}, e = {args.e}")
@@ -124,40 +130,37 @@ def cmd_howe(args) -> int:
     else:
         _check_ell(args.ell, args.p)
         table = theta_mod_ell(args.n, args.p ** args.e, args.ell)
-    if args.format == "md":
-        _emit(args, table.to_markdown())
-    else:
-        _emit(args, _json_dumps(table.to_json()))
-    return 0 if all(c["pass"] for c in table.checks) else 1
+    text = (table.to_markdown() if args.format == "md"
+            else _json_dumps(table.to_json()))
+    return (0 if all(c["pass"] for c in table.checks) else 1), text
 
 
-def cmd_gauss(args) -> int:
+def cmd_gauss(args):
     ctx = build_tower(args.p, args.e)
     if ctx.p == 2:
         raise UsageError("quadratic Gauss sums need odd characteristic")
     m = conductor(ctx)
-    out = {"q": ctx.q, "conductor": m, "sums": [], "identity_holds": True}
     sign = ctx.legendre(ctx.p - 1)  # -1 has encoding p - 1
     expected_sq = CycNumber.from_rational(m, sign * ctx.q)
+    sums = []
     for a in range(1, ctx.q):
-        psi = AdditiveCharacter(ctx, a)
-        g = gauss_sum(ctx, psi)
-        ok = g * g == expected_sq
-        out["sums"].append({"a": a, "gauss": g.to_json(),
-                            "square_identity": ok})
-        out["identity_holds"] = out["identity_holds"] and ok
+        g = gauss_sum(ctx, AdditiveCharacter(ctx, a))
+        sums.append({"a": a, "gauss": g.to_json(),
+                     "square_identity": g * g == expected_sq})
+    ok = all(row["square_identity"] for row in sums)
     if args.format == "md":
-        lines = [f"# Gauss sums, q = {ctx.q}", "",
-                 "| a | G(psi_a)^2 = (-1|F_q) q |", "| --- | --- |"]
-        lines += [f"| {row['a']} | {'yes' if row['square_identity'] else 'no'} |"
-                  for row in out["sums"]]
-        _emit(args, "\n".join(lines) + "\n")
+        lines = [f"# Gauss sums, q = {ctx.q}", ""] + markdown_table(
+            ("a", "G(psi_a)^2 = (-1|F_q) q"),
+            [(row["a"], "yes" if row["square_identity"] else "no")
+             for row in sums])
+        text = "\n".join(lines) + "\n"
     else:
-        _emit(args, _json_dumps(out))
-    return 0 if out["identity_holds"] else 1
+        text = _json_dumps({"q": ctx.q, "conductor": m, "sums": sums,
+                            "identity_holds": ok})
+    return (0 if ok else 1), text
 
 
-def cmd_fixed_points(args) -> int:
+def cmd_fixed_points(args):
     ctx = build_tower(args.p, args.e)
     q = ctx.q
     rows = [{
@@ -172,22 +175,18 @@ def cmd_fixed_points(args) -> int:
         for (eta, zeta), cell in fixed_point_grid(ctx, with_u).items()]
     all_ok = all(r["match"] for r in rows)
     if args.format == "csv":
-        lines = ["with_unipotent,eta,zeta,total,closed_form,match"]
-        lines += [f"{r['with_unipotent']},{r['eta']},{r['zeta']},"
-                  f"{r['total']},{r['closed_form']},{r['match']}"
-                  for r in rows]
-        _emit(args, "\n".join(lines) + "\n")
+        header = ("with_unipotent", "eta", "zeta", "total", "closed_form",
+                  "match")
+        text = _csv(header, [[r[k] for k in header] for r in rows])
     elif args.format == "md":
-        lines = [f"# Fixed point grid, q = {q}", "",
-                 "| u | eta | zeta | total | closed form | match |",
-                 "| --- | --- | --- | --- | --- | --- |"]
-        lines += [f"| {r['with_unipotent']} | {r['eta']} | {r['zeta']} "
-                  f"| {r['total']} | {r['closed_form']} "
-                  f"| {'yes' if r['match'] else 'no'} |" for r in rows]
-        _emit(args, "\n".join(lines) + "\n")
+        lines = [f"# Fixed point grid, q = {q}", ""] + markdown_table(
+            ("u", "eta", "zeta", "total", "closed form", "match"),
+            [(r["with_unipotent"], r["eta"], r["zeta"], r["total"],
+              r["closed_form"], "yes" if r["match"] else "no") for r in rows])
+        text = "\n".join(lines) + "\n"
     else:
-        _emit(args, _json_dumps({"q": q, "rows": rows, "all_match": all_ok}))
-    return 0 if all_ok else 1
+        text = _json_dumps({"q": q, "rows": rows, "all_match": all_ok})
+    return (0 if all_ok else 1), text
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -248,7 +247,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        code, text = args.func(args)
+        _emit(args, text)
+        return code
     except (BudgetExceededError, UsageError, FieldError, CycError,
             CharacterError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -11,12 +11,11 @@ the total order used everywhere a "least" or "sorted" choice is needed,
 such as the root of the modulus of F_q that defines that embedding.
 The Artin-Schreier extension K encodes its elements the same way, so
 that the encodings below q^2 are F_{q^2} itself.  Coefficient tuples
-stay inside Level, embedding_table and varieties.count_points_naive.
+stay inside Level and varieties.count_points_naive.
 """
 
 from __future__ import annotations
 
-import operator
 from functools import lru_cache
 from math import gcd
 
@@ -376,6 +375,14 @@ class Level:
     def neg_enc(self, i: int) -> int:
         return self.mul_enc(i, self.p - 1)  # -1 has encoding p - 1
 
+    def eval_enc(self, f, x: int) -> int:
+        """f(x) by Horner's rule, for f a polynomial over F_p, low degree
+        first (a coefficient c < p is its own encoding), at the encoding x."""
+        acc = 0
+        for c in reversed(f):
+            acc = self.add_enc(self.mul_enc(acc, x), c)
+        return acc
+
     def power_map(self, n: int) -> list[int]:
         """The encodings of x^n (n >= 0), x in encoding order."""
         exp, log = self._log_tables or self.log_tables()
@@ -401,14 +408,11 @@ def embedding_table(root: int, lo: Level, hi: Level) -> list[int]:
     """The encoding in hi of each lo encoding, in encoding order.
 
     root is the hi encoding of a root in hi of lo's modulus, so the
-    embedding is the F_p-linear map sending x^i to root^i.
+    embedding sends a to the value at root of the polynomial whose
+    coefficients are the base-p digits of a.
     """
-    root, pows = hi.decode(root), [hi.one]
-    for _ in range(lo.degree - 1):
-        pows.append(hi.mul(pows[-1], root))
-    p, coords = hi.p, list(zip(*pows))  # coords[j][i]: coordinate j of root^i
-    return [hi.encode([sum(map(operator.mul, a, col)) % p for col in coords])
-            for a in lo.elements()]
+    return [hi.eval_enc(_digits(a, lo.p, lo.degree), root)
+            for a in range(lo.size)]
 
 
 class TowerContext:
@@ -454,14 +458,9 @@ class TowerContext:
     def _find_root(f, level: Level) -> int:
         """The encoding of the least root in level of f, a polynomial with
         coefficients in F_p: the first encoding, in encoding order, at
-        which f vanishes by Horner's rule on encodings.  A coefficient
-        c < p is its own encoding."""
-        mul, add = level.mul_enc, level.add_enc
+        which f vanishes."""
         for a in range(level.size):
-            acc = 0
-            for c in reversed(f):
-                acc = add(mul(acc, a), c)
-            if not acc:
+            if not level.eval_enc(f, a):
                 return a
         raise FieldError("modulus has no root in the upper level")
 
@@ -719,6 +718,8 @@ class ArtinSchreierExtension:
         is reduced once and kept on K, at most q + 1 reductions per
         tower."""
         p, dim = self.p, self.dim
+        if not 0 <= rhs < p ** dim:
+            raise FieldError(f"{rhs} is not an encoding of F_{p ** dim}")
         reduction = self._solvers.get(zeta)
         if reduction is None:
             self.check_mu(zeta)

@@ -35,17 +35,11 @@ class HoweEntry(NamedTuple):
     provenance: dict
 
     def to_json(self) -> dict:
-        return {
-            "tau": {"label": self.tau.label(), "kind": self.tau.kind,
-                    "xi": self.tau.xi, "kappa": self.tau.kappa,
-                    "dim": self.tau.dim},
-            "dim": self.dim,
-            "status": self.status,
-            "constituents": [{"dim": d, "label": lab}
-                             for d, lab in self.constituents],
-            "lusztig_note": self.lusztig_note,
-            "provenance": self.provenance,
-        }
+        tau = self.tau
+        return {**self._asdict(),
+                "tau": {**tau._asdict(), "label": tau.label(), "dim": tau.dim},
+                "constituents": [{"dim": d, "label": lab}
+                                 for d, lab in self.constituents]}
 
 
 class HoweTable(NamedTuple):
@@ -65,30 +59,42 @@ class HoweTable(NamedTuple):
         }
 
     def to_markdown(self) -> str:
-        lines = []
         title = f"Theta table: n={self.n}, q={self.q}, mode={self.mode}"
         if self.ell is not None:
             title += f", ell={self.ell}"
-        lines.append(f"# {title}")
-        lines.append("")
-        lines.append("| tau | dim(tau) | dim(Theta(tau)) | status | constituents |")
-        lines.append("| --- | --- | --- | --- | --- |")
-        for e in self.entries:
-            cons = "; ".join(f"{lab} ({d})" for d, lab in e.constituents) or "-"
-            lines.append(f"| {e.tau.label()} | {e.tau.dim} | {e.dim} "
-                         f"| {e.status} | {cons} |")
+        lines = [f"# {title}", ""] + markdown_table(
+            ("tau", "dim(tau)", "dim(Theta(tau))", "status", "constituents"),
+            [(e.tau.label(), e.tau.dim, e.dim, e.status,
+              "; ".join(f"{lab} ({d})" for d, lab in e.constituents) or "-")
+             for e in self.entries])
         if self.checks:
-            lines.append("")
-            lines += _checks_markdown(self.checks)
-        lines.append("")
-        return "\n".join(lines)
+            lines += [""] + _checks_markdown(self.checks)
+        return "\n".join(lines + [""])
 
 
-def _note(tau: DihedralIrrep, q: int) -> str:
+def _check(name, expected, actual) -> dict:
+    """The record of one check: its name, the raw values and whether
+    they are equal."""
+    return {"name": name, "expected": expected, "actual": actual,
+            "pass": expected == actual}
+
+
+def _entry(n: int, q: int, tau: DihedralIrrep, extension: bool) -> HoweEntry:
+    """The row of tau in a theta table.  With extension, Theta(tau) is a
+    nontrivial extension of the trivial representation by the kernel of
+    the invariant functional."""
+    dim = dim_w_isotypic(n, q, IsotypicLabel(tau.xi, tau.kappa))
     if tau.kind == "one":
         series = "unipotent" if tau.xi == 0 else "quadratic"
-        return f"series:{series}|fr:{tau.kappa}"
-    return f"series:orbit{tau.xi}"
+        note = f"series:{series}|fr:{tau.kappa}"
+    else:
+        note = f"series:orbit{tau.xi}"
+    constituents = ([(dim - 1, "kernel of the invariant functional"),
+                     (1, "trivial")] if extension else [])
+    return HoweEntry(tau, dim,
+                     "nontrivial-extension" if extension else "irreducible",
+                     constituents, note,
+                     {"dim": "computed", "status": "asserted-by-paper"})
 
 
 def theta_ordinary(n: int, q: int) -> HoweTable:
@@ -96,58 +102,26 @@ def theta_ordinary(n: int, q: int) -> HoweTable:
     if n < 2:
         raise CharacterError("n must be at least 2")
     char_of(q)  # rejects a q that is not a prime power
-    entries = []
-    for tau in ordinary_irreps(q):
-        dim = dim_w_isotypic(n, q, IsotypicLabel(tau.xi, tau.kappa))
-        entries.append(HoweEntry(
-            tau=tau, dim=dim, status="irreducible", constituents=[],
-            lusztig_note=_note(tau, q),
-            provenance={"dim": "computed", "status": "asserted-by-paper"},
-        ))
-    table = HoweTable(n, q, "ordinary", None, entries, [])
-    total = sum(e.dim * e.tau.dim for e in table.entries)
-    table.checks.append({
-        "name": "total-dimension",
-        "expected": q ** (2 * n),
-        "actual": total,
-        "pass": total == q ** (2 * n),
-    })
-    return table
+    entries = [_entry(n, q, tau, False) for tau in ordinary_irreps(q)]
+    total = sum(e.dim * e.tau.dim for e in entries)
+    return HoweTable(n, q, "ordinary", None, entries,
+                     [_check("total-dimension", q ** (2 * n), total)])
 
 
 def theta_mod_ell(n: int, q: int, ell: int) -> HoweTable:
     """Mod-l table over the Brauer parametrization; n >= 2."""
     if n < 2:
         raise CharacterError("n must be at least 2")
-    la, r = ell_parts(q, ell)
-    entries = []
-    for tau in brauer_irreps(q, ell):
-        dim = dim_w_isotypic(n, q, IsotypicLabel(tau.xi, tau.kappa))
-        status = "irreducible"
-        constituents = []
-        if la > 1 and tau.kind == "one" and tau.xi == 0 and tau.kappa == "+":
-            status = "nontrivial-extension"
-            constituents = [(dim - 1, "kernel of the invariant functional"),
-                            (1, "trivial")]
-        entries.append(HoweEntry(
-            tau=tau, dim=dim, status=status, constituents=constituents,
-            lusztig_note=_note(tau, q),
-            provenance={"dim": "computed", "status": "asserted-by-paper"},
-        ))
-    table = HoweTable(n, q, "mod-ell", ell, entries, [])
-    square = len(brauer_irreps(q, ell)) == len(ell_regular_classes(q, ell))
-    table.checks.append({
-        "name": "brauer-parametrization-square",
-        "expected": True, "actual": square, "pass": square,
-    })
-    for e in table.entries:
-        if e.constituents:
-            s = sum(d for d, _ in e.constituents)
-            table.checks.append({
-                "name": f"constituent-sum:{e.tau.label()}",
-                "expected": e.dim, "actual": s, "pass": s == e.dim,
-            })
-    return table
+    la = ell_parts(q, ell)[0]
+    irreps = brauer_irreps(q, ell)
+    entries = [_entry(n, q, tau, la > 1 and tau == DihedralIrrep("one", 0, "+"))
+               for tau in irreps]
+    checks = [_check("brauer-parametrization-square", True,
+                     len(irreps) == len(ell_regular_classes(q, ell)))]
+    checks += [_check(f"constituent-sum:{e.tau.label()}", e.dim,
+                      sum(d for d, _ in e.constituents))
+               for e in entries if e.constituents]
+    return HoweTable(n, q, "mod-ell", ell, entries, checks)
 
 
 def compare_semisimplifications(n: int, q: int, ell: int) -> list[dict]:
@@ -192,11 +166,6 @@ def compare_semisimplifications(n: int, q: int, ell: int) -> list[dict]:
 # ---------------------------------------------------------------------------
 # The global verifier.
 
-def _check(name, expected, actual):
-    return {"name": name, "expected": str(expected), "actual": str(actual),
-            "pass": expected == actual}
-
-
 def verify_all(n: int, p: int, e: int, ell: int) -> dict:
     """Run every desk-scale identity for the given parameters.
 
@@ -210,36 +179,27 @@ def verify_all(n: int, p: int, e: int, ell: int) -> dict:
             f"different from the characteristic {p}")
     if n < 2:
         raise CharacterError("n must be at least 2")
-    checks = []
-
-    # character tables
     tab = o_minus_table(q, "ordinary")
-    checks.append(_check("ordinary-row-orthogonality", True,
-                         tab.row_orthogonality_ok()))
-    checks.append(_check("ordinary-column-orthogonality", True,
-                         tab.column_orthogonality_ok()))
-    checks.append(_check("ordinary-class-count", len(tab.classes),
-                         len(tab.irreps)))
-
-    ordinary = theta_ordinary(n, q)
-    checks.append(_check("theta-total-dimension", q ** (2 * n),
-                         sum(en.dim * en.tau.dim for en in ordinary.entries)))
-
-    checks.append(_check("brauer-table-square",
-                         len(ell_regular_classes(q, ell)),
-                         len(brauer_irreps(q, ell))))
-    checks.append(_check("brauer-decomposition-integrality", True, not any(
-        isinstance(d, str) for d in brauer_decompositions(q, ell).values())))
-
+    checks = [
+        _check("ordinary-row-orthogonality", True, tab.row_orthogonality_ok()),
+        _check("ordinary-column-orthogonality", True,
+               tab.column_orthogonality_ok()),
+        _check("ordinary-class-count", len(tab.classes), len(tab.irreps)),
+        {**theta_ordinary(n, q).checks[0], "name": "theta-total-dimension"},
+        _check("brauer-table-square", len(ell_regular_classes(q, ell)),
+               len(brauer_irreps(q, ell))),
+        _check("brauer-decomposition-integrality", True, not any(
+            isinstance(d, str) for d in brauer_decompositions(q, ell).values())),
+    ]
     modular = theta_mod_ell(n, q, ell)
-    la, r = ell_parts(q, ell)
-    has_ext = any(en.status == "nontrivial-extension"
-                  for en in modular.entries)
-    checks.append(_check("extension-flag-iff-ell-divides",
-                         la > 1, has_ext))
+    la = ell_parts(q, ell)[0]
     rows = compare_semisimplifications(n, q, ell)
-    checks.append(_check("semisimplification-deficit-pattern", True,
-                         all(r["deficit_matches"] for r in rows)))
+    checks += [
+        _check("extension-flag-iff-ell-divides", la > 1, any(
+            en.status == "nontrivial-extension" for en in modular.entries)),
+        _check("semisimplification-deficit-pattern", True,
+               all(r["deficit_matches"] for r in rows)),
+    ]
 
     if la == 1:
         same = all(
@@ -282,23 +242,35 @@ def verify_all(n: int, p: int, e: int, ell: int) -> dict:
 
     return {
         "params": {"n": n, "p": p, "e": e, "q": q, "ell": ell},
-        "checks": checks,
+        # a CycNumber has no JSON form: the report holds the str of each value
+        "checks": [{**c, "expected": str(c["expected"]),
+                    "actual": str(c["actual"])} for c in checks],
         "all_passed": all(c["pass"] for c in checks),
     }
 
 
+# ---------------------------------------------------------------------------
+# Markdown.
+
+def markdown_table(header, rows) -> list[str]:
+    """The lines of a markdown table: the header, the rule and one line
+    per row, each cell the str of its value.  The package's one writer
+    of markdown table rows."""
+    return (["| " + " | ".join(header) + " |",
+             "| " + " | ".join(["---"] * len(header)) + " |"]
+            + ["| " + " | ".join(map(str, row)) + " |" for row in rows])
+
+
 def _checks_markdown(checks) -> list[str]:
     """The lines of the markdown table of checks."""
-    lines = ["| check | expected | actual | pass |", "| --- | --- | --- | --- |"]
-    return lines + [f"| {c['name']} | {c['expected']} | {c['actual']} "
-                    f"| {'yes' if c['pass'] else 'no'} |" for c in checks]
+    return markdown_table(("check", "expected", "actual", "pass"), [
+        (c["name"], c["expected"], c["actual"], "yes" if c["pass"] else "no")
+        for c in checks])
 
 
 def report_to_markdown(report: dict) -> str:
     lines = ["# Verification report", "",
              f"Parameters: {json.dumps(report['params'])}", ""]
     lines += _checks_markdown(report["checks"])
-    lines.append("")
-    lines.append(f"All passed: {'yes' if report['all_passed'] else 'no'}")
-    lines.append("")
+    lines += ["", f"All passed: {'yes' if report['all_passed'] else 'no'}", ""]
     return "\n".join(lines)

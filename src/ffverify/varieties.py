@@ -337,13 +337,3 @@ def count_points_naive(ctx: TowerContext, spec: VarietySpec, level: int,
         return count
     raise ValueError(f"no naive enumerator for kind {kind!r}")
 
-
-# ---------------------------------------------------------------------------
-# Export.
-
-def counts_to_csv(rows) -> str:
-    """rows: iterable of (kind, n, level, count).  No field needs CSV
-    quoting: kinds are VARIETY_KINDS names and the rest are ints."""
-    lines = ["variety,n,level,count"]
-    lines += [f"{kind},{n},{level},{count}" for kind, n, level, count in rows]
-    return "\n".join(lines) + "\n"

@@ -749,6 +749,16 @@ def test_solve_affine_rejects_zeta_outside_mu():
     assert K._solvers == {} and K._cosets == {}
 
 
+def test_solve_affine_rejects_rhs_outside_k():
+    """rhs = 3^6, one past the last encoding of K at q = 3, would read
+    as 0 from its low digits, and a negative rhs as digits p - 1."""
+    K = ArtinSchreierExtension(build_tower(3, 1))
+    assert K.solve_affine(1, 3 ** 6 - 1) is not None  # the last encoding
+    for rhs in (3 ** 6, -1):
+        with pytest.raises(FieldError, match="is not an encoding"):
+            K.solve_affine(1, rhs)
+
+
 @pytest.mark.parametrize("p,e", TOWERS)
 def test_coset_is_the_kernel_of_the_map(p, e):
     """coset(zeta) lists the a of F_{q^2} with a^q = zeta a in encoding

@@ -1,8 +1,9 @@
 """Source hygiene of the package: no module imports a name it never uses,
 every import sits at module level, one function holds the square-and-
-multiply loop, every division is exact, importing the command line
-tool loads no module it does not need, and every public function and
-class is reached from the package, its scripts or its benchmark."""
+multiply loop, one function writes markdown table rows, every division
+is exact, importing the command line tool loads no module it does not
+need, and every public function and class is reached from the package,
+its scripts or its benchmark."""
 
 import ast
 import os
@@ -125,6 +126,51 @@ def test_one_square_and_multiply():
              for path in sorted(SRC.glob("*.py"))}
     assert {name: f for name, f in found.items() if f} == {
         "fields.py": ["power"]}
+
+
+def table_row_strings(source: str) -> list[str]:
+    """The string constants (f-string parts included) that start with
+    "| " or contain "| ---", the marks of a markdown table row, as
+    "f (line n)" with f the dotted name of the innermost enclosing class
+    or function ("<module>" at top level), in source order."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Constant) and isinstance(child.value, str)
+                    and (child.value.startswith("| ")
+                         or "| ---" in child.value)):
+                found.append(f"{scope or '<module>'} (line {child.lineno})")
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef,
+                                  ast.AsyncFunctionDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+            else:
+                visit(child, scope)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_table_row_strings_are_found():
+    source = ("HEAD = '| a | b |'\n"
+              "class T:\n"
+              "    def md(self, x):\n"
+              "        return [f'| {x} |', 'rule: | --- |', 'a | b', '|x']\n"
+              "def csv(x):\n"
+              "    return f'{x},|,| '\n")
+    assert table_row_strings(source) == [
+        "<module> (line 1)", "T.md (line 4)", "T.md (line 4)"]
+
+
+def test_one_markdown_table_writer():
+    """howe.markdown_table writes every markdown table of the package
+    and its scripts; no other code spells a table row."""
+    found = {path.relative_to(ROOT).as_posix(): [
+        f.split(" ")[0] for f in table_row_strings(path.read_text())]
+        for top in ("src", "scripts") for path in sorted(
+            (ROOT / top).rglob("*.py"))}
+    assert {name: sorted(set(f)) for name, f in found.items() if f} == {
+        "src/ffverify/howe.py": ["markdown_table"]}
 
 
 def inexact_divisions(source: str) -> list[str]:

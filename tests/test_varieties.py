@@ -6,8 +6,7 @@ from collections import Counter
 import pytest
 
 from ffverify import (BudgetExceededError, VarietySpec, build_tower,
-                      count_points, count_points_naive, counts_to_csv,
-                      varieties)
+                      count_points, count_points_naive, varieties)
 from ffverify.cli import main
 from ffverify.fields import TowerContext
 
@@ -260,10 +259,3 @@ def test_budget_spent_does_not_depend_on_the_cache(capsys):
                  "--level", "4", "--budget", "10"]) == 2
     assert "budget" in capsys.readouterr().err
 
-
-def test_csv_export():
-    text = counts_to_csv([("Ytilde", 2, 2, 63), ("Y", 2, 2, 21)])
-    lines = text.strip().split("\n")
-    assert lines[0] == "variety,n,level,count"
-    assert lines[1] == "Ytilde,2,2,63"
-    assert lines[2] == "Y,2,2,21"
