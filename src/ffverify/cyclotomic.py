@@ -35,7 +35,7 @@ def _intpoly_divexact(num, den):
             for i, d in enumerate(den):
                 num[k + i] -= c * d
     if any(num[:len(den) - 1]):
-        raise CycError("inexact polynomial division")
+        raise ArithmeticError("inexact polynomial division")
     return out
 
 
@@ -262,7 +262,7 @@ class CycNumber:
         row_reduce(rows, deg, lambda a: Fraction(1) / a, lambda a: a)
         result = CycNumber(self.m, [row[deg] for row in rows])
         if not (result * self == CycNumber.from_rational(self.m, 1)):
-            raise CycError("inverse verification failed")
+            raise ArithmeticError("inverse verification failed")
         return result
 
     def to_json(self):
@@ -296,9 +296,14 @@ class AdditiveCharacter:
 
 
 def nu_sign(ctx: TowerContext, zeta: int) -> int:
+    """nu(zeta) = (-1)^mu_index(zeta), nu the character of order 2 of
+    mu_{q+1}, for p odd.  nu(h^i) = (-1)^i for a generator h, well
+    defined as q + 1 is even.  h = (g^(q-1))^j with j prime to the even
+    q + 1, so j is odd, and h^i = (g^(q-1))^(ij mod q+1) has an index of
+    the parity of i: any generator gives the same nu."""
     if ctx.p == 2:
         raise FieldError("the quadratic character of mu_{q+1} needs p odd")
-    return -1 if ctx.discrete_log_mu(zeta, ctx.q + 1) % 2 else 1
+    return -1 if ctx.mu_index(zeta) % 2 else 1
 
 
 def gauss_sum(ctx: TowerContext, psi: AdditiveCharacter) -> CycNumber:

@@ -17,7 +17,6 @@ stay inside Level and varieties.count_points_naive.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd
 
 
 class FieldError(ValueError):
@@ -152,7 +151,7 @@ def least_irreducible(p: int, d: int):
             continue
         if _is_irreducible(f, p):
             return f
-    raise FieldError(f"no irreducible polynomial of degree {d} over F_{p}")
+    raise ArithmeticError(f"no irreducible polynomial of degree {d} over F_{p}")
 
 
 # ---------------------------------------------------------------------------
@@ -419,9 +418,9 @@ class TowerContext:
     """The tower F_p < F_q < F_{q^2} < F_{q^4} and the embedding table of
     F_q in F_{q^2}.
 
-    Immutable after construction apart from its caches; all operations
-    are pure.  Level keys are the degree over F_q: 1, 2 and 4, and every
-    element is the integer encoding of its level.
+    Immutable after construction apart from the tables that table()
+    keeps; all operations are pure.  Level keys are the degree over F_q:
+    1, 2 and 4, and every element is the integer encoding of its level.
     """
 
     KEYS = (1, 2, 4)
@@ -441,18 +440,22 @@ class TowerContext:
         self.levels = lv = {k: Level(p, e * k) for k in self.KEYS}
         self._embedding = embedding_table(
             self._find_root(lv[1].modulus, lv[2]), lv[1], lv[2])
-        # Filled on first use by fixed_points: the Artin-Schreier
-        # coordinate field, the blind scan's absolute model and the
-        # fixed point grid of each endomorphism variant.
-        self._coordinate_ext = None
-        self._abs_field = None
-        self._grid_cache = {}
-        # Filled on first use by varieties: {(level key, slot width):
-        # {masses: spectrum}}, for one (level key, slot width) at a time.
-        self._spectra = {}
+        self._tables = {}
 
     def __repr__(self):
         return f"TowerContext(p={self.p}, e={self.e})"
+
+    def table(self, key, build):
+        """The table kept on this tower under key, made by build() the
+        first time key is asked for; a build that raises keeps nothing.
+        Every table derived from a tower lives here: K and its reduction,
+        coset and coset pairs per zeta, the blind scan's model, the fixed
+        point grids and the counting spectra.  The log and Zech tables
+        stay on each Level, as the blind scan's model has no tower."""
+        tables = self._tables
+        if key not in tables:
+            tables[key] = build()
+        return tables[key]
 
     @staticmethod
     def _find_root(f, level: Level) -> int:
@@ -462,7 +465,7 @@ class TowerContext:
         for a in range(level.size):
             if not level.eval_enc(f, a):
                 return a
-        raise FieldError("modulus has no root in the upper level")
+        raise ArithmeticError("modulus has no root in the upper level")
 
     def embed(self, k: int) -> int:
         """The level-2 encoding of the level-1 encoding k."""
@@ -480,37 +483,29 @@ class TowerContext:
             acc = lv.add_enc(acc, k)
             k = frob[k]
         if acc >= self.p:  # F_p is the encodings below p
-            raise FieldError("trace did not land in the prime field")
+            raise ArithmeticError("trace did not land in the prime field")
         return acc
 
-    def _mu_step(self, m: int) -> int:
-        """(q^2 - 1) / m: mu_m is generated by g^step, g the primitive
-        element of F_{q^2} read off log_tables."""
+    def enumerate_mu(self, m: int) -> list[int]:
+        """mu_m as level-2 encodings, in encoding order: the powers of
+        g^((q^2 - 1) / m), g the primitive element read off log_tables."""
         order = self.q * self.q - 1
         if m < 1 or order % m != 0:
             raise FieldError(f"m = {m} does not divide q^2 - 1")
-        return order // m
-
-    def enumerate_mu(self, m: int) -> list[int]:
-        """mu_m as level-2 encodings, in encoding order."""
         exp, _ = self.levels[2].log_tables()
-        return sorted(exp[::self._mu_step(m)])
+        return sorted(exp[::order // m])
 
-    def mu_generator(self, m: int) -> int:
-        """The generator of mu_m of least encoding."""
-        step = self._mu_step(m)
-        exp, _ = self.levels[2].log_tables()
-        return min(exp[j * step] for j in range(m) if gcd(j, m) == 1)
-
-    def discrete_log_mu(self, zeta: int, m: int) -> int:
-        """k with mu_generator(m)^k = zeta, a level-2 encoding."""
-        step = self._mu_step(m)
+    def mu_index(self, zeta: int) -> int:
+        """The k in range(q + 1) with zeta = (g^(q-1))^k, for zeta a
+        level-2 encoding and g the primitive element of F_{q^2} read off
+        log_tables; FieldError unless zeta is in mu_{q+1}.  mu_{q+1} is
+        the subgroup of index q - 1 of F_{q^2}^*, the powers of g whose
+        exponent is a multiple of q - 1, so g^(q-1) generates it."""
         _, log = self.levels[2].log_tables()
         w = log[self.levels[2].check_enc(zeta)]
-        if w is None or w % step:
-            raise FieldError("element is not in mu_m")
-        j = log[self.mu_generator(m)] // step
-        return w // step * pow(j, -1, m) % m
+        if w is None or w % (self.q - 1):
+            raise FieldError("zeta must lie in mu_{q+1}")
+        return w // (self.q - 1)
 
     def legendre(self, k: int) -> int:
         """(k | F_q) for the level-1 encoding k: the squares of F_q^* are
@@ -527,10 +522,9 @@ class TowerContext:
 def build_tower(p: int, e: int) -> TowerContext:
     """Deterministic tower for q = p^e.
 
-    A process-wide singleton, so that the caches on the tower are shared
-    by every caller: the log tables, K, the blind scan's model, the fixed
-    point grid and the counting spectra of one (level, slot width).
-    Apart from those caches the tower is immutable.
+    A process-wide singleton, so that what the tower keeps is shared by
+    every caller: the log tables of its levels, and the tables of
+    TowerContext.table.  Apart from those the tower is immutable.
     """
     return TowerContext(p, e)
 
@@ -563,7 +557,7 @@ class ArtinSchreierExtension:
         self.c = next((k for k in range(base.size) if tower.trace_to_prime(k, 2)),
                       None)
         if self.c is None:
-            raise FieldError("no element of nonzero absolute trace")
+            raise ArithmeticError("no element of nonzero absolute trace")
         self.dim = self.p * base.degree  # F_p-dimension
         exp, self._log = base.log_tables()
         self._exp = exp + exp  # exp[u + v] needs no reduction
@@ -575,12 +569,6 @@ class ArtinSchreierExtension:
         for _ in range(self.p):
             self._tq_powers.append(self._log_form(power))
             power = self.mul(power, tq)
-        # Filled on first use, per zeta in mu_{q+1}: the reduction of
-        # x -> x^q - zeta x (solve_affine), its kernel (coset) and the
-        # pairs of that kernel by value (coset_pairs).
-        self._solvers = {}
-        self._cosets = {}
-        self._coset_pairs = {}
 
     def _log_form(self, a):
         log = self._log
@@ -673,40 +661,31 @@ class ArtinSchreierExtension:
                 out[j] = add(out[j], exp[u + v])
         return _undigits(out, self.base.size)
 
-    def check_mu(self, zeta):
-        """zeta, if it is a level-2 encoding in mu_{q+1}; FieldError
-        otherwise."""
-        base = self.base
-        if base.mul_enc(base.check_enc(zeta), self._frob_base[zeta]) != 1:
-            raise FieldError("zeta must lie in mu_{q+1}")
-        return zeta
-
     def coset(self, zeta):
         """The pairs (a, a^q) with a^q = zeta a, for zeta in mu_{q+1}, in
         the encoding order of a.  They are the kernel of x -> x^q - zeta x
         on K, which lies in F_{q^2} (a^{q^2} = zeta^{q+1} a = a), read
-        off the table of x -> x^q on F_{q^2}; kept on K per zeta."""
-        pairs = self._cosets.get(zeta)
-        if pairs is None:
+        off the table of x -> x^q on F_{q^2}; kept on the tower per zeta."""
+        def build():
+            self.tower.mu_index(zeta)
             mul = self.base.mul_enc
-            pairs = self._cosets[self.check_mu(zeta)] = [
-                (a, fa) for a, fa in enumerate(self._frob_base)
-                if fa == mul(zeta, a)]
-        return pairs
+            return [(a, fa) for a, fa in enumerate(self._frob_base)
+                    if fa == mul(zeta, a)]
+        return self.tower.table(("coset", zeta), build)
 
     def coset_pairs(self, zeta):
         """{v: [(x, y), ...]}, the pairs x, y of coset(zeta) grouped by
         v = x y^q - x^q y, each group in the encoding order of (x, y);
-        kept on K per zeta, so each value is computed once per tower."""
-        groups = self._coset_pairs.get(zeta)
-        if groups is None:
+        kept on the tower per zeta, so each value is computed once."""
+        def build():
             coset, lv = self.coset(zeta), self.base
-            groups = self._coset_pairs[zeta] = {}
+            groups = {}
             for x, x_q in coset:
                 for y, y_q in coset:
                     v = lv.add_enc(lv.mul_enc(x, y_q), lv.neg_enc(lv.mul_enc(x_q, y)))
                     groups.setdefault(v, []).append((x, y))
-        return groups
+            return groups
+        return self.tower.table(("coset pairs", zeta), build)
 
     def solve_affine(self, zeta, rhs):
         """Every x in K with x^q - zeta x = rhs, for zeta in mu_{q+1} a
@@ -715,17 +694,18 @@ class ArtinSchreierExtension:
         solve_reduced.  The map is F_p-linear with kernel coset(zeta);
         the F_p-coordinates of an element are the base-p digits of its
         encoding, and p^i is the i-th basis vector.  The map of each zeta
-        is reduced once and kept on K, at most q + 1 reductions per
-        tower."""
+        is reduced once and kept on the tower, at most q + 1 reductions
+        per tower."""
         p, dim = self.p, self.dim
         if not 0 <= rhs < p ** dim:
             raise FieldError(f"{rhs} is not an encoding of F_{p ** dim}")
-        reduction = self._solvers.get(zeta)
-        if reduction is None:
-            self.check_mu(zeta)
+
+        def build():
+            self.tower.mu_index(zeta)
             cols = [_digits(self.sub(self.frob(p ** i), self.mul(zeta, p ** i)),
                             p, dim) for i in range(dim)]
-            reduction = self._solvers[zeta] = reduce_mod_p(p, cols, dim)
+            return reduce_mod_p(p, cols, dim)
+        reduction = self.tower.table(("reduction", zeta), build)
         x0 = solve_reduced(p, reduction, _digits(rhs, p, dim), dim)
         if x0 is None:
             return []

@@ -22,8 +22,7 @@ from collections import defaultdict
 from math import comb
 from typing import NamedTuple
 
-from .fields import (ArtinSchreierExtension, FieldError, Level, TowerContext,
-                     embedding_table)
+from .fields import ArtinSchreierExtension, Level, TowerContext, embedding_table
 from .cyclotomic import nu_sign
 from .varieties import BudgetExceededError
 
@@ -47,9 +46,7 @@ class GridCell(NamedTuple):
 
 
 def coordinate_extension(ctx: TowerContext) -> ArtinSchreierExtension:
-    if ctx._coordinate_ext is None:
-        ctx._coordinate_ext = ArtinSchreierExtension(ctx)
-    return ctx._coordinate_ext
+    return ctx.table("K", lambda: ArtinSchreierExtension(ctx))
 
 
 class _FrobMemo(dict):
@@ -111,8 +108,8 @@ def fixed_points_surface(ctx: TowerContext, eta: int, zeta: int,
     projective fixed-point condition.
     """
     ctx.levels[1].check_enc(eta)
+    ctx.mu_index(zeta)  # raises unless zeta is in mu_{q+1}
     K = coordinate_extension(ctx)
-    K.check_mu(zeta)
     lv2 = ctx.levels[2]
     mul, neg = lv2.mul_enc, lv2.neg_enc
     eta2 = ctx.embed(eta)
@@ -156,10 +153,11 @@ def fixed_points_surface(ctx: TowerContext, eta: int, zeta: int,
     for name, pts in strata.items():
         for P in pts:
             if not _surface_holds(K, frob, P):
-                raise FieldError(f"reported point violates the surface equation ({name})")
+                raise ArithmeticError(
+                    f"reported point violates the surface equation ({name})")
             img = _apply_endo(K, frob, zeta, eta2, with_unipotent, P)
             if not _projectively_equal(K, P, img):
-                raise FieldError(f"reported point is not fixed ({name})")
+                raise ArithmeticError(f"reported point is not fixed ({name})")
         sigma_counts[name] = len(pts)
         points.extend(pts)
 
@@ -188,7 +186,7 @@ def closed_form_fixed_count(ctx: TowerContext, eta: int, zeta: int,
     [1:0:0:0] adds one more, so sigma2 has q+1.
     """
     ctx.levels[1].check_enc(eta)
-    ctx.discrete_log_mu(zeta, ctx.q + 1)  # raises unless zeta is in mu_{q+1}
+    ctx.mu_index(zeta)  # raises unless zeta is in mu_{q+1}
     q = ctx.q
     if not with_unipotent:
         if eta == 0:
@@ -205,10 +203,11 @@ def fixed_point_grid(ctx: TowerContext, with_unipotent: bool) -> dict:
     zeta in mu_{q+1}, zeta-major and eta-minor.
 
     The only enumerator of the grid: each cell is solved (and its
-    points re-verified) once per tower, then cached on the tower.
+    points re-verified) once per tower, then kept on the tower.
     """
     key = bool(with_unipotent)
-    if key not in ctx._grid_cache:
+
+    def build():
         grid = {}
         for zeta in ctx.enumerate_mu(ctx.q + 1):
             for eta in range(ctx.q):
@@ -216,8 +215,8 @@ def fixed_point_grid(ctx: TowerContext, with_unipotent: bool) -> dict:
                 grid[(eta, zeta)] = GridCell(
                     rep.total, rep.sigma_counts,
                     closed_form_fixed_count(ctx, eta, zeta, key))
-        ctx._grid_cache[key] = grid
-    return ctx._grid_cache[key]
+        return grid
+    return ctx.table(("grid", key), build)
 
 
 # ---------------------------------------------------------------------------
@@ -261,13 +260,12 @@ BLIND_MAX_FIELD_SIZE = 4096  # F_{q^{2p}} at q = 8, the largest q scanned
 
 def _absolute_model(ctx: TowerContext, d: int):
     """The level F = F_{p^d} and the embedding table of F_{q^2} into F,
-    through the lex-least root there of the modulus of F_{q^2}; cached
+    through the lex-least root there of the modulus of F_{q^2}; kept
     on the tower."""
-    if ctx._abs_field is None:
+    def build():
         F, lv2 = Level(ctx.p, d), ctx.levels[2]
-        root = TowerContext._find_root(lv2.modulus, F)
-        ctx._abs_field = (F, embedding_table(root, lv2, F))
-    return ctx._abs_field
+        return F, embedding_table(TowerContext._find_root(lv2.modulus, F), lv2, F)
+    return ctx.table(("blind model", d), build)
 
 
 def blind_fixed_point_count(ctx: TowerContext, eta: int, zeta: int,
@@ -279,7 +277,7 @@ def blind_fixed_point_count(ctx: TowerContext, eta: int, zeta: int,
     cross-check of the structured solver at q = 2, 3 and 4.
     """
     ctx.levels[1].check_enc(eta)
-    ctx.discrete_log_mu(zeta, ctx.q + 1)  # raises unless zeta is in mu_{q+1}
+    ctx.mu_index(zeta)  # raises unless zeta is in mu_{q+1}
     p, q = ctx.p, ctx.q
     d = 2 * ctx.e * p
     if p ** d > BLIND_MAX_FIELD_SIZE:

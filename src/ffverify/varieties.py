@@ -78,12 +78,12 @@ class _LevelArith:
     budget is charged N per distribution, N d p per spectrum and N per
     product of spectra.
 
-    The tower keeps the spectra of one (level, w) at a time, keyed by
-    the masses, so that the counts of a kind list share them.  A spectrum
-    taken from there is charged as if computed, so the budget a count
-    spends does not depend on what was counted before.  The counts draw
-    from four distributions at most, so the cache stays bounded however
-    many counts run.
+    The tower's table "spectra", {(level key, w): {masses: spectrum}},
+    keeps the spectra of one (level, w) at a time, so that the counts of
+    a kind list share them.  A spectrum taken from there is charged as
+    if computed, so the budget a count spends does not depend on what
+    was counted before.  The counts draw from four distributions at
+    most, so the cache stays bounded however many counts run.
     """
 
     def __init__(self, ctx: TowerContext, key: int, budget: int, dim: int):
@@ -153,7 +153,7 @@ class _LevelArith:
         """
         N, p, w = self.N, self.level.p, self.w
         self._spend(N * self.level.degree * p)
-        spectra = self.ctx._spectra
+        spectra = self.ctx.table("spectra", dict)
         if (self.key, w) not in spectra:
             spectra.clear()
         known = spectra.setdefault((self.key, w), {})

@@ -217,6 +217,23 @@ def test_howe_bad_n_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("p,e", [("2", "13"), ("3", "8"), ("4099", "1"),
+                                 ("2", str(10 ** 9))])
+def test_howe_rejects_q_above_its_bound_up_front(capsys, p, e):
+    """q = p^e above cli.HOWE_MAX_Q = 4096 is a usage error, raised
+    before any table is built or p^e computed."""
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["howe", "--p", p, "--e", e, "--n", "2"])
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "--e" in err
+
+
+def test_howe_runs_at_its_bound(capsys):
+    code, out, _ = run(capsys, ["howe", "--p", "2", "--e", "12", "--n", "2"])
+    assert code == 0 and out
+
+
 @pytest.mark.parametrize("p", ["6", "0", "4"])
 def test_howe_rejects_a_non_prime_p(capsys, p):
     code, out, err = run(capsys, ["howe", "--p", p, "--n", "2"])

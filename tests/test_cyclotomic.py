@@ -273,17 +273,22 @@ def test_additive_character_at_minus_x_is_the_conjugate(p, e):
             assert psi(neg(x)) * psi(x) == CycNumber.from_rational(psi.m, 1)
 
 
-@pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (7, 1), (3, 2)])
+@pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (7, 1), (3, 2), (11, 1),
+                                 (13, 1)])
 def test_nu_is_the_quadratic_character_of_mu(p, e):
+    """At every odd q <= 13, nu is multiplicative, and nu(zeta) = 1
+    exactly when zeta is the square of an element of mu_{q+1}."""
     ctx = build_tower(p, e)
-    q = ctx.q
+    q, mul = ctx.q, ctx.levels[2].mul_enc
+    mu = ctx.enumerate_mu(q + 1)
+    squares = {mul(w, w) for w in mu}
     values = []
-    for z in ctx.enumerate_mu(q + 1):
+    for z in mu:
         v = nu_sign(ctx, z)
-        assert v in (1, -1)
+        assert v == (1 if z in squares else -1)
         values.append(v)
-        for w in ctx.enumerate_mu(q + 1):
-            assert nu_sign(ctx, ctx.levels[2].mul_enc(z, w)) == v * nu_sign(ctx, w)
+        for w in mu:
+            assert nu_sign(ctx, mul(z, w)) == v * nu_sign(ctx, w)
     assert sum(values) == 0
     assert nu_sign(ctx, 1) == 1
 

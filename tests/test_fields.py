@@ -267,8 +267,11 @@ def test_trace_to_prime_additive():
             assert ctx.trace_to_prime(lv.add_enc(a, b), 2) == (ta + tb) % 3
 
 
-@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1)])
+@pytest.mark.parametrize("p,e", TOWERS)
 def test_mu_enumeration_and_discrete_log(p, e):
+    """mu_index(zeta) is the k with zeta = h^k, h = g^(q-1) for g the
+    primitive element of F_{q^2} of least encoding, found by a scan of
+    the powers of h; every other element of F_{q^2} is rejected."""
     ctx = build_tower(p, e)
     q, lv = ctx.q, ctx.levels[2]
     mu = ctx.enumerate_mu(q + 1)
@@ -277,13 +280,16 @@ def test_mu_enumeration_and_discrete_log(p, e):
     norm = lv.power_map(q + 1)
     for z in mu:
         assert norm[z] == 1
-    g = lv.decode(ctx.mu_generator(q + 1))
-    seen = set()
-    for z in mu:
-        k = ctx.discrete_log_mu(z, q + 1)
-        assert lv.encode(lv.pow(g, k)) == z
-        seen.add(k)
-    assert seen == set(range(q + 1))
+    g = next(a for a in lv.elements() if a != lv.zero and all(
+        lv.pow(a, (lv.size - 1) // t) != lv.one
+        for t in prime_factors(lv.size - 1)))
+    h = lv.pow(g, q - 1)
+    for k in range(q + 1):
+        assert ctx.mu_index(lv.encode(lv.pow(h, k))) == k
+    for z in range(lv.size):
+        if z not in mu:
+            with pytest.raises(FieldError, match="mu_"):
+                ctx.mu_index(z)
 
 
 def _multiplicative_order(lv, a):
@@ -393,22 +399,10 @@ def test_mu_helpers_match_their_scan_definitions(p, e):
     order = lv.size - 1
     for m in _divisors(order):
         mu = [a for a in nonzero if lv.pow(a, m) == lv.one]
-        gen = next(a for a in mu if m == 1 or all(
-            lv.pow(a, m // t) != lv.one for t in prime_factors(m)))
         assert [lv.decode(z) for z in ctx.enumerate_mu(m)] == mu
-        assert lv.decode(ctx.mu_generator(m)) == gen
-        for k, z in enumerate(itertools.accumulate(
-                [lv.one] + [gen] * (m - 1), lv.mul)):
-            assert ctx.discrete_log_mu(lv.encode(z), m) == k
-        outsider = next((a for a in nonzero if a not in mu), lv.zero)
-        for bad in {lv.zero, outsider}:
-            with pytest.raises(FieldError):
-                ctx.discrete_log_mu(lv.encode(bad), m)
     for m in (0, order + 1, 2 * order):
-        for call in (ctx.enumerate_mu, ctx.mu_generator,
-                     lambda m: ctx.discrete_log_mu(1, m)):
-            with pytest.raises(FieldError):
-                call(m)
+        with pytest.raises(FieldError):
+            ctx.enumerate_mu(m)
 
 
 @pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (7, 1), (3, 2)])
@@ -462,7 +456,7 @@ def test_legendre_rejected_in_characteristic_two():
 _ENTRY_POINTS = {
     "embed-1-2": (1, lambda ctx, k: ctx.embed(k)),
     "legendre": (1, lambda ctx, k: ctx.legendre(k)),
-    "discrete_log_mu": (2, lambda ctx, k: ctx.discrete_log_mu(k, ctx.q + 1)),
+    "mu_index": (2, lambda ctx, k: ctx.mu_index(k)),
     "trace_to_prime-1": (1, lambda ctx, k: ctx.trace_to_prime(k, 1)),
     "trace_to_prime-2": (2, lambda ctx, k: ctx.trace_to_prime(k, 2)),
     "AdditiveCharacter": (1, lambda ctx, k: AdditiveCharacter(ctx, 1)(k)),
@@ -700,7 +694,7 @@ def test_artin_schreier_solve_affine(p, e):
 
 @pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1),
                                  (2, 3), (3, 2)])
-def test_solve_affine_matches_solve_mod_p_on_the_map_columns(p, e):
+def test_solve_affine_matches_solve_mod_p_on_the_map_columns(p, e, kept):
     """For every zeta in mu_{q+1} at q <= 9, one solution plus coset(zeta)
     against the kernel-offset reference _solve_mod_p on the columns of
     x -> x^q - zeta x, built here from K.pow: the same solutions, for
@@ -733,10 +727,11 @@ def test_solve_affine_matches_solve_mod_p_on_the_map_columns(p, e):
             for x in sols:
                 assert f(x) == rhs
     assert inconsistent > 0
-    assert len(K._solvers) == q + 1
+    assert all(kept(ctx, ("reduction", zeta))
+               for zeta in ctx.enumerate_mu(q + 1))
 
 
-def test_solve_affine_rejects_zeta_outside_mu():
+def test_solve_affine_rejects_zeta_outside_mu(kept):
     ctx = build_tower(3, 1)
     K = ArtinSchreierExtension(ctx)
     fourth = ctx.levels[2].power_map(4)
@@ -746,7 +741,8 @@ def test_solve_affine_rejects_zeta_outside_mu():
                 K.solve_affine(zeta, 0)
             with pytest.raises(FieldError, match="mu_"):
                 K.coset(zeta)
-    assert K._solvers == {} and K._cosets == {}
+            assert not kept(ctx, ("reduction", zeta))
+            assert not kept(ctx, ("coset", zeta))
 
 
 def test_solve_affine_rejects_rhs_outside_k():

@@ -2,7 +2,8 @@
 
 import pytest
 
-from ffverify import fields
+from ffverify import fields, fixed_points
+from ffverify.cli import main
 from ffverify import (FieldError, blind_fixed_point_count,
                       build_tower, closed_form_fixed_count,
                       differential_vanishes, fixed_point_grid,
@@ -47,10 +48,11 @@ def test_every_point_satisfies_all_equations():
                     assert _projectively_equal(K, P, Q)
 
 
-def test_one_reduction_per_map_and_a_fresh_solver_cache_per_tower(monkeypatch):
+def test_one_reduction_per_map_and_a_fresh_solver_cache_per_tower(monkeypatch,
+                                                                  kept):
     """Both grids at q = 5 row-reduce each map x -> x^q - zeta x once,
-    at most q + 1 reductions; a tower built after cache_clear starts
-    with no kept reduction."""
+    at most q + 1 reductions, each kept on the tower; a tower built
+    after cache_clear starts with no kept reduction."""
     build_tower.cache_clear()
     ctx = build_tower(5, 1)
     calls = 0
@@ -65,14 +67,32 @@ def test_one_reduction_per_map_and_a_fresh_solver_cache_per_tower(monkeypatch):
     for with_u in (True, False):
         assert all(cell.matches for cell in fixed_point_grid(ctx, with_u).values())
     assert 0 < calls <= ctx.q + 1
-    assert len(coordinate_extension(ctx)._solvers) == calls
+    mu = ctx.enumerate_mu(ctx.q + 1)
+    assert sum(kept(ctx, ("reduction", zeta)) for zeta in mu) == calls
     build_tower.cache_clear()
     fresh = build_tower(5, 1)
     assert fresh is not ctx
-    assert coordinate_extension(fresh)._solvers == {}
+    assert not any(kept(fresh, ("reduction", zeta)) for zeta in mu)
 
 
-def test_untwisted_pair_values_once_per_zeta(monkeypatch):
+@pytest.mark.parametrize("check,message", [
+    ("_surface_holds", "reported point violates the surface equation (sigma1)"),
+    ("_projectively_equal", "reported point is not fixed (sigma1)"),
+], ids=["surface", "fixed"])
+def test_a_point_that_fails_its_check_is_an_internal_error(
+        monkeypatch, capsys, check, message):
+    """A reported point that fails its re-verification is a fault of the
+    program, not of its input: ArithmeticError, and exit 3."""
+    build_tower.cache_clear()  # a kept grid would skip the checks
+    monkeypatch.setattr(fixed_points, check, lambda *args: False)
+    with pytest.raises(ArithmeticError, match="reported point"):
+        fixed_points_surface(build_tower(3, 1), 0, 1, True)
+    assert main(["fixed-points", "--p", "3"]) == 3
+    assert capsys.readouterr() == ("", f"internal error: {message}\n")
+    build_tower.cache_clear()
+
+
+def test_untwisted_pair_values_once_per_zeta(monkeypatch, kept):
     """The untwisted grid at q = 5 takes x y^q - x^q y once per pair of
     each coset, not once per pair in every eta cell.  Each value costs
     two level-2 products, so per cell that is at least 2 (q + 1) q^3 =
@@ -93,7 +113,9 @@ def test_untwisted_pair_values_once_per_zeta(monkeypatch):
     assert all(cell.matches for cell in fixed_point_grid(ctx, False).values())
     assert 0 < calls < (q + 1) * q ** 3
     K = coordinate_extension(ctx)
-    for zeta, groups in K._coset_pairs.items():
+    for zeta in ctx.enumerate_mu(q + 1):
+        assert kept(ctx, ("coset pairs", zeta))
+        groups = K.coset_pairs(zeta)
         pairs = [(x, y) for x, _ in K.coset(zeta) for y, _ in K.coset(zeta)]
         assert sorted(p for ps in groups.values() for p in ps) == pairs
         assert all(ps == sorted(ps) for ps in groups.values())

@@ -1,7 +1,9 @@
 """Theta tables, semisimplification comparison and the global verifier."""
 
+import importlib.util
 import json
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -209,6 +211,31 @@ def test_a_dropped_class_equation_fails_the_brauer_checks(
     assert not checks["brauer-decomposition-integrality"]
     assert not checks["semisimplification-deficit-pattern"]
     assert not report["all_passed"]
+
+
+def test_build_howe_tables_marks_a_failed_brauer_solve(
+        monkeypatch, capsys, tmp_path, fresh_brauer_cache):
+    """Where a Brauer solve fails, the script prints - for the reduction,
+    dim Theta(ss) and deficit of that row, and exits 1."""
+    path = Path(__file__).resolve().parents[1] / "scripts/build_howe_tables.py"
+    spec = importlib.util.spec_from_file_location("build_howe_tables", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    real = characters.row_reduce
+
+    def dropping(rows, *args):
+        del rows[-1]
+        return real(rows, *args)
+
+    monkeypatch.setattr(characters, "row_reduce", dropping)
+    text, matches = script.render(2, 3, 5)
+    assert not matches
+    assert "| - | - | - |" in text
+    monkeypatch.setattr(sys, "argv", [str(path), "--outdir", str(tmp_path),
+                                      "--params", "2,3,5"])
+    assert script.main() == 1
+    assert (tmp_path / "theta_n2_q3_ell5.md").read_text() == text
+    assert "does not match" in capsys.readouterr().err
 
 
 def test_a_dropped_brauer_irreducible_fails_the_square_check(

@@ -2,8 +2,9 @@
 every import sits at module level, one function holds the square-and-
 multiply loop, one function writes markdown table rows, every division
 is exact, importing the command line tool loads no module it does not
-need, and every public function and class is reached from the package,
-its scripts or its benchmark."""
+need, every public function and class is reached from the package,
+its scripts or its benchmark, only the tower's constructor sets an
+attribute of a tower, and lru_cache sits on five functions only."""
 
 import ast
 import os
@@ -289,3 +290,146 @@ def test_every_public_definition_is_reached():
                if path != SRC / "__init__.py"]
     modules = {path.stem: path.read_text() for path in MODULES}
     assert unreached_definitions(modules, readers) == _TEST_ONLY_ROUTES
+
+
+# The names under which code holds a tower: TowerContext's self, and
+# ctx or tower, bare or as an attribute (K.tower, _LevelArith.ctx).
+_TOWER_NAMES = ("ctx", "tower")
+
+
+def tower_attribute_assignments(source: str) -> list[str]:
+    """The statements that set or delete an attribute of a tower, as
+    "f (line n)" with f the dotted name of the innermost enclosing class
+    or function ("<module>" at top level), in source order.  A setattr
+    or delattr call on a tower counts too."""
+    found = []
+
+    def is_tower(node, scope):
+        if isinstance(node, ast.Name):
+            return (node.id in _TOWER_NAMES
+                    or (node.id == "self"
+                        and scope.split(".")[0] == "TowerContext"))
+        return isinstance(node, ast.Attribute) and node.attr in _TOWER_NAMES
+
+    def targets(node):
+        if isinstance(node, ast.Assign):
+            return node.targets
+        if isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            return [node.target]
+        if isinstance(node, ast.Delete):
+            return node.targets
+        return []
+
+    def flat(target):
+        if isinstance(target, (ast.Tuple, ast.List)):
+            return [t for elt in target.elts for t in flat(elt)]
+        return [target.value if isinstance(target, ast.Starred) else target]
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            hits = [t for target in targets(child) for t in flat(target)
+                    if isinstance(t, ast.Attribute) and is_tower(t.value, scope)]
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                    and child.func.id in ("setattr", "delattr") and child.args
+                    and is_tower(child.args[0], scope)):
+                hits.append(child)
+            found.extend(f"{scope or '<module>'} (line {child.lineno})"
+                         for _ in hits)
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef,
+                                  ast.AsyncFunctionDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+            else:
+                visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_tower_attribute_assignments_are_found():
+    source = ("class TowerContext:\n"
+              "    def __init__(self):\n"
+              "        self.p, self._tables = 2, {}\n"
+              "    def table(self, key):\n"
+              "        self._tables[key] = 1\n"
+              "        self.extra = 1\n"
+              "class K:\n"
+              "    def __init__(self, tower):\n"
+              "        self.tower = tower\n"
+              "        self.tower._cache = {}\n"
+              "def grid(ctx):\n"
+              "    ctx._grid += 1\n"
+              "    ctx.table('grid', dict)['x'] = 1\n"
+              "    setattr(ctx, 'y', 2)\n"
+              "    del ctx.y\n")
+    assert tower_attribute_assignments(source) == [
+        "TowerContext.__init__ (line 3)", "TowerContext.__init__ (line 3)",
+        "TowerContext.table (line 6)", "K.__init__ (line 10)",
+        "grid (line 12)", "grid (line 14)", "grid (line 15)"]
+
+
+def test_only_the_tower_constructor_sets_a_tower_attribute():
+    """What code derives from a tower it keeps through
+    TowerContext.table, so TowerContext.__init__ is the one place that
+    sets an attribute of a tower, in the package and its scripts."""
+    found = {path.relative_to(ROOT).as_posix(): sorted(set(
+        f.split(" ")[0] for f in tower_attribute_assignments(path.read_text())))
+        for top in ("src", "scripts") for path in sorted(
+            (ROOT / top).rglob("*.py"))}
+    assert {name: f for name, f in found.items() if f} == {
+        "src/ffverify/fields.py": ["TowerContext.__init__"]}
+
+
+# The process-wide caches: each is keyed by plain ints where no tower
+# exists, and returns an immutable result.
+_LRU_CACHED = {"characters.py": ["brauer_decompositions"],
+               "cyclotomic.py": ["_power_table", "cyclotomic_coeffs"],
+               "fields.py": ["build_tower", "least_irreducible"]}
+_CACHE_NAMES = ("lru_cache", "cache", "cached_property")
+
+
+def _is_cache_name(node) -> bool:
+    return (isinstance(node, ast.Name) and node.id in _CACHE_NAMES
+            or isinstance(node, ast.Attribute) and node.attr in _CACHE_NAMES)
+
+
+def cache_uses(source: str) -> list[str]:
+    """The functions decorated by functools.lru_cache, cache or
+    cached_property, by name, and "<expr> (line n)" for any other read
+    of those names, in source order; imports are not reads."""
+    tree = ast.parse(source)
+    found, decorators = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for dec in node.decorator_list:
+                dec = dec.func if isinstance(dec, ast.Call) else dec
+                if _is_cache_name(dec):
+                    found.append((dec.lineno, node.name))
+                    decorators.add(dec)
+    found += [(node.lineno, f"<expr> (line {node.lineno})")
+              for node in ast.walk(tree)
+              if _is_cache_name(node) and node not in decorators]
+    return [name for _, name in sorted(found)]
+
+
+def test_cache_uses_are_found():
+    source = ("import functools\n"
+              "from functools import cache, lru_cache\n"
+              "@lru_cache(maxsize=None)\n"
+              "def a(n):\n"
+              "    return n\n"
+              "@functools.cache\n"
+              "def b(n):\n"
+              "    return n\n"
+              "c = lru_cache(maxsize=2)(b)\n"
+              "class T:\n"
+              "    @functools.cached_property\n"
+              "    def d(self):\n"
+              "        return 1\n")
+    assert cache_uses(source) == ["a", "b", "<expr> (line 9)", "d"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_lru_cache_only_where_no_tower_exists(path):
+    """A table derived from a tower is kept by TowerContext.table; the
+    process-wide caches are the five functions of _LRU_CACHED."""
+    assert sorted(cache_uses(path.read_text())) == _LRU_CACHED.get(path.name, [])

@@ -84,7 +84,8 @@ def test_a_returned_spectrum_cannot_poison_the_cache():
         a[1] += 1
         assert count_points(ctx, VarietySpec("Ytilde", 2), 2) == 3 ** 3 - 3
         a[1] -= 1
-    assert list(ctx._spectra[2, ar.w]) == [tuple(f)]  # the counts reused it
+    spectra = ctx.table("spectra", dict)
+    assert list(spectra[2, ar.w]) == [tuple(f)]  # the counts reused it
     assert ar.spectrum(f) == cold
 
 
@@ -248,7 +249,7 @@ def test_budget_spent_does_not_depend_on_the_cache(capsys):
     expected = count_points(build_tower(3, 1), spec, 2)
     ctx = TowerContext(3, 1)
     assert count_points(ctx, spec, 2, budget=189) == expected  # cold
-    assert ctx._spectra
+    assert ctx.table("spectra", dict)
     assert count_points(ctx, spec, 2, budget=189) == expected  # warm
     with pytest.raises(BudgetExceededError):
         count_points(ctx, spec, 2, budget=188)
