@@ -15,7 +15,10 @@ Each run's `# env` line and final JSON line are parsed, and the output
 file records, per workload and per metric, both sides' values, medians
 and quartiles and the number of pairs the working tree won, with both
 git shas, both `src_sha256`, the Python version and nproc.  Which
-direction is better comes from BENCHMARK.json.
+direction is better comes from BENCHMARK.json.  After the timed pairs
+of a workload, one `--trace 1` run per side records its per-layer
+metrics (call counts and self times per module) under `layers`, so that
+a record shows where a change in wall time came from.
 """
 
 from __future__ import annotations
@@ -53,11 +56,13 @@ def snapshot(dest: Path) -> Path:
     return Path(shutil.copytree(ROOT, dest / "change", ignore=skip))
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: int) -> dict:
+def run_once(tree: Path, workload: str, seed: int, seconds: int,
+             trace: int = 0) -> dict:
     """One perfbench run in tree: its env record and its final result."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds)],
+         "--seed", str(seed), "--seconds", str(seconds),
+         "--trace", str(trace)],
         cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.splitlines()
     env = [json.loads(line[len("# env "):]) for line in lines
@@ -121,8 +126,12 @@ def main(argv=None) -> int:
                     "change": summary(vals["change"]),
                     "change_wins": sum(sign * (c - b) > 0 for b, c in
                                        zip(vals["base"], vals["change"]))}
+            layers = {side: {name: m["value"] for name, m in run_once(
+                sides[side], workload, args.seed, args.seconds,
+                trace=1)["metrics"].items()} for side in sides}
             record["workloads"][workload] = {
                 "metrics": metrics,
+                "layers": layers,
                 "failed": {side: [r["failed"] for r in runs[side]]
                            for side in runs},
                 "attempted": {side: [r["attempted"] for r in runs[side]]

@@ -202,9 +202,7 @@ def _gram_ok(m: int, xs, ys, diagonal) -> bool:
     """Whether sum_k xs[i][k] ys[j][k] is diagonal[i] for i = j and 0
     otherwise, each entry one _dot; ys holds the conjugates, each
     computed once."""
-    zero = CycNumber.from_rational(m, 0)
-    return all(_dot(m, x, y) == (CycNumber.from_rational(m, diagonal[i])
-                                 if i == j else zero)
+    return all(_dot(m, x, y) == (diagonal[i] if i == j else 0)
                for i, x in enumerate(xs) for j, y in enumerate(ys))
 
 

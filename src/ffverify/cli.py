@@ -17,7 +17,7 @@ import json
 import os
 import sys
 
-from .fields import build_tower, is_prime
+from .fields import FieldError, build_tower, is_prime
 from .cyclotomic import AdditiveCharacter, CycNumber, conductor, gauss_sum
 from .varieties import (BudgetExceededError, VarietySpec, VARIETY_KINDS,
                         count_points)
@@ -63,9 +63,19 @@ def _check_n(n: int, base: int, exponent: int):
 
 
 def _check_ell(ell: int, p: int):
-    if ell == 2 or ell == p or not is_prime(ell):
-        raise UsageError(f"--ell {ell} must be an odd prime other than "
-                         f"p = {p}")
+    # ell matters only through ell | q + 1, and q + 1 <= 4097: a bound on
+    # ell bounds the trial division of is_prime
+    if not 2 < ell < 2 ** 32 or ell == p or not is_prime(ell):
+        raise UsageError(f"--ell {ell} must be an odd prime below 2^32 "
+                         f"other than p = {p}")
+
+
+def _tower(args):
+    """build_tower(--p, --e); a tower it cannot build is a usage error."""
+    try:
+        return build_tower(args.p, args.e)
+    except FieldError as exc:
+        raise UsageError(f"--p {args.p} --e {args.e}: {exc}") from None
 
 
 def _csv(header, rows) -> str:
@@ -79,7 +89,7 @@ def cmd_count(args):
     if args.torsor and args.level != 2:
         raise UsageError("--torsor checks the count ratio q+1, which "
                          "holds over F_{q^2} only: use --level 2")
-    ctx = build_tower(args.p, args.e)
+    ctx = _tower(args)
     # a count that grows with n is at most N^(2n+1), N = q^level (X')
     _check_n(args.n, ctx.q ** args.level, 2 * args.n + 1)
     kinds = ("Y", "Ytilde") if args.torsor else args.variety
@@ -111,7 +121,7 @@ def cmd_count(args):
 
 def cmd_verify(args):
     _check_ell(args.ell, args.p)
-    _check_n(args.n, build_tower(args.p, args.e).q, 2 * args.n)
+    _check_n(args.n, _tower(args).q, 2 * args.n)
     report = verify_all(args.n, args.p, args.e, args.ell)
     text = (report_to_markdown(report) if args.format == "md"
             else _json_dumps(report))
@@ -146,7 +156,7 @@ def cmd_howe(args):
 
 
 def cmd_gauss(args):
-    ctx = build_tower(args.p, args.e)
+    ctx = _tower(args)
     if ctx.p == 2:
         raise UsageError("quadratic Gauss sums need odd characteristic")
     m = conductor(ctx)
@@ -171,7 +181,7 @@ def cmd_gauss(args):
 
 
 def cmd_fixed_points(args):
-    ctx = build_tower(args.p, args.e)
+    ctx = _tower(args)
     q = ctx.q
     rows = [{
         "with_unipotent": with_u,

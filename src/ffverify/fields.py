@@ -77,8 +77,6 @@ def poly_sub(a, b, p):
 def poly_mul(a, b, p):
     """The product, each coefficient summed over the integers and
     reduced mod p once."""
-    if not a or not b:
-        return ()
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
@@ -427,16 +425,17 @@ class TowerContext:
     MAX_Q = 16
 
     def __init__(self, p: int, e: int):
-        if not is_prime(p):
-            raise FieldError(f"p = {p} is not prime")
         if e < 1:
             raise FieldError("exponent must be positive")
-        q = p ** e
-        if q > self.MAX_Q:
-            raise FieldError(f"q = {q} exceeds the enumeration bound {self.MAX_Q}")
+        # p^e >= 2^e > MAX_Q for p >= 2 and e >= 5: a large e needs no
+        # power, and the bound on q bounds the trial division of is_prime
+        if p > 1 and (e >= self.MAX_Q.bit_length() or p ** e > self.MAX_Q):
+            raise FieldError(f"q = {p}^{e} exceeds the enumeration bound {self.MAX_Q}")
+        if not is_prime(p):
+            raise FieldError(f"p = {p} is not prime")
         self.p = p
         self.e = e
-        self.q = q
+        self.q = p ** e
         self.levels = lv = {k: Level(p, e * k) for k in self.KEYS}
         self._embedding = embedding_table(
             self._find_root(lv[1].modulus, lv[2]), lv[1], lv[2])
@@ -486,14 +485,11 @@ class TowerContext:
             raise ArithmeticError("trace did not land in the prime field")
         return acc
 
-    def enumerate_mu(self, m: int) -> list[int]:
-        """mu_m as level-2 encodings, in encoding order: the powers of
-        g^((q^2 - 1) / m), g the primitive element read off log_tables."""
-        order = self.q * self.q - 1
-        if m < 1 or order % m != 0:
-            raise FieldError(f"m = {m} does not divide q^2 - 1")
+    def enumerate_mu(self) -> list[int]:
+        """mu_{q+1} as level-2 encodings, in encoding order: the powers of
+        g^(q-1), g the primitive element read off log_tables."""
         exp, _ = self.levels[2].log_tables()
-        return sorted(exp[::order // m])
+        return sorted(exp[::self.q - 1])
 
     def mu_index(self, zeta: int) -> int:
         """The k in range(q + 1) with zeta = (g^(q-1))^k, for zeta a
@@ -629,8 +625,6 @@ class ArtinSchreierExtension:
             return out
         exp, log, add, p = self._exp, self._log, self.base.add_enc, self.p
         la, lb = self._log_form(a), self._log_form(b)
-        if not (la and lb):
-            return 0
         out = [0] * (la[-1][0] + lb[-1][0] + 1)
         for i, u in la:
             for j, v in lb:

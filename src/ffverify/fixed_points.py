@@ -31,7 +31,6 @@ class FixedPointReport(NamedTuple):
     total: int
     sigma_counts: dict
     points: list  # projective quadruples of Artin-Schreier encodings
-    field_degree: int  # degree of the coordinate field over F_p
 
 
 class GridCell(NamedTuple):
@@ -81,13 +80,14 @@ def _apply_endo(K: ArtinSchreierExtension, frob, zeta_k, eta_k, with_u: bool, P)
 
 
 def _projectively_equal(K: ArtinSchreierExtension, P, Q) -> bool:
-    """All 2x2 minors of the 2x4 matrix (P; Q) vanish.
+    """All 2x2 minors of the 2x4 matrix (P; Q) vanish, for P != 0: every
+    quadruple that fixed_points_surface builds has a coordinate equal
+    to 1.
 
-    For P != 0 the three minors through any nonzero coordinate i of P
-    suffice: they give Q = (Q[i] / P[i]) P, and then every minor
-    vanishes.  The last one is taken: on the chart P[3] = 1 and Q[3] =
-    zeta, so every product has a factor in F_{q^2}, which K.mul takes by
-    its shortcut.  For P = 0 all six are tested.
+    The three minors through any nonzero coordinate i of P suffice: they
+    give Q = (Q[i] / P[i]) P, and then every minor vanishes.  The last
+    one is taken: on the chart P[3] = 1 and Q[3] = zeta, so every
+    product has a factor in F_{q^2}, which K.mul takes by its shortcut.
     """
     for i in (3, 2, 1, 0):
         if P[i]:
@@ -95,8 +95,6 @@ def _projectively_equal(K: ArtinSchreierExtension, P, Q) -> bool:
                 if j != i and K.mul(P[i], Q[j]) != K.mul(P[j], Q[i]):
                     return False
             return True
-    return all(K.mul(P[i], Q[j]) == K.mul(P[j], Q[i])
-               for i in range(4) for j in range(i + 1, 4))
 
 
 def fixed_points_surface(ctx: TowerContext, eta: int, zeta: int,
@@ -165,7 +163,6 @@ def fixed_points_surface(ctx: TowerContext, eta: int, zeta: int,
         total=len(points),
         sigma_counts=sigma_counts,
         points=points,
-        field_degree=K.dim,
     )
 
 
@@ -209,7 +206,7 @@ def fixed_point_grid(ctx: TowerContext, with_unipotent: bool) -> dict:
 
     def build():
         grid = {}
-        for zeta in ctx.enumerate_mu(ctx.q + 1):
+        for zeta in ctx.enumerate_mu():
             for eta in range(ctx.q):
                 rep = fixed_points_surface(ctx, eta, zeta, key)
                 grid[(eta, zeta)] = GridCell(

@@ -224,7 +224,7 @@ def verify_all(n: int, p: int, e: int, ell: int) -> dict:
         plain_ok = all(
             sheaf_trace_A2(ctx, zeta, False, psi)
             == CycNumber.from_rational(m, q)
-            for zeta in ctx.enumerate_mu(q + 1))
+            for zeta in ctx.enumerate_mu())
         checks.append(_check("plain-trace-constant-q", True, plain_ok))
         diffs = {nn: character_difference_at_unipotent(ctx, nn, psi)
                  for nn in (1, 2)}

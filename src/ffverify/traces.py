@@ -30,10 +30,8 @@ def sheaf_trace_A2(ctx: TowerContext, zeta: int,
         raise FieldError("psi must be nontrivial")
     grid = fixed_point_grid(ctx, with_unipotent)
     neg = ctx.levels[1].neg_enc
-    total = CycNumber.from_rational(conductor(ctx), 0)
-    for eta in range(ctx.q):
-        # psi^{-1}(eta) = psi(-eta)
-        total = total + psi(neg(eta)) * grid[(eta, zeta)].total
+    # psi^{-1}(eta) = psi(-eta)
+    total = sum(psi(neg(eta)) * grid[(eta, zeta)].total for eta in range(ctx.q))
     return total * Fraction(1, ctx.q ** 2)
 
 
@@ -49,7 +47,7 @@ def character_difference_at_unipotent(ctx: TowerContext, n: int,
         raise FieldError("n must be at least 1")
     m = conductor(ctx)
     total = CycNumber.from_rational(m, 0)
-    for zeta in ctx.enumerate_mu(ctx.q + 1):
+    for zeta in ctx.enumerate_mu():
         term = nu_sign(ctx, zeta) * sheaf_trace_A2(ctx, zeta, True, psi)
         if n > 1:  # T^0 = 1: the plain trace is read only when it counts
             term = term * sheaf_trace_A2(ctx, zeta, False, psi) ** (n - 1)

@@ -37,7 +37,7 @@ ODD_GRID_QS = (3, 5, 7, 9, 11, 13)
 def _grid_vs_closed_form(q: int, with_unipotent: bool) -> bool:
     ctx = build_tower(*TOWERS[q])
     grid = fixed_point_grid(ctx, with_unipotent)
-    for zeta in ctx.enumerate_mu(q + 1):
+    for zeta in ctx.enumerate_mu():
         for eta in range(q):
             got = grid[(eta, zeta)].total
             want = closed_form_fixed_count(ctx, eta, zeta, with_unipotent)
@@ -77,7 +77,7 @@ def test_criterion_4_trace_identities():
         ctx = build_tower(*TOWERS[q])
         psi = AdditiveCharacter(ctx, 1)
         m = conductor(ctx)
-        for zeta in ctx.enumerate_mu(q + 1):
+        for zeta in ctx.enumerate_mu():
             ok = ok and (sheaf_trace_A2(ctx, zeta, False, psi)
                          == CycNumber.from_rational(m, q))
         ok = ok and (character_difference_at_unipotent(ctx, 1, psi)

@@ -241,6 +241,24 @@ def test_howe_rejects_a_non_prime_p(capsys, p):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["fixed-points", "--p", "2", "--e", "100000000"], "--e"),
+    (["gauss", "--p", "1000000000000000003"], "--p"),
+    (["count", "--p", "1000000000000000003", "--variety", "Ytilde"], "--p"),
+    (["verify", "--p", "3", "--ell", "1000000000000000003"], "--ell"),
+    (["howe", "--p", "3", "--ell", str(2 ** 32 + 15)], "--ell"),
+], ids=["e", "gauss-p", "count-p", "verify-ell", "howe-ell"])
+def test_a_huge_p_e_or_ell_is_rejected_up_front(capsys, argv, flag):
+    """q = p^e is bounded before p^e is built or p tested for primality,
+    and --ell before its trial division: each is a usage error naming
+    the flag, with nothing on stdout."""
+    start = time.perf_counter()
+    code, out, err = run(capsys, argv)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and flag in err
+
+
 def test_gauss(capsys):
     code, out, _ = run(capsys, ["gauss", "--p", "5"])
     assert code == 0

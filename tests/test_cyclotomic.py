@@ -38,6 +38,15 @@ def test_root_of_unity_has_exact_order():
                 assert z ** d != one
 
 
+def test_a_negative_power_is_rejected():
+    """power loops forever on n < 0, so ** rejects it; an inverse is
+    inverse()."""
+    z = CycNumber.root_of_unity(12, 1)
+    with pytest.raises(CycError):
+        z ** -1
+    assert z.inverse() == CycNumber.root_of_unity(12, 11)
+
+
 coeff_strategy = st.lists(
     st.fractions(min_value=-5, max_value=5, max_denominator=6),
     min_size=1, max_size=4)
@@ -128,7 +137,7 @@ def _ref_conj(m, a):
 
 def _assert_is(m, value, ref):
     """value is the number with the Fraction coefficients ref, held in
-    lowest terms, with the coeffs, to_json and hash that ref gives."""
+    lowest terms, with the coeffs and to_json that ref gives."""
     deg = len(cyclotomic_coeffs(m)) - 1
     assert value.m == m and len(value.num) == deg == len(ref)
     assert all(type(n) is int for n in value.num) and type(value.den) is int
@@ -137,10 +146,9 @@ def _assert_is(m, value, ref):
     integral = all(c.denominator == 1 for c in ref)
     assert {type(c) for c in value.coeffs} == ({int} if integral else {Fraction})
     assert value.to_json() == {"conductor": m, "coeffs": [str(c) for c in ref]}
-    same = CycNumber(m, ref)
-    assert value == same and hash(value) == hash(same)
+    assert value == CycNumber(m, ref)
     if not any(ref[1:]):
-        assert value == ref[0] and hash(value) == hash(ref[0])
+        assert value == ref[0]
 
 
 def _sparse(m):
@@ -167,7 +175,6 @@ def test_arithmetic_matches_the_fraction_reference(m, data):
     _assert_is(m, a, ra)
     _assert_is(m, a + b, [x + y for x, y in zip(ra, rb)])
     _assert_is(m, a - b, [x - y for x, y in zip(ra, rb)])
-    _assert_is(m, -a, [-x for x in ra])
     _assert_is(m, a * b, _ref_mul(m, ra, rb))
     _assert_is(m, a * r, [x * r for x in ra])
     _assert_is(m, r * a, [x * r for x in ra])
@@ -183,16 +190,16 @@ def test_arithmetic_matches_the_fraction_reference(m, data):
         assert _ref_mul(m, ra, ri) == [1] + [0] * (deg - 1)
 
 
-def test_hash_agrees_with_equality():
+def test_a_number_equals_its_rational_value_and_is_not_hashable():
     assert CycNumber.from_rational(12, 12) * Fraction(1, 4) == 3
     for value in (3, Fraction(3, 4), -2, 0):
         a = CycNumber.from_rational(12, value)
-        assert a == value and hash(a) == hash(value)
-        assert len({a, value}) == 1
-    a = CycNumber.from_rational(12, 12) / 4
-    assert len({a, 3}) == 1
+        assert a == value and not a != value
     z = CycNumber.root_of_unity(12, 1) * Fraction(1, 3)
-    assert hash(z) == hash(CycNumber(12, [0, Fraction(1, 3)]))
+    assert z == CycNumber(12, [0, Fraction(1, 3)])
+    assert z != Fraction(1, 3) and z != "zeta / 3"
+    with pytest.raises(TypeError):
+        hash(z)
 
 
 def test_sums_and_products_build_no_fraction(monkeypatch):
@@ -280,7 +287,7 @@ def test_nu_is_the_quadratic_character_of_mu(p, e):
     exactly when zeta is the square of an element of mu_{q+1}."""
     ctx = build_tower(p, e)
     q, mul = ctx.q, ctx.levels[2].mul_enc
-    mu = ctx.enumerate_mu(q + 1)
+    mu = ctx.enumerate_mu()
     squares = {mul(w, w) for w in mu}
     values = []
     for z in mu:

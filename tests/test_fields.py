@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -139,6 +140,17 @@ def test_tower_rejects_bad_parameters():
         build_tower(5, 2)  # q = 25 > 16
 
 
+@pytest.mark.parametrize("p,e", [(2, 10 ** 8), (10 ** 18 + 3, 1), (4, 3),
+                                 (3, 5)])
+def test_the_q_bound_comes_before_the_power_and_the_primality_test(p, e):
+    """q = p^e is bounded before p^e is built (2^(10^8) has 30 million
+    digits) and before the trial division of p (10^18 + 3 is prime)."""
+    start = time.perf_counter()
+    with pytest.raises(FieldError, match=rf"^q = {p}\^{e} exceeds"):
+        TowerContext(p, e)
+    assert time.perf_counter() - start < 1
+
+
 @pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2)])
 def test_field_axioms_exhaustive(p, e):
     ctx = build_tower(p, e)
@@ -274,7 +286,7 @@ def test_mu_enumeration_and_discrete_log(p, e):
     the powers of h; every other element of F_{q^2} is rejected."""
     ctx = build_tower(p, e)
     q, lv = ctx.q, ctx.levels[2]
-    mu = ctx.enumerate_mu(q + 1)
+    mu = ctx.enumerate_mu()
     assert len(mu) == q + 1
     assert len(set(mu)) == q + 1
     norm = lv.power_map(q + 1)
@@ -387,22 +399,13 @@ def test_encoding_arithmetic_on_a_sample(p, e, key):
     _check_encoding_arithmetic(lv, p ** e, pairs)
 
 
-def _divisors(n):
-    return [m for m in range(1, n + 1) if n % m == 0]
-
-
 @pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)])
 def test_mu_helpers_match_their_scan_definitions(p, e):
     ctx = build_tower(p, e)
     lv = ctx.levels[2]
-    nonzero = [lv.decode(k) for k in range(1, lv.size)]
-    order = lv.size - 1
-    for m in _divisors(order):
-        mu = [a for a in nonzero if lv.pow(a, m) == lv.one]
-        assert [lv.decode(z) for z in ctx.enumerate_mu(m)] == mu
-    for m in (0, order + 1, 2 * order):
-        with pytest.raises(FieldError):
-            ctx.enumerate_mu(m)
+    mu = [a for a in (lv.decode(k) for k in range(1, lv.size))
+          if lv.pow(a, ctx.q + 1) == lv.one]
+    assert [lv.decode(z) for z in ctx.enumerate_mu()] == mu
 
 
 @pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (7, 1), (3, 2)])
@@ -709,7 +712,7 @@ def test_solve_affine_matches_solve_mod_p_on_the_map_columns(p, e, kept):
         return [a // p ** i % p for i in range(dim)]
 
     inconsistent = 0
-    for zeta in ctx.enumerate_mu(q + 1):
+    for zeta in ctx.enumerate_mu():
         def f(x):
             return K.sub(K.pow(x, q), K.mul(zeta, x))
 
@@ -728,7 +731,7 @@ def test_solve_affine_matches_solve_mod_p_on_the_map_columns(p, e, kept):
                 assert f(x) == rhs
     assert inconsistent > 0
     assert all(kept(ctx, ("reduction", zeta))
-               for zeta in ctx.enumerate_mu(q + 1))
+               for zeta in ctx.enumerate_mu())
 
 
 def test_solve_affine_rejects_zeta_outside_mu(kept):
@@ -762,7 +765,7 @@ def test_coset_is_the_kernel_of_the_map(p, e):
     ctx = build_tower(p, e)
     K = ArtinSchreierExtension(ctx)
     base, q = K.base, ctx.q
-    for zeta in ctx.enumerate_mu(q + 1):
+    for zeta in ctx.enumerate_mu():
         pairs = K.coset(zeta)
         assert [a for a, _ in pairs] == sorted(
             a for a in range(base.size)

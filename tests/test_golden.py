@@ -41,6 +41,11 @@ CLI_CASES = [
       "--format", "json"]),
     ("verify_p5_n2_ell3.json",
      ["verify", "--p", "5", "--n", "2", "--ell", "3", "--format", "json"]),
+    # the Brauer solve inverts an irrational pivot: the general path of
+    # CycNumber.inverse
+    ("verify_p2_e2_n2_ell3.json",
+     ["verify", "--p", "2", "--e", "2", "--n", "2", "--ell", "3",
+      "--format", "json"]),
     ("count_p3_n2_level2.csv",
      ["count", "--p", "3", "--variety", "Ytilde", "X", "S", "Y", "--n", "2",
       "--level", "2", "--format", "csv"]),

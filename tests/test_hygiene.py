@@ -3,16 +3,20 @@ every import sits at module level, one function holds the square-and-
 multiply loop, one function writes markdown table rows, every division
 is exact, importing the command line tool loads no module it does not
 need, every public function and class is reached from the package,
-its scripts or its benchmark, only the tower's constructor sets an
-attribute of a tower, and lru_cache sits on five functions only."""
+its scripts or its benchmark, every statement runs in a small fixed
+matrix of the program, only the tower's constructor sets an attribute
+of a tower, and lru_cache sits on five functions only."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+import trace_matrix
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "ffverify"
@@ -276,20 +280,198 @@ def test_unreached_definitions_are_found():
         "m.dead", "m.Dead"]
 
 
-# The tests compare the structured counts against count_points_naive, the
-# independent route, so it is kept although only tests call it.
-_TEST_ONLY_ROUTES = ["varieties.count_points_naive"]
+# The tests' independent routes: the tests check the program's own
+# routes against them, so they are kept although no run of the program
+# reaches them.
+_TEST_ONLY_ROUTES = {
+    "varieties.count_points_naive":
+        "the brute-force count that the structured counts are checked against",
+    "fields.poly_add": "the F_p sum behind Level.add",
+    "fields.Level.add": "the tuple sum that add_enc is checked against",
+    "fields.Level.sub": "the tuple difference that neg_enc is checked against",
+    "fields.Level.encode": "reads a tuple route's result as an encoding",
+    "fields.Level.elements": "the tuples that count_points_naive runs over",
+}
 
 
 def test_every_public_definition_is_reached():
     """No public function or class of the package is reached only by
     tests: src/ (but the re-exports of __init__.py), scripts/ and
-    perfbench/ read each one."""
+    perfbench/ read each one, or it is one of the tests' routes."""
     readers = [path.read_text() for top in ("src", "scripts", "perfbench")
                for path in sorted((ROOT / top).rglob("*.py"))
                if path != SRC / "__init__.py"]
     modules = {path.stem: path.read_text() for path in MODULES}
-    assert unreached_definitions(modules, readers) == _TEST_ONLY_ROUTES
+    assert [name for name in unreached_definitions(modules, readers)
+            if name not in _TEST_ONLY_ROUTES] == []
+
+
+def statements(source: str) -> list:
+    """(first line, last line, tail end, scope, node) of each statement,
+    in source order.  A simple statement spans its lines, a compound one
+    its header: the decorators up to the line before its body.  The tail
+    end is the last line of the statement's block, so the lines from its
+    first line to there hold it and the statements that follow it in
+    its block.  scope is the dotted name of the innermost enclosing
+    function or class ("<module>" at top level).  Docstrings, global and
+    nonlocal are left out, as they run no code."""
+    found = []
+
+    def visit(body, scope, is_def):
+        for i, node in enumerate(body):
+            if ((i == 0 and is_def and isinstance(node, ast.Expr)
+                 and isinstance(node.value, ast.Constant)
+                 and isinstance(node.value.value, str))
+                    or isinstance(node, (ast.Global, ast.Nonlocal))):
+                continue
+            first = min([node.lineno] + [d.lineno for d in getattr(
+                node, "decorator_list", [])])
+            inner = getattr(node, "body", None)
+            last = (max(node.lineno, inner[0].lineno - 1)
+                    if isinstance(inner, list) else node.end_lineno)
+            found.append((first, last, body[-1].end_lineno, scope, node))
+            named = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                      ast.ClassDef))
+            sub = (node.name if scope == "<module>" else
+                   f"{scope}.{node.name}") if named else scope
+            blocks = [getattr(node, f, []) for f in ("body", "orelse",
+                                                     "finalbody")]
+            blocks += [h.body for h in getattr(node, "handlers", [])]
+            for k, block in enumerate(blocks):
+                visit(block, sub, named and k == 0)
+
+    visit(ast.parse(source).body, "<module>", True)
+    return found
+
+
+def unrun_statements(sources: dict, ran: dict, allowed) -> list[str]:
+    """The statements of sources ({module name: source}) whose lines are
+    not in ran ({module name: lines that ran}), as "module:line: first
+    line of the statement", in module and source order; then one "stale:
+    key" for each key of allowed that exempts no statement or exempts
+    one that ran.  A raise is exempt, and so is what a key of allowed
+    names: "module.function" every statement in that function, and
+    "module.scope: first line" that statement of scope and the ones that
+    follow it in its block."""
+    spans = {key: _exempt_spans(key, sources) for key in allowed}
+    out, exempted = [], {key: [] for key in allowed}
+    for module, source in sources.items():
+        lines = source.splitlines()
+        for first, last, _, _, node in statements(source):
+            if isinstance(node, ast.Raise):
+                continue
+            ok = any(n in ran.get(module, ()) for n in range(first, last + 1))
+            hits = [key for key, (owner, found) in spans.items()
+                    if owner == module and any(a <= first <= b
+                                               for a, b in found)]
+            for key in hits:
+                exempted[key].append(ok)
+            if not ok and not hits:
+                out.append(f"{module}:{first}: {lines[first - 1].strip()}")
+    return out + [f"stale: {key}" for key, oks in exempted.items()
+                  if not oks or any(oks)]
+
+
+def _exempt_spans(key: str, sources: dict):
+    """(module, [(first line, last line), ...]): where the statements
+    that key exempts begin.  A function exempts its body, a statement
+    its tail."""
+    name, _, text = key.partition(": ")
+    module, _, scope = name.partition(".")
+    source = sources.get(module, "")
+    lines = source.splitlines()
+    found = []
+    for first, _, tail, inner, node in statements(source):
+        if text and inner == scope and lines[first - 1].strip() == text:
+            found.append((first, tail))
+        elif (not text and isinstance(node, ast.FunctionDef)
+              and f"{inner}.{node.name}".removeprefix("<module>.") == scope):
+            found.append((node.body[0].lineno, node.end_lineno))
+    return module, found
+
+
+def test_unrun_statements_are_found(tmp_path):
+    """A planted module under the tracer of tests/trace_matrix.py: a
+    statement that does not run is named, a raise is not, an allowed
+    scope or tail is not, and a key that exempts nothing or exempts a
+    statement that ran is stale."""
+    source = ("def used(x):\n"
+              "    if x < 0:\n"
+              "        raise ValueError(x)\n"
+              "    if x > 9:\n"
+              "        x = 9\n"
+              "        return x\n"
+              "    return x + 1\n"
+              "def dead():\n"
+              "    return 2\n"
+              "def tail(x):\n"
+              "    y = x\n"
+              "    return y\n")
+    (tmp_path / "planted.py").write_text(source)
+    sys.path.insert(0, str(tmp_path))
+    try:  # imported under the tracer, so that its def statements run
+        ran = trace_matrix.trace_lines(
+            tmp_path, lambda: __import__("planted").used(1))
+    finally:
+        sys.path.remove(str(tmp_path))
+        sys.modules.pop("planted", None)
+    ran = {"planted": ran["planted.py"]}
+    assert unrun_statements({"planted": source}, ran, {}) == [
+        "planted:5: x = 9", "planted:6: return x", "planted:9: return 2",
+        "planted:11: y = x", "planted:12: return y"]
+    allowed = {"planted.dead": "", "planted.used: x = 9": "",
+               "planted.tail: y = x": "", "planted.used: return x + 1": "",
+               "planted.gone": ""}
+    assert unrun_statements({"planted": source}, ran, allowed) == [
+        "stale: planted.used: return x + 1", "stale: planted.gone"]
+
+
+# What no run of the program executes and is kept on purpose, besides
+# every raise and the tests' routes: the failure branches of the
+# program's own checks, the empty results of a solve, the mod-ell
+# dimensions that item 1 of ROADMAP.md leaves unread, __repr__ and the
+# entry point.
+_NOT_RUN = {
+    **_TEST_ONLY_ROUTES,
+    'characters._reduction: return "restriction is not in the Brauer span"':
+        "a failed Brauer solve, the reason brauer_decompose raises",
+    'characters._reduction: return "non-integral Brauer multiplicity"':
+        "a failed Brauer solve: no multiplicity may be a fraction",
+    'characters._reduction: return "negative Brauer multiplicity"':
+        "a failed Brauer solve: no multiplicity may be negative",
+    'characters._reduction: return "Brauer constituents do not fill the '
+    'dimension"': "a failed Brauer solve: the dimensions must add up",
+    "howe.compare_semisimplifications: reduction = ss_dim = deficit = None":
+        "the comparison row of a failed Brauer solve, which fails verify",
+    "fixed_points._projectively_equal: return False":
+        "a reported point that is not fixed, which fails the grid",
+    'cli.main: sys.stderr.write(f"internal error: {exc}\\n")':
+        "exit 3, for an exception the tool does not expect",
+    "fields.solve_reduced: return None":
+        "an inconsistent system, which solve_affine reads as no solution",
+    "fields.ArtinSchreierExtension.solve_affine: return []":
+        "no solution; each rhs that the grid builds has one",
+    "characters.dim_mod_ell_unitary: s = (-1) ** n":
+        "ell divides q + 1: verify reads these dimensions only where it "
+        "does not (ROADMAP.md, item 1)",
+    "fields.TowerContext.__repr__": "the tower as a debugger shows it",
+    "cli.<module>: sys.exit(main())": "the entry point of python -m",
+}
+
+
+def test_every_statement_runs(tmp_path):
+    """Every statement of src/ffverify runs in tests/trace_matrix.py, a
+    small fixed matrix of the CLI, the scripts and the benchmark's
+    library job in a fresh interpreter, but a raise and _NOT_RUN."""
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tests" / "trace_matrix.py"),
+         str(tmp_path)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    ran = {Path(name).stem: set(lines)
+           for name, lines in json.loads(proc.stdout).items()}
+    sources = {path.stem: path.read_text()
+               for path in sorted(SRC.glob("*.py"))}
+    assert unrun_statements(sources, ran, _NOT_RUN) == []
 
 
 # The names under which code holds a tower: TowerContext's self, and
