@@ -24,10 +24,11 @@ class CharacterError(ValueError):
 
 
 def char_of(q: int) -> int:
-    """The prime p with q = p^e."""
-    fs = prime_factors(q)
+    """The prime p with q = p^e; q is bounded below 2^32 before the trial
+    division of prime_factors."""
+    fs = prime_factors(q) if q < 2 ** 32 else []
     if len(fs) != 1:
-        raise CharacterError(f"q = {q} is not a prime power")
+        raise CharacterError(f"q = {q} is not a prime power below 2^32")
     return fs[0]
 
 
@@ -82,9 +83,12 @@ def dim_w_isotypic(n: int, q: int, label: IsotypicLabel) -> int:
 
 
 def ell_parts(q: int, ell: int) -> tuple[int, int]:
-    """(l^a, r) with q + 1 = l^a r and l coprime to r; ell must be prime."""
-    if not is_prime(ell):
-        raise CharacterError(f"ell = {ell} is not a prime")
+    """(l^a, r) with q + 1 = l^a r and l coprime to r.  The one check of
+    ell: an odd prime that does not divide q.  ell matters only through
+    ell | q + 1, so it is bounded below 2^32 before the trial division."""
+    if not 2 < ell < 2 ** 32 or q % ell == 0 or not is_prime(ell):
+        raise CharacterError(f"ell = {ell} must be an odd prime below 2^32 "
+                             f"that does not divide q = {q}")
     m = q + 1
     la = 1
     while m % ell == 0:
@@ -98,12 +102,9 @@ def dim_mod_ell_unitary(n: int, q: int, k: int, ell: int) -> int:
 
     The reduction of chi_k factors through the prime-to-l quotient
     mu_r of mu_{q+1}; only k mod r matters."""
-    p = char_of(q)
-    if ell == p or ell == 2 or not is_prime(ell):
-        raise CharacterError("ell must be an odd prime different from p")
+    la, r = ell_parts(q, ell)
     if n < 2:
         raise CharacterError("n must be at least 2")
-    la, r = ell_parts(q, ell)
     if la == 1:
         return dim_v_isotypic(n, q, trivial=(k % (q + 1) == 0))
     s = (-1) ** n
@@ -163,17 +164,12 @@ def ordinary_irreps(q: int) -> list[DihedralIrrep]:
     if m % 2 == 0:
         out.append(DihedralIrrep("one", m // 2, "+"))
         out.append(DihedralIrrep("one", m // 2, "-"))
-    for xi in range(1, (m + 1) // 2):
-        if 2 * xi != m:
-            out.append(DihedralIrrep("two", xi, None))
-    return out
+    return out + [DihedralIrrep("two", xi, None)
+                  for xi in range(1, (m + 1) // 2)]
 
 
 def brauer_irreps(q: int, ell: int) -> list[DihedralIrrep]:
     """Mod-l irreducibles: characters through the prime-to-l quotient."""
-    p = char_of(q)
-    if ell == p or ell == 2 or not is_prime(ell):
-        raise CharacterError("ell must be an odd prime different from p")
     la, r = ell_parts(q, ell)
     # the irreducibles of the dihedral quotient of order 2r, pulled back
     # along mu_{q+1} -> mu_r, zeta -> zeta^la: xi on mu_r becomes xi la

@@ -17,8 +17,9 @@ import json
 import os
 import sys
 
-from .fields import FieldError, build_tower, is_prime
-from .cyclotomic import AdditiveCharacter, CycNumber, conductor, gauss_sum
+from .fields import TowerContext, build_tower, prime_power
+from .characters import ell_parts
+from .cyclotomic import AdditiveCharacter, conductor, gauss_square, gauss_sum
 from .varieties import (BudgetExceededError, VarietySpec, VARIETY_KINDS,
                         count_points)
 from .fixed_points import fixed_point_grid
@@ -62,21 +63,24 @@ def _check_n(n: int, base: int, exponent: int):
                          f"printed would have more than {digits} digits")
 
 
-def _check_ell(ell: int, p: int):
-    # ell matters only through ell | q + 1, and q + 1 <= 4097: a bound on
-    # ell bounds the trial division of is_prime
-    if not 2 < ell < 2 ** 32 or ell == p or not is_prime(ell):
-        raise UsageError(f"--ell {ell} must be an odd prime below 2^32 "
-                         f"other than p = {p}")
+def _usage(flags: str, check, *params):
+    """check(*params); the ValueError it raises is a usage error that
+    names flags."""
+    try:
+        return check(*params)
+    except ValueError as exc:
+        raise UsageError(f"{flags}: {exc}") from None
 
 
 def _tower(args):
     """build_tower(--p, --e); a tower it cannot build is a usage error."""
-    try:
-        return build_tower(args.p, args.e)
-    except FieldError as exc:
-        raise UsageError(f"--p {args.p} --e {args.e}: {exc}") from None
+    return _usage(f"--p {args.p} --e {args.e}", build_tower, args.p, args.e)
 
+
+def _q(args, bound: int) -> int:
+    """q = --p ^ --e, checked against bound without building a tower."""
+    return _usage(f"--p {args.p} --e {args.e}", prime_power, args.p, args.e,
+                  bound)
 
 def _csv(header, rows) -> str:
     """CSV text: the header line and one line per row.  No field needs
@@ -120,8 +124,9 @@ def cmd_count(args):
 
 
 def cmd_verify(args):
-    _check_ell(args.ell, args.p)
-    _check_n(args.n, _tower(args).q, 2 * args.n)
+    q = _q(args, TowerContext.MAX_Q)
+    _usage(f"--ell {args.ell}", ell_parts, q, args.ell)  # before any tower
+    _check_n(args.n, q, 2 * args.n)
     report = verify_all(args.n, args.p, args.e, args.ell)
     text = (report_to_markdown(report) if args.format == "md"
             else _json_dumps(report))
@@ -136,20 +141,13 @@ HOWE_MAX_Q = 4096
 
 
 def cmd_howe(args):
-    # p^e >= 2^e > HOWE_MAX_Q for e >= 13: a large e needs no power
-    if args.p >= 2 and (args.e >= HOWE_MAX_Q.bit_length()
-                        or args.p ** args.e > HOWE_MAX_Q):
-        raise UsageError(f"q = {args.p}^{args.e} exceeds {HOWE_MAX_Q}, "
-                         f"the largest q for howe: lower --p or --e")
-    if not is_prime(args.p) or args.e < 1:
-        raise UsageError(f"q = p^e needs a prime p and e >= 1, "
-                         f"got p = {args.p}, e = {args.e}")
-    _check_n(args.n, args.p ** args.e, 2 * args.n)
+    q = _q(args, HOWE_MAX_Q)
+    _check_n(args.n, q, 2 * args.n)
     if args.ell is None:
-        table = theta_ordinary(args.n, args.p ** args.e)
+        table = theta_ordinary(args.n, q)
     else:
-        _check_ell(args.ell, args.p)
-        table = theta_mod_ell(args.n, args.p ** args.e, args.ell)
+        _usage(f"--ell {args.ell}", ell_parts, q, args.ell)
+        table = theta_mod_ell(args.n, q, args.ell)
     text = (table.to_markdown() if args.format == "md"
             else _json_dumps(table.to_json()))
     return (0 if all(c["pass"] for c in table.checks) else 1), text
@@ -160,8 +158,7 @@ def cmd_gauss(args):
     if ctx.p == 2:
         raise UsageError("quadratic Gauss sums need odd characteristic")
     m = conductor(ctx)
-    sign = ctx.legendre(ctx.p - 1)  # -1 has encoding p - 1
-    expected_sq = CycNumber.from_rational(m, sign * ctx.q)
+    expected_sq = gauss_square(ctx)
     sums = []
     for a in range(1, ctx.q):
         g = gauss_sum(ctx, AdditiveCharacter(ctx, a))

@@ -293,3 +293,10 @@ def gauss_sum(ctx: TowerContext, psi: AdditiveCharacter) -> CycNumber:
     if psi.is_trivial():
         raise FieldError("the additive character must be nontrivial")
     return sum(ctx.legendre(x) * psi(x) for x in range(1, ctx.q))
+
+
+def gauss_square(ctx: TowerContext) -> CycNumber:
+    """(-1 | F_q) q, the square of every quadratic Gauss sum of F_q; -1
+    has encoding p - 1."""
+    return CycNumber.from_rational(conductor(ctx),
+                                   ctx.legendre(ctx.p - 1) * ctx.q)

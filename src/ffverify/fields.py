@@ -38,6 +38,19 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def prime_power(p: int, e: int, bound: int) -> int:
+    """q = p^e for a prime p and e >= 1, if q <= bound.  p^e >= 2^e, so a
+    large e is rejected before the power is built, and q is bounded
+    before the trial division of p."""
+    if e < 1:
+        raise FieldError("exponent must be positive")
+    if p > 1 and (e >= bound.bit_length() or p ** e > bound):
+        raise FieldError(f"q = {p}^{e} exceeds the bound {bound}")
+    if not is_prime(p):
+        raise FieldError(f"p = {p} is not prime")
+    return p ** e
+
+
 def prime_factors(n: int) -> list[int]:
     out = []
     d = 2
@@ -425,17 +438,9 @@ class TowerContext:
     MAX_Q = 16
 
     def __init__(self, p: int, e: int):
-        if e < 1:
-            raise FieldError("exponent must be positive")
-        # p^e >= 2^e > MAX_Q for p >= 2 and e >= 5: a large e needs no
-        # power, and the bound on q bounds the trial division of is_prime
-        if p > 1 and (e >= self.MAX_Q.bit_length() or p ** e > self.MAX_Q):
-            raise FieldError(f"q = {p}^{e} exceeds the enumeration bound {self.MAX_Q}")
-        if not is_prime(p):
-            raise FieldError(f"p = {p} is not prime")
+        self.q = prime_power(p, e, self.MAX_Q)
         self.p = p
         self.e = e
-        self.q = p ** e
         self.levels = lv = {k: Level(p, e * k) for k in self.KEYS}
         self._embedding = embedding_table(
             self._find_root(lv[1].modulus, lv[2]), lv[1], lv[2])

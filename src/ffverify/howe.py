@@ -18,7 +18,8 @@ from .characters import (CharacterError, DihedralIrrep, IsotypicLabel,
                          dim_mod_ell_unitary, dim_v_isotypic,
                          dim_w_isotypic, ell_parts, ell_regular_classes,
                          o_minus_table, ordinary_irreps)
-from .cyclotomic import AdditiveCharacter, CycNumber, conductor, gauss_sum
+from .cyclotomic import (AdditiveCharacter, CycNumber, conductor,
+                         gauss_square, gauss_sum)
 from .fields import build_tower
 from .fixed_points import differential_vanishes, fixed_point_grid
 from .traces import (character_difference_at_unipotent,
@@ -67,9 +68,7 @@ class HoweTable(NamedTuple):
             [(e.tau.label(), e.tau.dim, e.dim, e.status,
               "; ".join(f"{lab} ({d})" for d, lab in e.constituents) or "-")
              for e in self.entries])
-        if self.checks:
-            lines += [""] + _checks_markdown(self.checks)
-        return "\n".join(lines + [""])
+        return "\n".join(lines + [""] + _checks_markdown(self.checks) + [""])
 
 
 def _check(name, expected, actual) -> dict:
@@ -112,6 +111,7 @@ def theta_mod_ell(n: int, q: int, ell: int) -> HoweTable:
     """Mod-l table over the Brauer parametrization; n >= 2."""
     if n < 2:
         raise CharacterError("n must be at least 2")
+    char_of(q)  # rejects a q that is not a prime power
     la = ell_parts(q, ell)[0]
     irreps = brauer_irreps(q, ell)
     entries = [_entry(n, q, tau, la > 1 and tau == DihedralIrrep("one", 0, "+"))
@@ -173,26 +173,21 @@ def verify_all(n: int, p: int, e: int, ell: int) -> dict:
     """
     ctx = build_tower(p, e)
     q = ctx.q
-    if ell == 2 or ell == p:
-        raise CharacterError(
-            f"ell = {ell} is unsupported: ell must be an odd prime "
-            f"different from the characteristic {p}")
-    if n < 2:
-        raise CharacterError("n must be at least 2")
+    la = ell_parts(q, ell)[0]
+    ordinary = theta_ordinary(n, q)
     tab = o_minus_table(q, "ordinary")
     checks = [
         _check("ordinary-row-orthogonality", True, tab.row_orthogonality_ok()),
         _check("ordinary-column-orthogonality", True,
                tab.column_orthogonality_ok()),
         _check("ordinary-class-count", len(tab.classes), len(tab.irreps)),
-        {**theta_ordinary(n, q).checks[0], "name": "theta-total-dimension"},
+        {**ordinary.checks[0], "name": "theta-total-dimension"},
         _check("brauer-table-square", len(ell_regular_classes(q, ell)),
                len(brauer_irreps(q, ell))),
         _check("brauer-decomposition-integrality", True, not any(
             isinstance(d, str) for d in brauer_decompositions(q, ell).values())),
     ]
     modular = theta_mod_ell(n, q, ell)
-    la = ell_parts(q, ell)[0]
     rows = compare_semisimplifications(n, q, ell)
     checks += [
         _check("extension-flag-iff-ell-divides", la > 1, any(
@@ -218,9 +213,7 @@ def verify_all(n: int, p: int, e: int, ell: int) -> dict:
         psi = AdditiveCharacter(ctx, 1)
         m = conductor(ctx)
         g = gauss_sum(ctx, psi)
-        sign = ctx.legendre(p - 1)  # -1 has encoding p - 1
-        checks.append(_check("gauss-square", CycNumber.from_rational(m, sign * q),
-                             g * g))
+        checks.append(_check("gauss-square", gauss_square(ctx), g * g))
         plain_ok = all(
             sheaf_trace_A2(ctx, zeta, False, psi)
             == CycNumber.from_rational(m, q)

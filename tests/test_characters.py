@@ -1,12 +1,14 @@
 """Dimension formulas and dihedral character tables, ordinary and modular."""
 
+import time
+
 import pytest
 
 from ffverify import (CharacterError, IsotypicLabel, brauer_decompose,
-                      brauer_decompositions, brauer_irreps, conjugacy_classes,
-                      dim_mod_ell_unitary, dim_v_isotypic, dim_w_isotypic,
-                      ell_parts, ell_regular_classes, o_minus_table,
-                      ordinary_irreps)
+                      brauer_decompositions, brauer_irreps, characters,
+                      conjugacy_classes, dim_mod_ell_unitary, dim_v_isotypic,
+                      dim_w_isotypic, ell_parts, ell_regular_classes,
+                      o_minus_table, ordinary_irreps)
 from ffverify.characters import DihedralIrrep, irrep_value
 from ffverify.fields import is_prime
 
@@ -74,11 +76,21 @@ def test_ell_parts():
     assert ell_parts(3, 5) == (1, 4)
 
 
-@pytest.mark.parametrize("ell", [-1, 0, 1, 4, 9])
+@pytest.mark.parametrize("ell", [-1, 0, 1, 4, 9, 2, 5, 2 ** 32 + 15])
 def test_ell_parts_rejects_a_non_prime(ell):
-    # ell = 1 and -1 used to divide q + 1 forever
-    with pytest.raises(CharacterError):
+    """ell_parts is the one check of ell: an odd prime that does not
+    divide q, below 2^32 (2^32 + 15 is prime).  ell = 1 and -1 used to
+    divide q + 1 forever."""
+    with pytest.raises(CharacterError, match=f"^ell = {ell} must be"):
         ell_parts(5, ell)
+
+
+def test_char_of_bounds_q_before_factoring_it():
+    assert characters.char_of(2 ** 31 - 1) == 2 ** 31 - 1
+    start = time.perf_counter()
+    with pytest.raises(CharacterError, match="below 2"):
+        characters.char_of(2 ** 61 - 1)  # a prime
+    assert time.perf_counter() - start < 1
 
 
 @pytest.mark.parametrize("ell", [3, 5, 7, 11])

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from ffverify import (AdditiveCharacter, CycError, CycNumber, build_tower,
                       conductor, gauss_sum, nu_sign, o_minus_table)
-from ffverify.cyclotomic import cyclotomic_coeffs
+from ffverify.cyclotomic import cyclotomic_coeffs, gauss_square
 
 
 KNOWN_CYCLOTOMICS = {
@@ -307,6 +307,7 @@ def test_gauss_sum_square_identity(p, e):
     m = conductor(ctx)
     sign = ctx.legendre(ctx.p - 1)  # -1 has encoding p - 1
     expected = CycNumber.from_rational(m, sign * q)
+    assert gauss_square(ctx) == expected
     g1 = None
     for a in range(1, q):
         g = gauss_sum(ctx, AdditiveCharacter(ctx, a))

@@ -15,8 +15,8 @@ from ffverify.fixed_points import coordinate_extension
 from ffverify.fields import (ArtinSchreierExtension, Level, TowerContext,
                              _digits, _is_irreducible, embedding_table,
                              is_prime, least_irreducible, poly_mod, poly_mul,
-                             poly_powmod, power, prime_factors, reduce_mod_p,
-                             row_reduce, solve_reduced)
+                             poly_powmod, power, prime_factors, prime_power,
+                             reduce_mod_p, row_reduce, solve_reduced)
 
 # (p, e) of every tower with q <= 16.
 TOWERS = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (5, 1), (7, 1),
@@ -148,6 +148,32 @@ def test_the_q_bound_comes_before_the_power_and_the_primality_test(p, e):
     start = time.perf_counter()
     with pytest.raises(FieldError, match=rf"^q = {p}\^{e} exceeds"):
         TowerContext(p, e)
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("p,e,bound,q", [(2, 4, 16, 16), (13, 1, 16, 13),
+                                         (2, 12, 4096, 4096),
+                                         (4093, 1, 4096, 4093)])
+def test_prime_power_returns_q_up_to_its_bound(p, e, bound, q):
+    assert prime_power(p, e, bound) == q
+
+
+@pytest.mark.parametrize("p,e,bound,reason", [
+    (10 ** 18 + 3, 0, 16, "exponent"),
+    (10 ** 18 + 3, -1, 4096, "exponent"),
+    (2, 10 ** 9, 4096, "exceeds"),
+    (10 ** 18 + 3, 1, 4096, "exceeds"),
+    (2, 13, 4096, "exceeds"),
+    (4, 1, 16, "not prime"),
+    (1, 10 ** 9, 16, "not prime"),
+    (-7, 3, 16, "not prime")])
+def test_prime_power_rejects_before_the_power_and_the_primality_test(
+        p, e, bound, reason):
+    """e < 1 and q > bound are rejected before p^e is built and before
+    the trial division of p (10^18 + 3 is prime)."""
+    start = time.perf_counter()
+    with pytest.raises(FieldError, match=reason):
+        prime_power(p, e, bound)
     assert time.perf_counter() - start < 1
 
 

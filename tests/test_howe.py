@@ -3,6 +3,8 @@
 import importlib.util
 import json
 import sys
+import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -35,6 +37,11 @@ def test_ordinary_table(n, q):
 def test_ordinary_table_needs_a_prime_power():
     with pytest.raises(CharacterError):
         theta_ordinary(2, 6)
+
+
+def test_mod_ell_table_needs_a_prime_power():
+    with pytest.raises(CharacterError, match="not a prime power"):
+        theta_mod_ell(2, 6, 5)
 
 
 def test_tables_need_n_at_least_two():
@@ -115,6 +122,21 @@ def test_verifier_rejects_unsupported_parameters():
         verify_all(2, 3, 1, 3)
     with pytest.raises(CharacterError):
         verify_all(1, 3, 1, 5)
+
+
+@pytest.mark.parametrize("call,args", [
+    (ell_parts, (5, 10 ** 18 + 3)),
+    (theta_mod_ell, (2, 5, 10 ** 18 + 3)),
+    (verify_all, (2, 3, 1, 10 ** 18 + 3)),
+    (theta_ordinary, (2, 2 ** 61 - 1))],
+    ids=["ell_parts", "theta_mod_ell", "verify_all", "theta_ordinary"])
+def test_a_huge_ell_or_q_is_rejected_before_its_trial_division(call, args):
+    """10^18 + 3 and 2^61 - 1 are prime: without a bound the trial
+    division of ell or q would run for hours."""
+    start = time.perf_counter()
+    with pytest.raises(CharacterError):
+        call(*args)
+    assert time.perf_counter() - start < 1
 
 
 def test_verifier_passes_odd_characteristic():
@@ -211,6 +233,31 @@ def test_a_dropped_class_equation_fails_the_brauer_checks(
     assert not checks["brauer-decomposition-integrality"]
     assert not checks["semisimplification-deficit-pattern"]
     assert not report["all_passed"]
+
+
+@pytest.mark.parametrize("factor,reason", [
+    (Fraction(1, 2), "non-integral Brauer multiplicity"),
+    (2, "Brauer constituents do not fill the dimension")])
+def test_scaled_right_hand_sides_fail_the_brauer_checks(
+        monkeypatch, capsys, fresh_brauer_cache, factor, reason):
+    """At q = 3, ell = 5 every ordinary irreducible reduces to itself.
+    Scaling each right-hand side by 1/2 makes every multiplicity 1/2;
+    scaling it by 2 makes it 2, which overfills every dimension."""
+    real = characters.row_reduce
+
+    def scaling(rows, ncols, *args):
+        for row in rows:
+            row[ncols:] = [v * factor for v in row[ncols:]]
+        return real(rows, ncols, *args)
+
+    monkeypatch.setattr(characters, "row_reduce", scaling)
+    code, out = _verify_cli(capsys, "--p", "3", "--ell", "5")
+    assert code == 1
+    report = json.loads(out)
+    checks = {c["name"]: c["pass"] for c in report["checks"]}
+    assert not checks["brauer-decomposition-integrality"]
+    assert not report["all_passed"]
+    assert set(characters.brauer_decompositions(3, 5).values()) == {reason}
 
 
 def test_build_howe_tables_marks_a_failed_brauer_solve(

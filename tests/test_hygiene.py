@@ -89,16 +89,15 @@ def test_no_function_level_imports(path):
     assert function_imports(path.read_text()) == []
 
 
-def right_shift_assignments(source: str) -> list[str]:
-    """The `>>=` statements, as "f (line n)" with f the dotted name of
-    the innermost enclosing class or function ("<module>" at top level),
-    in source order."""
+def scoped_nodes(source: str, match) -> list[str]:
+    """The nodes for which match holds, as "f (line n)" with f the dotted
+    name of the innermost enclosing class or function ("<module>" at top
+    level), in source order."""
     found = []
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
-            if (isinstance(child, ast.AugAssign)
-                    and isinstance(child.op, ast.RShift)):
+            if match(child):
                 found.append(f"{scope or '<module>'} (line {child.lineno})")
             if isinstance(child, (ast.ClassDef, ast.FunctionDef,
                                   ast.AsyncFunctionDef)):
@@ -108,6 +107,12 @@ def right_shift_assignments(source: str) -> list[str]:
 
     visit(ast.parse(source), None)
     return found
+
+
+def right_shift_assignments(source: str) -> list[str]:
+    """The `>>=` statements, as scoped_nodes names them."""
+    return scoped_nodes(source, lambda node: isinstance(node, ast.AugAssign)
+                        and isinstance(node.op, ast.RShift))
 
 
 def test_right_shift_assignments_are_found():
@@ -131,6 +136,58 @@ def test_one_square_and_multiply():
              for path in sorted(SRC.glob("*.py"))}
     assert {name: f for name, f in found.items() if f} == {
         "fields.py": ["power"]}
+
+
+# The trial divisions of fields, and the one function of each module
+# that may read them: each bounds its argument first.  prime_power,
+# char_of and ell_parts check an input (q = p^e, q and ell);
+# _is_irreducible factors a degree of at most 4e and Level.log_tables
+# the order of a level of a tower that prime_power has bounded.
+_TRIAL_DIVISIONS = ("is_prime", "prime_factors")
+_TRIAL_DIVISION_READERS = {
+    "src/ffverify/characters.py": ["char_of", "ell_parts"],
+    "src/ffverify/fields.py": ["Level.log_tables", "_is_irreducible",
+                               "prime_power"]}
+
+
+def trial_division_reads(source: str) -> list[str]:
+    """The reads of is_prime and prime_factors, bare or as an attribute
+    and called or not, as scoped_nodes names them; imports and the def
+    statements are not reads."""
+    return scoped_nodes(source, lambda node: (
+        isinstance(node, ast.Name) and node.id in _TRIAL_DIVISIONS
+        or isinstance(node, ast.Attribute)
+        and node.attr in _TRIAL_DIVISIONS))
+
+
+def test_trial_division_reads_are_found():
+    source = ("from .fields import is_prime, prime_factors\n"
+              "def is_prime(n):\n"
+              "    return n > 1\n"
+              "def ell_parts(q, ell):\n"
+              "    if ell < 2 ** 32 and is_prime(ell):\n"
+              "        return q\n"
+              "class Table:\n"
+              "    def order(self, q):\n"
+              "        return fields.prime_factors(q)\n"
+              "check = is_prime\n"
+              "odd = list(filter(is_prime, range(9)))\n")
+    assert trial_division_reads(source) == [
+        "ell_parts (line 5)", "Table.order (line 9)", "<module> (line 10)",
+        "<module> (line 11)"]
+
+
+def test_every_trial_division_sits_behind_a_bound():
+    """is_prime and prime_factors divide up to the square root of their
+    argument, so an unbounded input would run for hours: only the
+    functions of _TRIAL_DIVISION_READERS, which bound it, read them, in
+    the package and its scripts."""
+    found = {path.relative_to(ROOT).as_posix(): sorted(set(
+        f.split(" ")[0] for f in trial_division_reads(path.read_text())))
+        for top in ("src", "scripts") for path in sorted(
+            (ROOT / top).rglob("*.py"))}
+    assert {name: f for name, f in found.items() if f} == (
+        _TRIAL_DIVISION_READERS)
 
 
 def table_row_strings(source: str) -> list[str]:
