@@ -18,7 +18,7 @@ import os
 import sys
 
 from .fields import TowerContext, build_tower, prime_power
-from .characters import ell_parts
+from .characters import dim_v_isotypic, ell_parts
 from .cyclotomic import AdditiveCharacter, conductor, gauss_square, gauss_sum
 from .varieties import (BudgetExceededError, VarietySpec, VARIETY_KINDS,
                         count_points)
@@ -82,6 +82,13 @@ def _q(args, bound: int) -> int:
     return _usage(f"--p {args.p} --e {args.e}", prime_power, args.p, args.e,
                   bound)
 
+
+def _theta_n(args, q: int):
+    """The library's check of n >= 2, the domain of the theta
+    dimensions, as a usage error before any tower or table."""
+    _usage(f"--n {args.n}", dim_v_isotypic, args.n, q, True)
+
+
 def _csv(header, rows) -> str:
     """CSV text: the header line and one line per row.  No field needs
     quoting: every value is a name, an int or a bool."""
@@ -97,10 +104,12 @@ def cmd_count(args):
     # a count that grows with n is at most N^(2n+1), N = q^level (X')
     _check_n(args.n, ctx.q ** args.level, 2 * args.n + 1)
     kinds = ("Y", "Ytilde") if args.torsor else args.variety
+    specs = [_usage(f"--n {args.n}", VarietySpec, kind, args.n)
+             for kind in kinds]
     header = ("variety", "n", "level", "count")
-    rows = [(kind, args.n, args.level,
-             count_points(ctx, VarietySpec(kind, args.n), args.level,
-                          args.budget)) for kind in kinds]
+    rows = [(spec.kind, args.n, args.level,
+             count_points(ctx, spec, args.level, args.budget))
+            for spec in specs]
     ok = True
     if args.torsor:
         base, cover = rows[0][3], rows[1][3]
@@ -127,6 +136,7 @@ def cmd_verify(args):
     q = _q(args, TowerContext.MAX_Q)
     _usage(f"--ell {args.ell}", ell_parts, q, args.ell)  # before any tower
     _check_n(args.n, q, 2 * args.n)
+    _theta_n(args, q)
     report = verify_all(args.n, args.p, args.e, args.ell)
     text = (report_to_markdown(report) if args.format == "md"
             else _json_dumps(report))
@@ -143,11 +153,11 @@ HOWE_MAX_Q = 4096
 def cmd_howe(args):
     q = _q(args, HOWE_MAX_Q)
     _check_n(args.n, q, 2 * args.n)
-    if args.ell is None:
-        table = theta_ordinary(args.n, q)
-    else:
+    if args.ell is not None:
         _usage(f"--ell {args.ell}", ell_parts, q, args.ell)
-        table = theta_mod_ell(args.n, q, args.ell)
+    _theta_n(args, q)
+    table = (theta_ordinary(args.n, q) if args.ell is None
+             else theta_mod_ell(args.n, q, args.ell))
     text = (table.to_markdown() if args.format == "md"
             else _json_dumps(table.to_json()))
     return (0 if all(c["pass"] for c in table.checks) else 1), text

@@ -144,6 +144,17 @@ def test_a_small_n_still_runs(capsys, argv):
     assert code == 0 and out
 
 
+@pytest.mark.parametrize("argv,least", [
+    (["count", "--p", "3", "--n", "0"], 1),
+    (["verify", "--p", "3", "--n", "0", "--ell", "5"], 2),
+    (["howe", "--p", "3", "--n", "0"], 2),
+], ids=["count", "verify", "howe"])
+def test_an_n_below_its_least_is_a_usage_error_naming_n(capsys, argv, least):
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err == f"error: --n 0: n must be at least {least}\n"
+
+
 def test_verify_pass(capsys):
     code, out, _ = run(capsys, ["verify", "--p", "2", "--n", "2", "--ell", "3"])
     assert code == 0

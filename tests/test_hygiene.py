@@ -2,7 +2,8 @@
 every import sits at module level, one function holds the square-and-
 multiply loop, one function writes markdown table rows, every division
 is exact, importing the command line tool loads no module it does not
-need, every public function and class is reached from the package,
+need, importing the package loads only the layers its caller reaches,
+every public function and class is reached from the package,
 its scripts or its benchmark, every statement runs in a small fixed
 matrix of the program, only the tower's constructor sets an attribute
 of a tower, and lru_cache sits on five functions only."""
@@ -20,7 +21,7 @@ import trace_matrix
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "ffverify"
-# __init__.py imports names only to re-export them.
+# The layers: __init__.py only looks names up in them.
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -282,16 +283,33 @@ def test_divisions_are_exact(path):
 _STARTUP_EXCLUDED = ("dataclasses", "inspect", "csv")
 
 
-def test_cli_import_loads_no_heavy_module():
-    """Under python -S, site imports nothing, so every module loaded is
-    loaded by ffverify.cli and what it imports."""
+def loaded_modules(code: str, modules) -> list:
+    """The names in modules of the modules that running code loads in a
+    fresh python -S process.  Under -S, site imports nothing, so every
+    module loaded is loaded by code and what it imports."""
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
-    probe = ("import sys, ffverify.cli; "
-             f"print(sorted(m for m in {_STARTUP_EXCLUDED!r} "
-             "if m in sys.modules))")
+    probe = (f"{code}\nimport sys\n"
+             f"print(sorted(set({tuple(modules)!r}) & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-S", "-c", probe], env=env,
                          capture_output=True, text=True, check=True).stdout
-    assert out.strip() == "[]"
+    return ast.literal_eval(out)
+
+
+def test_cli_import_loads_no_heavy_module():
+    assert loaded_modules("import ffverify.cli", _STARTUP_EXCLUDED) == []
+
+
+@pytest.mark.parametrize("code,layers", [
+    ("import ffverify", ()),
+    ("import ffverify; ffverify.build_tower(3, 1)", ("fields",)),
+    ("from ffverify import fixed_point_grid",
+     ("fields", "cyclotomic", "varieties", "fixed_points")),
+], ids=["import", "build_tower", "fixed_point_grid"])
+def test_the_package_loads_only_the_layers_a_caller_reaches(code, layers):
+    """The package imports a layer when one of its names is first looked
+    up, so a caller that needs a tower compiles no character table."""
+    others = [f"ffverify.{p.stem}" for p in MODULES if p.stem not in layers]
+    assert loaded_modules(code, others) == []
 
 
 def unreached_definitions(modules: dict, readers: list) -> list[str]:

@@ -1,8 +1,10 @@
-"""The traced benchmark run still finds every method it wraps by name.
+"""The traced benchmark run still finds every layer and every method it
+wraps by name.
 
-`perfbench/tracing.py` wraps hot methods and span methods of the
-package by class and method name; a rename would otherwise only show
-under a traced benchmark run.
+`perfbench/tracing.py` reads each of its LAYERS from sys.modules after
+`import ffverify.cli`, and wraps hot methods and span methods of the
+package by class and method name; a lazy import or a rename would
+otherwise only show under a traced benchmark run.
 """
 
 import json
@@ -21,6 +23,21 @@ WRAPPED_METHODS = {
     "CharacterTable.row_orthogonality_ok",
     "CharacterTable.column_orthogonality_ok",
 }
+
+
+def test_cli_import_loads_every_traced_layer():
+    """tracing.install imports ffverify and ffverify.cli, then looks up
+    each of its LAYERS in sys.modules."""
+    probe = ("import sys, ffverify.cli\n"
+             "loaded = set(sys.modules)\n"
+             "from tracing import LAYERS\n"
+             "print([layer for layer in LAYERS\n"
+             "       if f'ffverify.{layer}' not in loaded])")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), str(ROOT / "perfbench")]))
+    proc = subprocess.run([sys.executable, "-S", "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def _traced_calls(job):

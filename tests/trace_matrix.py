@@ -10,9 +10,10 @@ is listed with.  The matrix is every subcommand and format at q = 2, 3,
 ell divides 4), every variety kind at levels 1, 2 and 4, the torsor
 pair, an --output into OUTDIR, the usage errors, the blind scan of
 scripts/fixed_point_grid.py, build_howe_tables.render and
-perfbench/libjob.run.  tests/test_hygiene.py runs it in a fresh
-interpreter, as the towers and lru_caches that an earlier call filled
-would hide the statements that build them.
+perfbench/libjob.run.  The scripts import their names from the package,
+so they run its lazy lookup (ffverify.__getattr__).  tests/test_hygiene.py
+runs it in a fresh interpreter, as the towers and lru_caches that an
+earlier call filled would hide the statements that build them.
 """
 
 from __future__ import annotations
@@ -98,6 +99,9 @@ def cli_matrix(outdir: str) -> list:
         (["count", "--p", "2", "--e", "0"], 2),
         (["count", "--p", "17"], 2),
         (["count", "--p", "1"], 2),
+        (["count", "--p", "3", "--n", "0"], 2),
+        (["verify", "--p", "3", "--n", "0", "--ell", "5"], 2),
+        (["howe", "--p", "3", "--n", "0"], 2),
         (["verify", "--p", "3", "--ell", "2"], 2),
         (["verify", "--p", "3", "--ell", "25"], 2),
         (["howe", "--p", "2", "--e", "13"], 2),
