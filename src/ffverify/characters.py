@@ -41,12 +41,18 @@ def _exact_div(num: int, den: int) -> int:
 # ---------------------------------------------------------------------------
 # Dimension formulas.
 
+def check_theta_n(n: int) -> None:
+    """The one check of n for the unitary-side dimensions and the theta
+    tables: n >= 2."""
+    if n < 2:
+        raise CharacterError("n must be at least 2")
+
+
 def dim_v_isotypic(n: int, q: int, trivial: bool) -> int:
     """Dimension of the chi-isotypic part of the middle cohomology of
     the degree-(q+1) hypersurface complement family, ordinary
     coefficients; n >= 2."""
-    if n < 2:
-        raise CharacterError("n must be at least 2")
+    check_theta_n(n)
     s = (-1) ** n
     if trivial:
         return _exact_div(q ** n + s * q, q + 1)
@@ -103,8 +109,7 @@ def dim_mod_ell_unitary(n: int, q: int, k: int, ell: int) -> int:
     The reduction of chi_k factors through the prime-to-l quotient
     mu_r of mu_{q+1}; only k mod r matters."""
     la, r = ell_parts(q, ell)
-    if n < 2:
-        raise CharacterError("n must be at least 2")
+    check_theta_n(n)
     if la == 1:
         return dim_v_isotypic(n, q, trivial=(k % (q + 1) == 0))
     s = (-1) ** n

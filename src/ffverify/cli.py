@@ -13,18 +13,39 @@ The environment variable FFVERIFY_OUTDIR sets the default directory for
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import sys
 
-from .fields import TowerContext, build_tower, prime_power
-from .characters import dim_v_isotypic, ell_parts
-from .cyclotomic import AdditiveCharacter, conductor, gauss_square, gauss_sum
-from .varieties import (BudgetExceededError, VarietySpec, VARIETY_KINDS,
-                        count_points)
-from .fixed_points import fixed_point_grid
-from .howe import (markdown_table, report_to_markdown, theta_mod_ell,
-                   theta_ordinary, verify_all)
+
+def _layer(name: str):
+    """The layer ffverify.<name>.  One not imported yet is put in
+    sys.modules without running it: its code is compiled and run on its
+    first attribute access (the LazyLoader recipe of the importlib docs).
+    So `import ffverify.cli` registers every layer, and a command
+    compiles only the layers it reaches."""
+    name = f"{__package__}.{name}"
+    module = sys.modules.get(name)
+    if module is None:
+        spec = importlib.util.find_spec(name)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+    return module
+
+
+# Read at call time, never imported by name: a from-import would run the
+# layer.  No command reads traces; it is registered so that
+# `import ffverify.cli` puts every layer in sys.modules.
+fields = _layer("fields")
+characters = _layer("characters")
+cyclotomic = _layer("cyclotomic")
+varieties = _layer("varieties")
+fixed_points = _layer("fixed_points")
+traces = _layer("traces")
+howe = _layer("howe")
 
 
 class UsageError(ValueError):
@@ -74,19 +95,20 @@ def _usage(flags: str, check, *params):
 
 def _tower(args):
     """build_tower(--p, --e); a tower it cannot build is a usage error."""
-    return _usage(f"--p {args.p} --e {args.e}", build_tower, args.p, args.e)
+    return _usage(f"--p {args.p} --e {args.e}", fields.build_tower, args.p,
+                  args.e)
 
 
 def _q(args, bound: int) -> int:
     """q = --p ^ --e, checked against bound without building a tower."""
-    return _usage(f"--p {args.p} --e {args.e}", prime_power, args.p, args.e,
-                  bound)
+    return _usage(f"--p {args.p} --e {args.e}", fields.prime_power, args.p,
+                  args.e, bound)
 
 
-def _theta_n(args, q: int):
+def _theta_n(args):
     """The library's check of n >= 2, the domain of the theta
     dimensions, as a usage error before any tower or table."""
-    _usage(f"--n {args.n}", dim_v_isotypic, args.n, q, True)
+    _usage(f"--n {args.n}", characters.check_theta_n, args.n)
 
 
 def _csv(header, rows) -> str:
@@ -104,11 +126,11 @@ def cmd_count(args):
     # a count that grows with n is at most N^(2n+1), N = q^level (X')
     _check_n(args.n, ctx.q ** args.level, 2 * args.n + 1)
     kinds = ("Y", "Ytilde") if args.torsor else args.variety
-    specs = [_usage(f"--n {args.n}", VarietySpec, kind, args.n)
+    specs = [_usage(f"--n {args.n}", varieties.VarietySpec, kind, args.n)
              for kind in kinds]
     header = ("variety", "n", "level", "count")
     rows = [(spec.kind, args.n, args.level,
-             count_points(ctx, spec, args.level, args.budget))
+             varieties.count_points(ctx, spec, args.level, args.budget))
             for spec in specs]
     ok = True
     if args.torsor:
@@ -125,7 +147,7 @@ def cmd_count(args):
         text = _json_dumps(out)
     elif args.format == "md":
         # the ratio line is plain text: "# ratio" would be a heading
-        text = ("\n".join(markdown_table(header, rows)) + "\n"
+        text = ("\n".join(howe.markdown_table(header, rows)) + "\n"
                 + ("\n" + ratio if args.torsor else ""))
     else:
         text = _csv(header, rows) + ("# " + ratio if args.torsor else "")
@@ -133,12 +155,13 @@ def cmd_count(args):
 
 
 def cmd_verify(args):
-    q = _q(args, TowerContext.MAX_Q)
-    _usage(f"--ell {args.ell}", ell_parts, q, args.ell)  # before any tower
+    q = _q(args, fields.TowerContext.MAX_Q)
+    # before any tower
+    _usage(f"--ell {args.ell}", characters.ell_parts, q, args.ell)
     _check_n(args.n, q, 2 * args.n)
-    _theta_n(args, q)
-    report = verify_all(args.n, args.p, args.e, args.ell)
-    text = (report_to_markdown(report) if args.format == "md"
+    _theta_n(args)
+    report = howe.verify_all(args.n, args.p, args.e, args.ell)
+    text = (howe.report_to_markdown(report) if args.format == "md"
             else _json_dumps(report))
     return (0 if report["all_passed"] else 1), text
 
@@ -154,10 +177,10 @@ def cmd_howe(args):
     q = _q(args, HOWE_MAX_Q)
     _check_n(args.n, q, 2 * args.n)
     if args.ell is not None:
-        _usage(f"--ell {args.ell}", ell_parts, q, args.ell)
-    _theta_n(args, q)
-    table = (theta_ordinary(args.n, q) if args.ell is None
-             else theta_mod_ell(args.n, q, args.ell))
+        _usage(f"--ell {args.ell}", characters.ell_parts, q, args.ell)
+    _theta_n(args)
+    table = (howe.theta_ordinary(args.n, q) if args.ell is None
+             else howe.theta_mod_ell(args.n, q, args.ell))
     text = (table.to_markdown() if args.format == "md"
             else _json_dumps(table.to_json()))
     return (0 if all(c["pass"] for c in table.checks) else 1), text
@@ -167,16 +190,16 @@ def cmd_gauss(args):
     ctx = _tower(args)
     if ctx.p == 2:
         raise UsageError("quadratic Gauss sums need odd characteristic")
-    m = conductor(ctx)
-    expected_sq = gauss_square(ctx)
+    m = cyclotomic.conductor(ctx)
+    expected_sq = cyclotomic.gauss_square(ctx)
     sums = []
     for a in range(1, ctx.q):
-        g = gauss_sum(ctx, AdditiveCharacter(ctx, a))
+        g = cyclotomic.gauss_sum(ctx, cyclotomic.AdditiveCharacter(ctx, a))
         sums.append({"a": a, "gauss": g.to_json(),
                      "square_identity": g * g == expected_sq})
     ok = all(row["square_identity"] for row in sums)
     if args.format == "md":
-        lines = [f"# Gauss sums, q = {ctx.q}", ""] + markdown_table(
+        lines = [f"# Gauss sums, q = {ctx.q}", ""] + howe.markdown_table(
             ("a", "G(psi_a)^2 = (-1|F_q) q"),
             [(row["a"], "yes" if row["square_identity"] else "no")
              for row in sums])
@@ -199,14 +222,15 @@ def cmd_fixed_points(args):
         "closed_form": cell.closed_form,
         "match": cell.matches,
     } for with_u in (True, False)
-        for (eta, zeta), cell in fixed_point_grid(ctx, with_u).items()]
+        for (eta, zeta), cell
+        in fixed_points.fixed_point_grid(ctx, with_u).items()]
     all_ok = all(r["match"] for r in rows)
     if args.format == "csv":
         header = ("with_unipotent", "eta", "zeta", "total", "closed_form",
                   "match")
         text = _csv(header, [[r[k] for k in header] for r in rows])
     elif args.format == "md":
-        lines = [f"# Fixed point grid, q = {q}", ""] + markdown_table(
+        lines = [f"# Fixed point grid, q = {q}", ""] + howe.markdown_table(
             ("u", "eta", "zeta", "total", "closed form", "match"),
             [(r["with_unipotent"], r["eta"], r["zeta"], r["total"],
               r["closed_form"], "yes" if r["match"] else "no") for r in rows])
@@ -231,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pc = sub.add_parser("count", help="point counts over tower levels")
     common(pc, ("json", "csv", "md"))
-    pc.add_argument("--variety", nargs="+", choices=VARIETY_KINDS,
+    pc.add_argument("--variety", nargs="+", choices=varieties.VARIETY_KINDS,
                     default=["Ytilde"])
     pc.add_argument("--n", type=int, default=1)
     pc.add_argument("--level", type=int, choices=(1, 2, 4), default=2)
@@ -277,7 +301,7 @@ def main(argv=None) -> int:
         code, text = args.func(args)
         _emit(args, text)
         return code
-    except (BudgetExceededError, ValueError) as exc:
+    except (varieties.BudgetExceededError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except Exception as exc:

@@ -13,8 +13,8 @@ from __future__ import annotations
 import json
 from typing import NamedTuple
 
-from .characters import (CharacterError, DihedralIrrep, IsotypicLabel,
-                         brauer_decompositions, brauer_irreps, char_of,
+from .characters import (DihedralIrrep, IsotypicLabel, brauer_decompositions,
+                         brauer_irreps, char_of, check_theta_n,
                          dim_mod_ell_unitary, dim_v_isotypic,
                          dim_w_isotypic, ell_parts, ell_regular_classes,
                          o_minus_table, ordinary_irreps)
@@ -98,8 +98,7 @@ def _entry(n: int, q: int, tau: DihedralIrrep, extension: bool) -> HoweEntry:
 
 def theta_ordinary(n: int, q: int) -> HoweTable:
     """Ordinary-coefficient table; n >= 2."""
-    if n < 2:
-        raise CharacterError("n must be at least 2")
+    check_theta_n(n)
     char_of(q)  # rejects a q that is not a prime power
     entries = [_entry(n, q, tau, False) for tau in ordinary_irreps(q)]
     total = sum(e.dim * e.tau.dim for e in entries)
@@ -109,8 +108,7 @@ def theta_ordinary(n: int, q: int) -> HoweTable:
 
 def theta_mod_ell(n: int, q: int, ell: int) -> HoweTable:
     """Mod-l table over the Brauer parametrization; n >= 2."""
-    if n < 2:
-        raise CharacterError("n must be at least 2")
+    check_theta_n(n)
     char_of(q)  # rejects a q that is not a prime power
     la = ell_parts(q, ell)[0]
     irreps = brauer_irreps(q, ell)

@@ -1,5 +1,7 @@
 """Fixtures shared by the test modules."""
 
+import sys
+
 import pytest
 
 
@@ -23,3 +25,17 @@ def kept():
     read through ctx.table with a build that raises, which keeps
     nothing."""
     return _kept
+
+
+@pytest.fixture
+def rebind_everywhere(monkeypatch):
+    """rebind_everywhere(real, replacement): rebind every module-level
+    reference to real in the package, so that a module that imported it
+    by name sees the replacement too; undone after the test."""
+    def rebind(real, replacement):
+        for mod in [m for name, m in sys.modules.items()
+                    if name == "ffverify" or name.startswith("ffverify.")]:
+            for name, obj in list(vars(mod).items()):
+                if obj is real:
+                    monkeypatch.setattr(mod, name, replacement)
+    return rebind

@@ -9,7 +9,7 @@ import time
 import pytest
 from hypothesis import assume, event, given, settings, strategies as st
 
-from ffverify import cli
+from ffverify import cli, varieties
 from ffverify.cli import main
 from ffverify.fields import build_tower, is_prime
 from ffverify.varieties import VARIETY_KINDS
@@ -56,7 +56,8 @@ def _reject_constant(name):
 @pytest.mark.parametrize("base,cover", [(3, 7), (0, 7)])
 def test_count_torsor_failed_ratio_is_an_exact_string(capsys, monkeypatch,
                                                       base, cover):
-    monkeypatch.setattr(cli, "count_points", lambda ctx, spec, level, budget:
+    monkeypatch.setattr(varieties, "count_points",
+                        lambda ctx, spec, level, budget:
                         {"Y": base, "Ytilde": cover}[spec.kind])
     code, out, _ = run(capsys, ["count", "--p", "3", "--torsor", "--n", "2",
                                 "--level", "2"])
@@ -83,7 +84,8 @@ def test_count_torsor_md(capsys):
 @pytest.mark.parametrize("base,cover", [(3, 7), (0, 7)])
 def test_count_torsor_failed_ratio_exits_1_in_md(capsys, monkeypatch,
                                                  base, cover):
-    monkeypatch.setattr(cli, "count_points", lambda ctx, spec, level, budget:
+    monkeypatch.setattr(varieties, "count_points",
+                        lambda ctx, spec, level, budget:
                         {"Y": base, "Ytilde": cover}[spec.kind])
     code, out, _ = run(capsys, ["count", "--p", "3", "--torsor", "--n", "2",
                                 "--level", "2", "--format", "md"])
@@ -186,11 +188,13 @@ def test_an_ell_that_is_not_an_odd_prime_is_rejected_up_front(capsys, command,
 
 
 @pytest.mark.parametrize("ell", ["2", "4"])
-def test_verify_rejects_a_bad_ell_before_building_the_tower(capsys, monkeypatch,
-                                                            ell):
+def test_verify_rejects_a_bad_ell_before_building_the_tower(
+        capsys, rebind_everywhere, ell):
+    """No tower is built before the --ell check, in the CLI or in any
+    layer that binds build_tower (fields and howe among them)."""
     calls = []
-    monkeypatch.setattr(cli, "build_tower",
-                        lambda p, e: calls.append((p, e)) or build_tower(p, e))
+    rebind_everywhere(build_tower,
+                      lambda p, e: calls.append((p, e)) or build_tower(p, e))
     code, out, err = run(capsys, ["verify", "--p", "2", "--e", "4", "--n", "2",
                                   "--ell", ell])
     assert code == 2 and out == ""

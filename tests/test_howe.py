@@ -9,7 +9,6 @@ from pathlib import Path
 
 import pytest
 
-import ffverify
 from ffverify import (CharacterError, brauer_irreps, characters, cli,
                       compare_semisimplifications, ell_regular_classes,
                       ordinary_irreps, report_to_markdown, theta_mod_ell,
@@ -159,17 +158,7 @@ def test_verifier_runs_the_trace_and_grid_checks_at_q9():
     assert report["all_passed"]
 
 
-def _rebind_everywhere(monkeypatch, real, replacement):
-    """Rebind every module-level reference to real, so that a module
-    that imported it by name sees the replacement too."""
-    for mod in [ffverify] + [m for name, m in sys.modules.items()
-                             if name.startswith("ffverify.")]:
-        for name, obj in list(vars(mod).items()):
-            if obj is real:
-                monkeypatch.setattr(mod, name, replacement)
-
-
-def test_verifier_enumerates_the_fixed_point_grid_once(monkeypatch):
+def test_verifier_enumerates_the_fixed_point_grid_once(rebind_everywhere):
     from ffverify import build_tower, fixed_points
 
     build_tower.cache_clear()
@@ -181,7 +170,7 @@ def test_verifier_enumerates_the_fixed_point_grid_once(monkeypatch):
         return real(*args, **kwargs)
 
     # a second enumerator that imported the solver by name is counted too
-    _rebind_everywhere(monkeypatch, real, counting)
+    rebind_everywhere(real, counting)
     verify_all(2, 3, 1, 5)
     q = 3
     assert len(calls) == 2 * q * (q + 1)
@@ -286,9 +275,9 @@ def test_build_howe_tables_marks_a_failed_brauer_solve(
 
 
 def test_a_dropped_brauer_irreducible_fails_the_square_check(
-        monkeypatch, capsys, fresh_brauer_cache):
+        rebind_everywhere, capsys, fresh_brauer_cache):
     real = characters.brauer_irreps
-    _rebind_everywhere(monkeypatch, real, lambda q, ell: real(q, ell)[:-1])
+    rebind_everywhere(real, lambda q, ell: real(q, ell)[:-1])
     code, out = _verify_cli(capsys, "--p", "3", "--ell", "5")
     assert code == 1
     checks = {c["name"]: c["pass"] for c in json.loads(out)["checks"]}

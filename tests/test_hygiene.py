@@ -3,7 +3,7 @@ every import sits at module level, one function holds the square-and-
 multiply loop, one function writes markdown table rows, every division
 is exact, importing the command line tool loads no module it does not
 need, importing the package loads only the layers its caller reaches,
-every public function and class is reached from the package,
+each command compiles only the layers it reaches, every public function and class is reached from the package,
 its scripts or its benchmark, every statement runs in a small fixed
 matrix of the program, only the tower's constructor sets an attribute
 of a tower, and lru_cache sits on five functions only."""
@@ -310,6 +310,47 @@ def test_the_package_loads_only_the_layers_a_caller_reaches(code, layers):
     up, so a caller that needs a tower compiles no character table."""
     others = [f"ffverify.{p.stem}" for p in MODULES if p.stem not in layers]
     assert loaded_modules(code, others) == []
+
+
+def compiled_modules(argv) -> list:
+    """The modules of src/ffverify whose code runs, by file stem, when
+    ffverify.cli.main(argv) runs in a fresh python -S process, read from
+    the exec audit events of module code objects.  `import ffverify.cli`
+    puts every layer in sys.modules, so membership there shows nothing."""
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    probe = ("import contextlib, io, os, sys\n"
+             f"src = {str(SRC) + os.sep!r}\n"
+             "ran = set()\n"
+             "def hook(event, args):\n"
+             "    code = args[0] if event == 'exec' else None\n"
+             "    if (getattr(code, 'co_name', None) == '<module>'\n"
+             "            and code.co_filename.startswith(src)):\n"
+             "        ran.add(os.path.basename(code.co_filename)[:-3])\n"
+             "sys.addaudithook(hook)\n"
+             "import ffverify.cli\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             f"    ffverify.cli.main({list(argv)!r})\n"
+             "print(sorted(ran))")
+    out = subprocess.run([sys.executable, "-S", "-c", probe], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    return ast.literal_eval(out)
+
+
+_CLI_BASE = ["__init__", "cli", "fields", "varieties"]
+
+
+@pytest.mark.parametrize("argv,modules", [
+    (["count", "--p", "3", "--n", "2"], _CLI_BASE),
+    (["fixed-points", "--p", "3"], _CLI_BASE + ["cyclotomic", "fixed_points"]),
+    (["gauss", "--p", "3"], _CLI_BASE + ["cyclotomic"]),
+    (["verify", "--p", "3", "--ell", "5"],
+     [p.stem for p in SRC.glob("*.py")]),
+], ids=["count", "fixed-points", "gauss", "verify"])
+def test_each_command_compiles_only_the_layers_it_reaches(argv, modules):
+    """cli registers every layer without running it, so a count compiles
+    neither the character tables nor the theta layer.  The parser reads
+    varieties.VARIETY_KINDS, so every command compiles varieties."""
+    assert compiled_modules(argv) == sorted(modules)
 
 
 def unreached_definitions(modules: dict, readers: list) -> list[str]:

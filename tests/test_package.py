@@ -1,8 +1,12 @@
 """The public surface of the package: the names `import ffverify` offers,
-each the object its layer defines, looked up afresh on every access."""
+each the object its layer defines, looked up afresh on every access, and
+one module per layer, whether the CLI or a caller imports it first."""
 
+import os
+import subprocess
 import sys
 import types
+from pathlib import Path
 
 import pytest
 
@@ -73,3 +77,16 @@ def test_a_rebound_layer_function_is_seen_through_the_package(monkeypatch):
     assert ffverify.fixed_point_grid is stub
     monkeypatch.undo()
     assert ffverify.fixed_point_grid is original
+
+
+def test_a_layer_imported_before_cli_is_the_one_cli_reads():
+    """cli registers a layer only where none is imported yet, so a
+    process that imports a layer and then the CLI has one copy of it."""
+    probe = ("import sys, ffverify.varieties as v, ffverify.cli as cli\n"
+             "print(cli.varieties is v is sys.modules['ffverify.varieties'],"
+             " cli.fields is sys.modules['ffverify.fields'])")
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run([sys.executable, "-S", "-c", probe],
+                         env=dict(os.environ, PYTHONPATH=str(src)),
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "True True\n"

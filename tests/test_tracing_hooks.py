@@ -3,8 +3,10 @@ wraps by name.
 
 `perfbench/tracing.py` reads each of its LAYERS from sys.modules after
 `import ffverify.cli`, and wraps hot methods and span methods of the
-package by class and method name; a lazy import or a rename would
-otherwise only show under a traced benchmark run.
+package by class and method name; a missing layer or a rename would
+otherwise only show under a traced benchmark run.  `import ffverify.cli`
+registers every layer without running it, and the tracer's vars() of
+each layer runs it, so a traced command wraps layers it never reaches.
 """
 
 import json
@@ -27,7 +29,8 @@ WRAPPED_METHODS = {
 
 def test_cli_import_loads_every_traced_layer():
     """tracing.install imports ffverify and ffverify.cli, then looks up
-    each of its LAYERS in sys.modules."""
+    each of its LAYERS in sys.modules: cli registers each layer there,
+    and the tracer's vars() of the layer runs its code."""
     probe = ("import sys, ffverify.cli\n"
              "loaded = set(sys.modules)\n"
              "from tracing import LAYERS\n"
@@ -62,3 +65,13 @@ def test_traced_runs_reach_every_wrapped_method():
     calls |= _traced_calls({"kind": "lib",
                             "argv": ["--n", "2", "--q", "3", "--ell", "5"]})
     assert WRAPPED_METHODS <= calls, WRAPPED_METHODS - calls
+
+
+def test_a_traced_count_runs_the_layers_it_registered():
+    """A count reaches only fields and varieties, yet the tracer finds
+    and wraps every layer without an error, and counts the calls of the
+    lazily loaded ones."""
+    calls = _traced_calls({"kind": "torsor",
+                           "argv": ["count", "--p", "3", "--e", "2",
+                                    "--torsor", "--n", "3", "--level", "2"]})
+    assert {"count_points", "Level.mul"} <= calls, calls
