@@ -1,13 +1,17 @@
 """Exact verification of finite-field point counts, fixed point
 formulas, exact character arithmetic and theta correspondence tables.
 
-A layer is imported when one of its names is first looked up here
-(PEP 562 module __getattr__), so `import ffverify` imports no layer and
-`ffverify.build_tower` imports `fields` alone.  The names are not kept
-in this namespace: each lookup returns what the layer binds now, so a
-function rebound on its layer (monkeypatched or traced) is seen here."""
+`import ffverify` puts every layer in sys.modules, bound here under its
+name, without running it: a layer's code is compiled and run on its
+first attribute access (the LazyLoader recipe of the importlib docs).
+So a caller compiles only the layers it reaches, and `ffverify.fields`
+or `from . import fields` runs nothing.  The public names are not
+kept in this namespace (PEP 562 module __getattr__): each lookup
+returns what the layer binds now, so a function rebound on its layer
+(monkeypatched or traced) is seen here."""
 
-from importlib import import_module
+import importlib.util
+import sys
 
 _EXPORTS = {
     "fields": ("ArtinSchreierExtension", "FieldError", "TowerContext",
@@ -31,16 +35,26 @@ _EXPORTS = {
              "markdown_table", "report_to_markdown", "theta_mod_ell",
              "theta_ordinary", "verify_all"),
 }
-# Each public name, the layers' own names included, to its layer.
-_HOME = {name: layer for layer, names in _EXPORTS.items()
-         for name in (layer, *names)}
+# Each public name of a layer to its layer.
+_HOME = {name: layer for layer, names in _EXPORTS.items() for name in names}
 
-__all__ = sorted(_HOME)
+__all__ = sorted([*_EXPORTS, *_HOME])
 __version__ = "0.1.0"
+
+
+def _register(layer: str):
+    """The layer ffverify.<layer>, put in sys.modules unrun."""
+    spec = importlib.util.find_spec(f"{__name__}.{layer}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+globals().update({layer: _register(layer) for layer in _EXPORTS})
 
 
 def __getattr__(name):
     if name not in _HOME:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    layer = import_module(f"{__name__}.{_HOME[name]}")
-    return layer if name == _HOME[name] else getattr(layer, name)
+    return getattr(globals()[_HOME[name]], name)

@@ -13,39 +13,14 @@ The environment variable FFVERIFY_OUTDIR sets the default directory for
 from __future__ import annotations
 
 import argparse
-import importlib.util
 import json
 import os
 import sys
 
-
-def _layer(name: str):
-    """The layer ffverify.<name>.  One not imported yet is put in
-    sys.modules without running it: its code is compiled and run on its
-    first attribute access (the LazyLoader recipe of the importlib docs).
-    So `import ffverify.cli` registers every layer, and a command
-    compiles only the layers it reaches."""
-    name = f"{__package__}.{name}"
-    module = sys.modules.get(name)
-    if module is None:
-        spec = importlib.util.find_spec(name)
-        spec.loader = importlib.util.LazyLoader(spec.loader)
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[name] = module
-        spec.loader.exec_module(module)
-    return module
-
-
-# Read at call time, never imported by name: a from-import would run the
-# layer.  No command reads traces; it is registered so that
-# `import ffverify.cli` puts every layer in sys.modules.
-fields = _layer("fields")
-characters = _layer("characters")
-cyclotomic = _layer("cyclotomic")
-varieties = _layer("varieties")
-fixed_points = _layer("fixed_points")
-traces = _layer("traces")
-howe = _layer("howe")
+# `import ffverify` registers each layer without running it; a layer
+# runs when a name is first read from it, so names are read at call time
+# (varieties.count_points), never imported by name.
+from . import characters, cyclotomic, fields, fixed_points, howe, varieties
 
 
 class UsageError(ValueError):
@@ -166,15 +141,8 @@ def cmd_verify(args):
     return (0 if report["all_passed"] else 1), text
 
 
-# The largest q for howe.  Its tables have a row per irreducible of the
-# dihedral group of order 2(q + 1), so time, memory and output grow with
-# q: on a 2-core VM q = 4096 takes 0.2 s and prints 0.76 MB, q = 2^16
-# takes 1.4 s and 143 MB and prints 12 MB.
-HOWE_MAX_Q = 4096
-
-
 def cmd_howe(args):
-    q = _q(args, HOWE_MAX_Q)
+    q = _q(args, howe.HOWE_MAX_Q)
     _check_n(args.n, q, 2 * args.n)
     if args.ell is not None:
         _usage(f"--ell {args.ell}", characters.ell_parts, q, args.ell)

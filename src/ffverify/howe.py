@@ -13,18 +13,22 @@ from __future__ import annotations
 import json
 from typing import NamedTuple
 
-from .characters import (DihedralIrrep, IsotypicLabel, brauer_decompositions,
-                         brauer_irreps, char_of, check_theta_n,
-                         dim_mod_ell_unitary, dim_v_isotypic,
+from .characters import (CharacterError, DihedralIrrep, IsotypicLabel,
+                         brauer_decompositions, brauer_irreps, char_of,
+                         check_theta_n, dim_mod_ell_unitary, dim_v_isotypic,
                          dim_w_isotypic, ell_parts, ell_regular_classes,
                          o_minus_table, ordinary_irreps)
 from .cyclotomic import (AdditiveCharacter, CycNumber, conductor,
                          gauss_square, gauss_sum)
 from .fields import build_tower
-from .fixed_points import differential_vanishes, fixed_point_grid
-from .traces import (character_difference_at_unipotent,
-                     expected_character_difference, sheaf_trace_A2)
-from .varieties import VarietySpec, count_points
+# only verify_all reads these, at call time, so a theta table runs none
+from . import fixed_points, traces, varieties
+
+# The largest q for the theta tables.  They have a row per irreducible of
+# the dihedral group of order 2(q + 1), so time, memory and output grow
+# with q: on a 2-core VM q = 4096 takes 0.2 s and prints 0.76 MB, q = 2^16
+# takes 1.4 s and 143 MB and prints 12 MB.
+HOWE_MAX_Q = 4096
 
 
 class HoweEntry(NamedTuple):
@@ -96,10 +100,18 @@ def _entry(n: int, q: int, tau: DihedralIrrep, extension: bool) -> HoweEntry:
                      {"dim": "computed", "status": "asserted-by-paper"})
 
 
+def _check_theta(n: int, q: int) -> None:
+    """The checks of a theta table, before any irreducible is listed:
+    n >= 2 and q a prime power at most HOWE_MAX_Q."""
+    check_theta_n(n)
+    if q > HOWE_MAX_Q:
+        raise CharacterError(f"q = {q} exceeds the bound {HOWE_MAX_Q}")
+    char_of(q)  # rejects a q that is not a prime power
+
+
 def theta_ordinary(n: int, q: int) -> HoweTable:
     """Ordinary-coefficient table; n >= 2."""
-    check_theta_n(n)
-    char_of(q)  # rejects a q that is not a prime power
+    _check_theta(n, q)
     entries = [_entry(n, q, tau, False) for tau in ordinary_irreps(q)]
     total = sum(e.dim * e.tau.dim for e in entries)
     return HoweTable(n, q, "ordinary", None, entries,
@@ -108,8 +120,7 @@ def theta_ordinary(n: int, q: int) -> HoweTable:
 
 def theta_mod_ell(n: int, q: int, ell: int) -> HoweTable:
     """Mod-l table over the Brauer parametrization; n >= 2."""
-    check_theta_n(n)
-    char_of(q)  # rejects a q that is not a prime power
+    _check_theta(n, q)
     la = ell_parts(q, ell)[0]
     irreps = brauer_irreps(q, ell)
     entries = [_entry(n, q, tau, la > 1 and tau == DihedralIrrep("one", 0, "+"))
@@ -202,8 +213,8 @@ def verify_all(n: int, p: int, e: int, ell: int) -> dict:
         checks.append(_check("mod-ell-dims-reduce-ordinary", True, same))
 
     # torsor ratio over the quadratic level
-    y2 = count_points(ctx, VarietySpec("Y", 2), 2)
-    yt2 = count_points(ctx, VarietySpec("Ytilde", 2), 2)
+    y2 = varieties.count_points(ctx, varieties.VarietySpec("Y", 2), 2)
+    yt2 = varieties.count_points(ctx, varieties.VarietySpec("Ytilde", 2), 2)
     checks.append(_check("torsor-ratio-n2", (q + 1) * y2, yt2))
 
     # trace identities (odd characteristic: q = 3, 5, 7, 9, 11, 13)
@@ -213,23 +224,25 @@ def verify_all(n: int, p: int, e: int, ell: int) -> dict:
         g = gauss_sum(ctx, psi)
         checks.append(_check("gauss-square", gauss_square(ctx), g * g))
         plain_ok = all(
-            sheaf_trace_A2(ctx, zeta, False, psi)
+            traces.sheaf_trace_A2(ctx, zeta, False, psi)
             == CycNumber.from_rational(m, q)
             for zeta in ctx.enumerate_mu())
         checks.append(_check("plain-trace-constant-q", True, plain_ok))
-        diffs = {nn: character_difference_at_unipotent(ctx, nn, psi)
+        diffs = {nn: traces.character_difference_at_unipotent(ctx, nn, psi)
                  for nn in (1, 2)}
         # The averaged twisted trace is the n = 1 difference (T^0 = 1).
         checks.append(_check("averaged-unipotent-trace-gauss", g, diffs[1]))
         for nn, diff in diffs.items():
             checks.append(_check(f"character-difference-n{nn}",
-                                 expected_character_difference(ctx, nn, psi),
+                                 traces.expected_character_difference(
+                                     ctx, nn, psi),
                                  diff))
         grid_ok = all(cell.matches for with_u in (True, False)
-                      for cell in fixed_point_grid(ctx, with_u).values())
+                      for cell in fixed_points.fixed_point_grid(
+                          ctx, with_u).values())
         checks.append(_check("fixed-point-grid-closed-form", True, grid_ok))
         checks.append(_check("endomorphism-differential-vanishes", True,
-                             differential_vanishes(ctx)))
+                             fixed_points.differential_vanishes(ctx)))
 
     return {
         "params": {"n": n, "p": p, "e": e, "q": q, "ell": ell},

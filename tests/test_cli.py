@@ -235,7 +235,7 @@ def test_howe_bad_n_exits_2(capsys):
 @pytest.mark.parametrize("p,e", [("2", "13"), ("3", "8"), ("4099", "1"),
                                  ("2", str(10 ** 9))])
 def test_howe_rejects_q_above_its_bound_up_front(capsys, p, e):
-    """q = p^e above cli.HOWE_MAX_Q = 4096 is a usage error, raised
+    """q = p^e above howe.HOWE_MAX_Q = 4096 is a usage error, raised
     before any table is built or p^e computed."""
     start = time.perf_counter()
     code, out, err = run(capsys, ["howe", "--p", p, "--e", e, "--n", "2"])

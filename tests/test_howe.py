@@ -127,11 +127,16 @@ def test_verifier_rejects_unsupported_parameters():
     (ell_parts, (5, 10 ** 18 + 3)),
     (theta_mod_ell, (2, 5, 10 ** 18 + 3)),
     (verify_all, (2, 3, 1, 10 ** 18 + 3)),
-    (theta_ordinary, (2, 2 ** 61 - 1))],
-    ids=["ell_parts", "theta_mod_ell", "verify_all", "theta_ordinary"])
+    (theta_ordinary, (2, 2 ** 61 - 1)),
+    (theta_ordinary, (2, 2 ** 31 - 1)),
+    (theta_mod_ell, (2, 2 ** 31 - 1, 3))],
+    ids=["ell_parts", "theta_mod_ell", "verify_all", "theta_ordinary",
+         "theta_ordinary-q", "theta_mod_ell-q"])
 def test_a_huge_ell_or_q_is_rejected_before_its_trial_division(call, args):
     """10^18 + 3 and 2^61 - 1 are prime: without a bound the trial
-    division of ell or q would run for hours."""
+    division of ell or q would run for hours.  2^31 - 1 is a prime below
+    char_of's bound, so only howe.HOWE_MAX_Q keeps a theta table from
+    building its 10^9 rows."""
     start = time.perf_counter()
     with pytest.raises(CharacterError):
         call(*args)

@@ -1,12 +1,13 @@
 """Source hygiene of the package: no module imports a name it never uses,
 every import sits at module level, one function holds the square-and-
-multiply loop, one function writes markdown table rows, every division
-is exact, importing the command line tool loads no module it does not
-need, importing the package loads only the layers its caller reaches,
-each command compiles only the layers it reaches, every public function and class is reached from the package,
-its scripts or its benchmark, every statement runs in a small fixed
-matrix of the program, only the tower's constructor sets an attribute
-of a tower, and lru_cache sits on five functions only."""
+multiply loop, one function writes markdown table rows, one module
+holds the lazy loader, every division is exact, importing the command
+line tool loads no module it does not need, the package and each
+command compile only the layers their caller reaches, every public
+function and class is reached from the package, its scripts or its
+benchmark, every statement runs in a small fixed matrix of the program,
+only the tower's constructor sets an attribute of a tower, and
+lru_cache sits on five functions only."""
 
 import ast
 import json
@@ -21,7 +22,7 @@ import trace_matrix
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "ffverify"
-# The layers: __init__.py only looks names up in them.
+# The layers: __init__.py only registers them and looks names up in them.
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -137,6 +138,50 @@ def test_one_square_and_multiply():
              for path in sorted(SRC.glob("*.py"))}
     assert {name: f for name, f in found.items() if f} == {
         "fields.py": ["power"]}
+
+
+def lazy_loader_uses(source: str) -> list[str]:
+    """The imports of importlib or LazyLoader and the reads of either
+    name, bare or as an attribute, as scoped_nodes names them."""
+    def match(node):
+        if isinstance(node, ast.Import):
+            return any(a.name.split(".")[0] == "importlib"
+                       for a in node.names)
+        if isinstance(node, ast.ImportFrom):
+            return ((node.module or "").split(".")[0] == "importlib"
+                    or any(a.name == "LazyLoader" for a in node.names))
+        return (isinstance(node, ast.Name)
+                and node.id in ("importlib", "LazyLoader")
+                or isinstance(node, ast.Attribute)
+                and node.attr == "LazyLoader")
+    return scoped_nodes(source, match)
+
+
+def test_lazy_loader_uses_are_found():
+    source = ("import importlib.util\n"
+              "from importlib import import_module\n"
+              "from .loader import LazyLoader\n"
+              "def load(spec):\n"
+              "    return importlib.util.LazyLoader(spec.loader)\n"
+              "class Registry:\n"
+              "    def get(self, util):\n"
+              "        return util.LazyLoader, LazyLoader\n"
+              "lazy = 'importlib.util.LazyLoader'\n")
+    assert lazy_loader_uses(source) == [
+        "<module> (line 1)", "<module> (line 2)", "<module> (line 3)",
+        "load (line 5)", "load (line 5)", "Registry.get (line 8)",
+        "Registry.get (line 8)"]
+
+
+def test_one_lazy_loader():
+    """`import ffverify` registers every layer through LazyLoader; no
+    other module of the package imports or reads importlib, so no layer
+    is loaded a second way."""
+    found = {path.name: sorted(set(
+        f.split(" ")[0] for f in lazy_loader_uses(path.read_text())))
+        for path in sorted(SRC.glob("*.py"))}
+    assert {name: f for name, f in found.items() if f} == {
+        "__init__.py": ["<module>", "_register"]}
 
 
 # The trial divisions of fields, and the one function of each module
@@ -299,24 +344,12 @@ def test_cli_import_loads_no_heavy_module():
     assert loaded_modules("import ffverify.cli", _STARTUP_EXCLUDED) == []
 
 
-@pytest.mark.parametrize("code,layers", [
-    ("import ffverify", ()),
-    ("import ffverify; ffverify.build_tower(3, 1)", ("fields",)),
-    ("from ffverify import fixed_point_grid",
-     ("fields", "cyclotomic", "varieties", "fixed_points")),
-], ids=["import", "build_tower", "fixed_point_grid"])
-def test_the_package_loads_only_the_layers_a_caller_reaches(code, layers):
-    """The package imports a layer when one of its names is first looked
-    up, so a caller that needs a tower compiles no character table."""
-    others = [f"ffverify.{p.stem}" for p in MODULES if p.stem not in layers]
-    assert loaded_modules(code, others) == []
-
-
-def compiled_modules(argv) -> list:
+def compiled_modules(code: str) -> list:
     """The modules of src/ffverify whose code runs, by file stem, when
-    ffverify.cli.main(argv) runs in a fresh python -S process, read from
-    the exec audit events of module code objects.  `import ffverify.cli`
-    puts every layer in sys.modules, so membership there shows nothing."""
+    code runs in a fresh python -S process, read from the exec audit
+    events of module code objects.  `import ffverify` puts every layer
+    in sys.modules without running it, so membership there shows
+    nothing."""
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     probe = ("import contextlib, io, os, sys\n"
              f"src = {str(SRC) + os.sep!r}\n"
@@ -327,30 +360,57 @@ def compiled_modules(argv) -> list:
              "            and code.co_filename.startswith(src)):\n"
              "        ran.add(os.path.basename(code.co_filename)[:-3])\n"
              "sys.addaudithook(hook)\n"
-             "import ffverify.cli\n"
              "with contextlib.redirect_stdout(io.StringIO()):\n"
-             f"    ffverify.cli.main({list(argv)!r})\n"
+             f"    exec({code!r})\n"
              "print(sorted(ran))")
     out = subprocess.run([sys.executable, "-S", "-c", probe], env=env,
                          capture_output=True, text=True, check=True).stdout
     return ast.literal_eval(out)
 
 
+@pytest.mark.parametrize("code,layers", [
+    ("import ffverify", []),
+    ("import ffverify; ffverify.build_tower(3, 1)", ["fields"]),
+    ("from ffverify import fixed_point_grid",
+     ["fields", "cyclotomic", "varieties", "fixed_points"]),
+], ids=["import", "build_tower", "fixed_point_grid"])
+def test_the_package_loads_only_the_layers_a_caller_reaches(code, layers):
+    """The package runs a layer when one of its names is first looked
+    up, so a caller that needs a tower compiles no character table."""
+    assert compiled_modules(code) == sorted(["__init__"] + layers)
+
+
+def _cli(*argv) -> str:
+    """The code that runs ffverify.cli.main on argv."""
+    return f"import ffverify.cli\nffverify.cli.main({list(argv)!r})"
+
+
 _CLI_BASE = ["__init__", "cli", "fields", "varieties"]
+# what a theta table runs; --format md reads howe.markdown_table
+_THETA = ["__init__", "characters", "cyclotomic", "fields", "howe"]
 
 
-@pytest.mark.parametrize("argv,modules", [
-    (["count", "--p", "3", "--n", "2"], _CLI_BASE),
-    (["fixed-points", "--p", "3"], _CLI_BASE + ["cyclotomic", "fixed_points"]),
-    (["gauss", "--p", "3"], _CLI_BASE + ["cyclotomic"]),
-    (["verify", "--p", "3", "--ell", "5"],
+@pytest.mark.parametrize("code,modules", [
+    (_cli("count", "--p", "3", "--n", "2"), _CLI_BASE),
+    (_cli("fixed-points", "--p", "3"),
+     _CLI_BASE + ["cyclotomic", "fixed_points"]),
+    (_cli("gauss", "--p", "3"), _CLI_BASE + ["cyclotomic"]),
+    (_cli("verify", "--p", "3", "--ell", "5"),
      [p.stem for p in SRC.glob("*.py")]),
-], ids=["count", "fixed-points", "gauss", "verify"])
-def test_each_command_compiles_only_the_layers_it_reaches(argv, modules):
-    """cli registers every layer without running it, so a count compiles
-    neither the character tables nor the theta layer.  The parser reads
+    (_cli("howe", "--p", "3"), _THETA + ["cli", "varieties"]),
+    (_cli("count", "--p", "3", "--n", "2", "--format", "md"),
+     _THETA + ["cli", "varieties"]),
+    # the library path of the benchmark's lib job
+    ("from ffverify import howe\nhowe.theta_mod_ell(2, 13, 7)", _THETA),
+], ids=["count", "fixed-points", "gauss", "verify", "howe", "count-md",
+        "theta_mod_ell"])
+def test_each_command_compiles_only_the_layers_it_reaches(code, modules):
+    """`import ffverify` registers every layer without running it, so a
+    count compiles neither the character tables nor the theta layer, and
+    a theta table neither the fixed-point grid nor the traces, which
+    only howe.verify_all reads.  The parser reads
     varieties.VARIETY_KINDS, so every command compiles varieties."""
-    assert compiled_modules(argv) == sorted(modules)
+    assert compiled_modules(code) == sorted(modules)
 
 
 def unreached_definitions(modules: dict, readers: list) -> list[str]:

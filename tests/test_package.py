@@ -80,8 +80,9 @@ def test_a_rebound_layer_function_is_seen_through_the_package(monkeypatch):
 
 
 def test_a_layer_imported_before_cli_is_the_one_cli_reads():
-    """cli registers a layer only where none is imported yet, so a
-    process that imports a layer and then the CLI has one copy of it."""
+    """The package registers each layer once and cli imports it from
+    there, so a process that imports a layer and then the CLI has one
+    copy of it."""
     probe = ("import sys, ffverify.varieties as v, ffverify.cli as cli\n"
              "print(cli.varieties is v is sys.modules['ffverify.varieties'],"
              " cli.fields is sys.modules['ffverify.fields'])")

@@ -101,6 +101,5 @@ def test_verify_reads_each_plain_trace_only_where_it_counts(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(traces, "sheaf_trace_A2", counted)
-    monkeypatch.setattr(howe, "sheaf_trace_A2", counted)
     assert howe.verify_all(2, 5, 1, 3)["all_passed"]
     assert len(calls) == 24

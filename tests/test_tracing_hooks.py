@@ -4,7 +4,7 @@ wraps by name.
 `perfbench/tracing.py` reads each of its LAYERS from sys.modules after
 `import ffverify.cli`, and wraps hot methods and span methods of the
 package by class and method name; a missing layer or a rename would
-otherwise only show under a traced benchmark run.  `import ffverify.cli`
+otherwise only show under a traced benchmark run.  `import ffverify`
 registers every layer without running it, and the tracer's vars() of
 each layer runs it, so a traced command wraps layers it never reaches.
 """
@@ -29,8 +29,8 @@ WRAPPED_METHODS = {
 
 def test_cli_import_loads_every_traced_layer():
     """tracing.install imports ffverify and ffverify.cli, then looks up
-    each of its LAYERS in sys.modules: cli registers each layer there,
-    and the tracer's vars() of the layer runs its code."""
+    each of its LAYERS in sys.modules: the package registers each layer
+    there, and the tracer's vars() of the layer runs its code."""
     probe = ("import sys, ffverify.cli\n"
              "loaded = set(sys.modules)\n"
              "from tracing import LAYERS\n"
