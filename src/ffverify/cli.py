@@ -230,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--budget", type=int, default=50_000_000,
                     help="operation budget; with N = q^level = p^d a count "
                          "costs N per value distribution, N*d*p per "
-                         "character transform and N per product of spectra")
+                         "spectrum and N per product of spectra")
     pc.add_argument("--torsor", action="store_true",
                     help="count the torsor pair (Y, Ytilde) and check the "
                          "ratio q+1")

@@ -268,11 +268,20 @@ class Level:
     def __init__(self, p: int, degree: int):
         self.p = p
         self.degree = degree
-        self.modulus = least_irreducible(p, degree)
         self.size = p ** degree
         self.zero = (0,) * degree
         self.one = self._pad((1,))
+        self._modulus = None  # found by modulus
         self._log_tables = None  # built by log_tables
+
+    @property
+    def modulus(self):
+        """least_irreducible(p, degree), searched for on first use and
+        kept on the level, so that a tower whose top level no caller
+        reaches never searches for its modulus."""
+        if self._modulus is None:
+            self._modulus = least_irreducible(self.p, self.degree)
+        return self._modulus
 
     def _pad(self, c):
         return tuple(c) + (0,) * (self.degree - len(c))
@@ -452,10 +461,12 @@ class TowerContext:
     def table(self, key, build):
         """The table kept on this tower under key, made by build() the
         first time key is asked for; a build that raises keeps nothing.
-        Every table derived from a tower lives here: K and its reduction,
-        coset and coset pairs per zeta, the blind scan's model, the fixed
-        point grids and the counting spectra.  The log and Zech tables
-        stay on each Level, as the blind scan's model has no tower."""
+        Every table derived from a tower lives here: the Frobenius and
+        trace tables of each level, K and its reduction, coset and coset
+        pairs per zeta, the blind scan's model, the fixed point grids,
+        the counts' Artin-Schreier maps and spectra.  The log and Zech
+        tables stay on each Level, as the blind scan's model has no
+        tower."""
         tables = self._tables
         if key not in tables:
             tables[key] = build()
@@ -477,18 +488,40 @@ class TowerContext:
 
     # -- named operations -----------------------------------------------------
 
+    def frobenius(self, key: int) -> list[int]:
+        """x -> x^q on level key, the table power_map(q), kept on the
+        tower."""
+        return self.table(("frobenius", key),
+                          lambda: self.levels[key].power_map(self.q))
+
+    def traces(self, key: int) -> list[int]:
+        """Tr_{F_{q^key}/F_p} of every encoding of level key, in range(p)
+        and in encoding order, kept on the tower.
+
+        The trace is F_p-linear and an encoding is the digit vector of
+        its element in the basis p^i, so Tr(k) = sum_i k_i t_i mod p
+        with t_i = Tr(p^i), the sum of the conjugates (p^i)^(p^j) read
+        off the log tables.  Each t_i must land in F_p, the encodings
+        below p, and then so does every trace.
+        """
+        def build():
+            lv, p = self.levels[key], self.p
+            exp, log = lv.log_tables()
+            table = [0]
+            for i in range(lv.degree):
+                t = 0
+                for j in range(lv.degree):  # (p^i)^(p^j)
+                    t = lv.add_enc(t, exp[log[p ** i] * p ** j % (lv.size - 1)])
+                if t >= p:
+                    raise ArithmeticError(
+                        "trace did not land in the prime field")
+                table = [(x + c * t) % p for c in range(p) for x in table]
+            return table
+        return self.table(("traces", key), build)
+
     def trace_to_prime(self, k: int, key: int) -> int:
         """Tr_{F_{q^key}/F_p} of the level-key encoding k, in range(p)."""
-        lv = self.levels[key]
-        lv.check_enc(k)
-        frob = lv.power_map(self.p)
-        acc = 0
-        for _ in range(lv.degree):
-            acc = lv.add_enc(acc, k)
-            k = frob[k]
-        if acc >= self.p:  # F_p is the encodings below p
-            raise ArithmeticError("trace did not land in the prime field")
-        return acc
+        return self.traces(key)[self.levels[key].check_enc(k)]
 
     def enumerate_mu(self) -> list[int]:
         """mu_{q+1} as level-2 encodings, in encoding order: the powers of
@@ -562,7 +595,7 @@ class ArtinSchreierExtension:
         self.dim = self.p * base.degree  # F_p-dimension
         exp, self._log = base.log_tables()
         self._exp = exp + exp  # exp[u + v] needs no reduction
-        self._frob_base = base.power_map(tower.q)  # x^q on F_{q^2}
+        self._frob_base = tower.frobenius(2)  # x^q on F_{q^2}
         # (t^q)^i for i < p as (j, log of the coefficient of t^j) pairs,
         # read by frob; t has the encoding N.
         tq, power = self.pow(base.size, tower.q), 1

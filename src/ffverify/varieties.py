@@ -2,22 +2,47 @@
 
 Each affine count is a count of tuples whose values sum to a target:
 sum x_i^{q+1} = c, sum (x_i^q y_i - x_i y_i^q) = c and their variants
-with a term z^q +- z.  The distribution of each summand's values is
-tabulated once on integer encodings, whose base-p digits are
-coordinates on the additive group (Z/p)^d of the level, and the count
-is an exact additive-character sum (Lidl and Niederreiter, Finite
-Fields, ch. 5):
+with a term z^q +- z.  The distribution f of each summand's values is
+tabulated once on integer encodings, and the count is an exact
+additive-character sum (Lidl and Niederreiter, Finite Fields, ch. 5)
+for the pairing <u, k> = Tr(uk), Tr the absolute trace of the level
+F_N onto F_p.  The pairing is nondegenerate: every F_p-linear form on
+F_N is k -> Tr(uk) for exactly one u (ibid., Thm. 2.24), so
+sum_u x^Tr(uk) is N x^0 at k = 0 and (N/p) sum_s x^s at k != 0.
 
-- The spectrum A_f(u) = sum_k f(k) x^<u,k> lies in Z[x]/(x^p - 1),
-  where <u,k> is the digit dot product mod p.  A radix-p butterfly
-  computes it for every u, one pass per digit.  It is kept as one int
-  with p slots of w bits: x^s rotates the slots, and a ring product is
-  one int product folded onto p slots.  Masses are non-negative, so no
-  slot overflows while N times the number of tuples is below 2^w.
-- In B = sum_u prod_i A_i(u)^{n_i} x^{-<u,c>} a tuple with sum c adds N
+- The spectrum A_f(u) = sum_k f(k) x^Tr(uk) lies in Z[x]/(x^p - 1).
+  It is kept as one int with p slots of w bits: x^s rotates the slots,
+  and a ring product is one int product folded onto p slots.  Masses
+  are non-negative, so no slot overflows while N times the number of
+  tuples is below 2^w.
+- Each spectrum is read off the structure of its distribution in O(N).
+  The Hermitian and pair distributions are constant on the cosets of
+  the subgroup of index g = gcd(q + 1, N - 1) of F_N^*, the image of
+  x -> x^{q+1}: f(gamma^b) = F[b mod g] for gamma the primitive element
+  of the log tables.  With c = a + b,
+
+      A(gamma^a) = f(0) + sum_b F[b mod g] x^Tr(gamma^c)
+                 = f(0) + sum_{r<g} F[r] Hist[(a + r) mod g],
+
+  Hist[s] = sum_{c = s mod g} x^Tr(gamma^c), and A(0) = sum_k f(k).  So
+  A takes at most g + 1 values: the semiprimitive case of pure Gauss
+  sums (Berndt, Evans and Williams, Gauss and Jacobi Sums, 11.6).
+- The Artin-Schreier distributions are |ker L| 1_{im L} for the
+  F_p-linear L(z) = z^q + sign z.  The trace is invariant under
+  Frobenius, so Tr(u L(z)) = Tr((u^{q^-1} + sign u) z), and by
+  nondegeneracy u is orthogonal to im L iff u^{q^-1} = -sign u, that
+  is u^q = -sign u, that is L(u) = 0: (im L)^perp = ker L for both
+  signs and every p.  So A(u) = N x^0 on ker L; elsewhere Tr(u .) is a
+  nontrivial character of im L, which takes each value |im L|/p times,
+  and A(u) = (N/p) sum_s x^s.
+- In B = sum_u prod_i A_i(u)^{n_i} x^-Tr(uc) a tuple with sum c adds N
   to slot 0 and any other tuple N/p to every slot, so the count is
-  (B_0 - B_1)/N.  Each count checks B_1 = ... = B_{p-1} and
-  N | B_0 - B_1, and raises ArithmeticError if either fails.
+  (B_0 - B_1)/N.  The u with equal (A_1(u), ..., A_k(u), Tr(uc)) add
+  equal terms, so B is summed by class, with one square and multiply
+  per class and factor.  Each count checks B_1 = ... = B_{p-1} and
+  N | B_0 - B_1, and raises ArithmeticError if either fails; each
+  spectrum route checks the structure it assumes, and raises
+  ArithmeticError if it is absent.
 
 Projective counts enumerate by the leading nonzero coordinate
 (normalized to 1).  count_points_naive shares none of this: it tests
@@ -28,7 +53,7 @@ arithmetic, and so is an independent route.
 from __future__ import annotations
 
 import itertools
-import operator
+from collections import Counter
 from math import gcd, prod
 from typing import NamedTuple
 
@@ -76,7 +101,10 @@ class _LevelArith:
     encoding (the field's 1 has encoding 1).  Every count made here
     ranges over at most N^dim tuples, which fixes the slot width w.  The
     budget is charged N per distribution, N d p per spectrum and N per
-    product of spectra.
+    product of spectra, as if each product ran for every u: the charges
+    of the radix-p transform and the per-u products that the counts
+    once made.  They over-count the work now, and a budget accepts the
+    same counts as before.
 
     The tower's table "spectra", {(level key, w): {masses: spectrum}},
     keeps the spectra of one (level, w) at a time, so that the counts of
@@ -94,7 +122,7 @@ class _LevelArith:
         self.budget = budget
         self.ops = 0
         self._spend(self.N)
-        self.frob = self.level.power_map(ctx.q)
+        self.frob = ctx.frobenius(key)
         self.w = (self.N ** (dim + 1)).bit_length()
 
     def _spend(self, amount: int):
@@ -114,12 +142,18 @@ class _LevelArith:
         """Distribution of x -> x^{q+1}."""
         return self._dist(self.level.power_map(self.ctx.q + 1))
 
+    def artin_schreier(self, sign: int) -> list[int]:
+        """L(z) = z^q + sign * z at every encoding z, in encoding order,
+        kept on the tower per level and sign."""
+        lv = self.level
+        return self.ctx.table(("artin-schreier", self.key, sign), lambda: [
+            lv.add_enc(fz, z if sign == 1 else lv.neg_enc(z))
+            for z, fz in enumerate(self.frob)])
+
     def dist_artin_schreier(self, sign: int) -> list[int]:
         """Distribution of z -> z^q + sign * z.  Like every distribution
         here it is invariant under negation: substitute -z for z."""
-        lv = self.level
-        return self._dist(lv.add_enc(fz, z if sign == 1 else lv.neg_enc(z))
-                          for z, fz in enumerate(self.frob))
+        return self._dist(self.artin_schreier(sign))
 
     def dist_pair(self) -> list[int]:
         """Distribution of (x, y) -> x^q y - x y^q, from linearity.
@@ -144,59 +178,91 @@ class _LevelArith:
         return [N + (N - 1) * das[0]] + [g * cosets[log[v] % g]
                                          for v in range(1, N)]
 
-    def spectrum(self, f: list[int]) -> list[int]:
+    def _spectrum(self, f: list[int], build) -> list[int]:
         """The packed A_f(u) for every u, in encoding order, as a new
         list: the cached one stays intact whatever the caller does.
-
-        Each pass of the butterfly transforms the top digit and moves it
-        to the bottom, so after one pass per digit all are in place.
-        """
-        N, p, w = self.N, self.level.p, self.w
-        self._spend(N * self.level.degree * p)
+        build() computes it on a miss; a build that raises keeps
+        nothing."""
+        self._spend(self.N * self.level.degree * self.level.p)
         spectra = self.ctx.table("spectra", dict)
-        if (self.key, w) not in spectra:
+        if (self.key, self.w) not in spectra:
             spectra.clear()
-        known = spectra.setdefault((self.key, w), {})
+        known = spectra.setdefault((self.key, self.w), {})
         masses = tuple(f)
-        if masses in known:
-            return list(known[masses])
-        mask = (1 << w * p) - 1
-        a = list(f)
-        m = N // p
-        for _ in range(self.level.degree):
-            parts = [a[i * m:(i + 1) * m] for i in range(p)]
-            a[0::p] = map(sum, zip(*parts))
-            for t in range(1, p):
-                lo, hi = w * t, w * (p - t)
-                acc = parts[-1]
-                for part in reversed(parts[:-1]):  # Horner's rule in x^t
-                    acc = [x + ((y << lo | y >> hi) & mask)
-                           for x, y in zip(part, acc)]
-                a[t::p] = acc
-        known[masses] = a
-        return list(a)
+        if masses not in known:
+            known[masses] = build()
+        return list(known[masses])
 
-    def _mul(self, a: list[int], b: list[int]) -> list[int]:
-        self._spend(self.N)
-        pw = self.w * self.level.p
-        mask = (1 << pw) - 1
-        return [(v & mask) + (v >> pw) for v in map(operator.mul, a, b)]
+    def coset_spectrum(self, f: list[int]) -> list[int]:
+        """The spectrum of f = dist_hermitian() or dist_pair(), read off
+        its values F[r] on the cosets gamma^r <gamma^g> of F_N^* as the
+        module docstring derives; ArithmeticError unless f is constant on
+        each coset."""
+        def build():
+            exp, log = self.level.log_tables()
+            tr, w = self.ctx.traces(self.key), self.w
+            g = gcd(self.ctx.q + 1, self.N - 1)
+            F = [f[k] for k in exp[:g]]
+            if any(set(map(f.__getitem__, exp[s::g])) != {F[s]}
+                   for s in range(g)):
+                raise ArithmeticError(
+                    f"a distribution at level q^{self.key} is not constant "
+                    f"on the cosets of the index-{g} subgroup")
+            hist = [sum(m << w * t for t, m in
+                        Counter(map(tr.__getitem__, exp[s::g])).items())
+                    for s in range(g)]
+            by_coset = [f[0] + sum(F[r] * hist[(a + r) % g] for r in range(g))
+                        for a in range(g)]
+            return [sum(f)] + [by_coset[a % g] for a in log[1:]]
+        return self._spectrum(f, build)
+
+    def linear_spectrum(self, f: list[int], sign: int) -> list[int]:
+        """The spectrum of f = dist_artin_schreier(sign): N x^0 on ker L
+        and (N/p) sum_s x^s elsewhere, for L(z) = z^q + sign z, as the
+        module docstring derives; ArithmeticError unless f is
+        |ker L| 1_{im L}, that is f(L(z)) = |ker L| for every z and f
+        has mass N."""
+        def build():
+            N, p, images = self.N, self.level.p, self.artin_schreier(sign)
+            kernel = images.count(0)
+            if sum(f) != N or any(f[v] != kernel for v in images):
+                raise ArithmeticError(
+                    f"a distribution at level q^{self.key} is not "
+                    f"|ker L| 1_(im L) for L(z) = z^q + ({sign}) z")
+            flat = N // p * sum(1 << self.w * s for s in range(p))
+            return [flat if v else N for v in images]
+        return self._spectrum(f, build)
 
     def count(self, factors, c: int = 0) -> int:
         """The number of tuples that sum to c, drawing n values from the
-        distribution with spectrum A for each (A, n) in factors."""
+        distribution with spectrum A for each (A, n) in factors.  B is
+        summed by class of (A_1(u), ..., A_k(u), Tr(uc)), one power per
+        class and factor; the budget is charged N per product, as if
+        each ran for every u."""
         N, p, w = self.N, self.level.p, self.w
         if N * prod(a[0] ** n for a, n in factors) >> w:  # A(0) is the mass
             raise ArithmeticError(f"{w}-bit slots are too narrow")
-        acc = [1] * N
-        for a, n in factors:
-            acc = power(self._mul, acc, a, n)
-        dots = [0]  # <u, c> for every u, one digit at a time
-        for ci in self.level.decode(c):
-            dots = [(s + j * ci) % p for j in range(p) for s in dots]
+        self._spend(N * sum(n.bit_length() - 1 + n.bit_count()
+                            for _, n in factors if n))
+        if c:  # Tr(uc) for every u, read along the logs of u
+            exp, log = self.level.log_tables()
+            tr = self.ctx.traces(self.key)
+            by_log = list(map(tr.__getitem__, exp[log[c]:] + exp[:log[c]]))
+            dots = [0, *map(by_log.__getitem__, log[1:])]
+        else:
+            dots = [0] * N
+        pw = w * p
+        mask = (1 << pw) - 1
+
+        def mul(x, y):  # the ring product, folded onto p slots
+            v = x * y
+            return (v & mask) + (v >> pw)
         by_dot = [0] * p
-        for v, r in zip(acc, dots):
-            by_dot[r] += v
+        for cls, m in Counter(zip(*(a for a, _ in factors), dots)).items():
+            acc = 1
+            for a, (_, n) in zip(cls, factors):
+                acc = power(mul, acc, a, n)
+            by_dot[cls[-1]] += m * acc
         low = (1 << w) - 1  # B_s collects slot s + r of the terms x^-r
         B = [sum(by_dot[r] >> w * ((s + r) % p) & low for r in range(p))
              for s in range(p)]
@@ -224,11 +290,11 @@ def count_points(ctx: TowerContext, spec: VarietySpec, level: int,
     N = ar.N
 
     if kind in ("S", "Y", "Ytilde", "X"):
-        dh = ar.spectrum(ar.dist_hermitian())
+        dh = ar.coset_spectrum(ar.dist_hermitian())
         if kind == "Ytilde":
             return ar.count([(dh, n)], 1)
         if kind == "X":  # sum x_i^{q+1} = z^q + z
-            das = ar.spectrum(ar.dist_artin_schreier(+1))
+            das = ar.linear_spectrum(ar.dist_artin_schreier(+1), +1)
             return ar.count([(dh, n), (das, 1)])
         # S_n: leading coordinate j (0-based), x_j = 1, earlier zero, so
         # the n - 1 - j later terms sum to -1.
@@ -239,7 +305,7 @@ def count_points(ctx: TowerContext, spec: VarietySpec, level: int,
         return _proj_space_count(N, n - 1) - total  # Y
 
     if kind in _PAIR_KINDS:
-        dpair = ar.spectrum(ar.dist_pair())  # x^q y - x y^q
+        dpair = ar.coset_spectrum(ar.dist_pair())  # x^q y - x y^q
         if kind == "Ytildeprime":
             return ar.count([(dpair, n)], 1)
         if kind in ("Zprime", "Zprime0", "Uprime"):
@@ -249,7 +315,7 @@ def count_points(ctx: TowerContext, spec: VarietySpec, level: int,
             if kind == "Zprime0":
                 return zero - 1  # remove the origin
             return N ** (2 * n) - zero  # Uprime: nonzero fiber values
-        das = ar.spectrum(ar.dist_artin_schreier(-1))  # z^q - z
+        das = ar.linear_spectrum(ar.dist_artin_schreier(-1), -1)  # z^q - z
         if kind == "Xprime":  # z^q - z = sum (x_i y_i^q - x_i^q y_i)
             return ar.count([(dpair, n), (das, 1)])
         # S'_{2n} projective, coordinates x_1..x_n, y_1..y_n.  Leading
@@ -270,8 +336,8 @@ def count_points(ctx: TowerContext, spec: VarietySpec, level: int,
     if kind == "D":
         return boundary
     # The chart Z3 = 1: z^q - z = x y^q - x^q y.
-    das = ar.spectrum(ar.dist_artin_schreier(-1))
-    return boundary + ar.count([(ar.spectrum(dpair), 1), (das, 1)])
+    das = ar.linear_spectrum(ar.dist_artin_schreier(-1), -1)
+    return boundary + ar.count([(ar.coset_spectrum(dpair), 1), (das, 1)])
 
 
 # ---------------------------------------------------------------------------

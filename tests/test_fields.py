@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ffverify import (AdditiveCharacter, FieldError, blind_fixed_point_count,
-                      build_tower, closed_form_fixed_count,
+                      build_tower, closed_form_fixed_count, fields,
                       fixed_points_surface)
 from ffverify.fixed_points import coordinate_extension
 from ffverify.fields import (ArtinSchreierExtension, Level, TowerContext,
@@ -303,6 +303,21 @@ def test_trace_to_prime_additive():
         for b in range(lv.size):
             ta, tb = ctx.trace_to_prime(a, 2), ctx.trace_to_prime(b, 2)
             assert ctx.trace_to_prime(lv.add_enc(a, b), 2) == (ta + tb) % 3
+
+
+@pytest.mark.parametrize("p,e", TOWERS)
+def test_trace_table_is_the_sum_of_the_conjugates(p, e):
+    """The tower's trace table against sum_i k^(p^i), the p-th power map
+    iterated, on every encoding of levels 1 and 2."""
+    ctx = build_tower(p, e)
+    for key in (1, 2):
+        lv = ctx.levels[key]
+        frob = lv.power_map(p)
+        for k in range(lv.size):
+            acc, conj = 0, k
+            for _ in range(lv.degree):
+                acc, conj = lv.add_enc(acc, conj), frob[conj]
+            assert ctx.traces(key)[k] == acc < p
 
 
 @pytest.mark.parametrize("p,e", TOWERS)
@@ -698,6 +713,25 @@ def test_tower_build_does_not_scan_the_top_level(monkeypatch):
     monkeypatch.setattr(Level, "mul", counted)
     TowerContext(2, 4)
     assert calls < 1_000
+
+
+def test_tower_build_searches_no_modulus_of_an_unused_level(monkeypatch):
+    """TowerContext(2, 4) searches for the moduli of degree 4 and 8 that
+    the embedding of F_q in F_{q^2} needs; the degree-16 search of level
+    4 runs when level 4 is first used, and only once."""
+    searched = []
+    search = fields.least_irreducible
+
+    def recorded(p, d):
+        searched.append((p, d))
+        return search(p, d)
+
+    monkeypatch.setattr(fields, "least_irreducible", recorded)
+    ctx = TowerContext(2, 4)
+    assert searched == [(2, 4), (2, 8)]
+    assert ctx.levels[4].mul_enc(2, 3) == 6  # x * (x + 1) = x^2 + x
+    assert ctx.levels[4].modulus == search(2, 16)
+    assert searched == [(2, 4), (2, 8), (2, 16)]
 
 
 @pytest.mark.parametrize("p,e", [(3, 1), (2, 2), (5, 1)])

@@ -2,13 +2,14 @@
 
 import random
 from collections import Counter
+from math import gcd
 
 import pytest
 
 from ffverify import (BudgetExceededError, VarietySpec, build_tower,
                       count_points, count_points_naive, varieties)
 from ffverify.cli import main
-from ffverify.fields import TowerContext
+from ffverify.fields import TowerContext, power
 
 TOWERS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1),
           (13, 1), (2, 4)]
@@ -30,6 +31,61 @@ SMALL_LEVELS = [(p, e, level) for p, e in TOWERS for level in (1, 2, 4)
                 if (p ** e) ** level <= 125]
 
 
+def spectrum_by_definition(ar, f):
+    """The packed A_f(u) = sum_k f(k) x^Tr(uk) for every u, term by term:
+    the trace from the p-th power map, the product from mul_enc."""
+    lv, w = ar.level, ar.w
+    frob = lv.power_map(lv.p)
+    trace = []
+    for k in range(lv.size):
+        acc = 0
+        for _ in range(lv.degree):
+            acc, k = lv.add_enc(acc, k), frob[k]
+        trace.append(acc)
+    return [sum(m << w * trace[lv.mul_enc(u, k)] for k, m in enumerate(f))
+            for u in range(lv.size)]
+
+
+@pytest.mark.parametrize("p,e,level", SMALL_LEVELS + [(5, 1, 4)])
+def test_structured_spectra_match_the_definition(p, e, level):
+    """The coset route on the Hermitian and pair distributions and the
+    linear route on both Artin-Schreier distributions give the spectrum
+    of the definition.  Those two coset distributions are invariant
+    under gamma^b -> gamma^-b, so the coset route is also run on random
+    values F[b mod g], which are not."""
+    ar = varieties._LevelArith(build_tower(p, e), level, 10 ** 9, 3)
+    exp, _ = ar.level.log_tables()
+    g = gcd(p ** e + 1, ar.N - 1)
+    rng = random.Random(f"{p},{e},{level}")
+    F = [rng.randrange(5) for _ in range(g)]
+    on_cosets = [rng.randrange(5)] + [0] * (ar.N - 1)
+    for b, k in enumerate(exp):
+        on_cosets[k] = F[b % g]
+    for f in (ar.dist_hermitian(), ar.dist_pair(), on_cosets):
+        assert ar.coset_spectrum(f) == spectrum_by_definition(ar, f)
+    for sign in (1, -1):
+        f = ar.dist_artin_schreier(sign)
+        assert ar.linear_spectrum(f, sign) == spectrum_by_definition(ar, f)
+
+
+def test_each_route_rejects_a_distribution_without_its_structure():
+    ctx = TowerContext(3, 1)  # not the shared tower: nothing is cached
+    ar = varieties._LevelArith(ctx, 2, 10 ** 9, 3)
+    exp, _ = ar.level.log_tables()
+    f = ar.dist_hermitian()  # mass 4 on the fourth powers, g = 4
+    f[exp[0]] -= 1  # one unit of mass moved off its coset
+    f[exp[1]] += 1
+    with pytest.raises(ArithmeticError, match="not constant on the cosets"):
+        ar.coset_spectrum(f)
+    for sign in (1, -1):
+        f = ar.dist_artin_schreier(sign)
+        f[0] -= 1  # f(L(0)) = f(0) falls short of |ker L|
+        f[exp[1]] += 1
+        with pytest.raises(ArithmeticError, match="is not [|]ker L[|]"):
+            ar.linear_spectrum(f, sign)
+    assert ctx.table("spectra", dict) == {(2, ar.w): {}}
+
+
 @pytest.mark.parametrize("p,e,level", SMALL_LEVELS)
 def test_character_sum_count_matches_a_counter_convolution(p, e, level):
     # every tower level of size <= 125, every target c, n <= 3 summands
@@ -42,7 +98,7 @@ def test_character_sum_count_matches_a_counter_convolution(p, e, level):
     dists = [[rng.randrange(4) for _ in range(N)] for _ in range(2)]
     dists[1][rng.randrange(N)] += 7
     ar = varieties._LevelArith(ctx, level, 10 ** 9, 10)
-    spectra = [ar.spectrum(f) for f in dists]
+    spectra = [spectrum_by_definition(ar, f) for f in dists]
     for n0, n1 in [(0, 0), (1, 0), (2, 0), (3, 0), (1, 1), (2, 1), (0, 2)]:
         conv = Counter({0: 1})
         for f in [dists[0]] * n0 + [dists[1]] * n1:
@@ -56,16 +112,42 @@ def test_character_sum_count_matches_a_counter_convolution(p, e, level):
             [conv[c] for c in range(N)]
 
 
+def test_a_count_takes_one_square_and_multiply_per_class(monkeypatch):
+    """Ytilde_3 at q = 7 over F_{7^4}: the spectrum of x^8 takes 3
+    values, on u = 0, on the eighth powers and on the other units, and
+    Tr(u) takes 7; A(u) and Tr(u) fall into 15 classes (u = 0 is one),
+    each raised to the third power in 3 products, where a product per u
+    would make 3 * 2401.  The count is the semiprimitive closed form
+    Q^2 + (q^3 - T) G^2 - T G^3 / Q with Q = q^4, G = -q^2 and
+    T = (q^3 - q) / (q + 1) = 42."""
+    calls = []
+
+    def counted(mul, acc, a, n):
+        calls.append(0)
+
+        def tick(x, y):
+            calls[-1] += 1
+            return mul(x, y)
+        return power(tick, acc, a, n)
+
+    monkeypatch.setattr(varieties, "power", counted)
+    q, T = 7, 42
+    Q, G = q ** 4, -q ** 2
+    assert count_points(build_tower(7, 1), VarietySpec("Ytilde", 3), 4) == \
+        Q ** 2 + (q ** 3 - T) * G ** 2 - T * G ** 3 // Q
+    assert calls == [3] * 15
+
+
 def test_a_wrong_spectrum_slot_fails_the_character_sum_check(monkeypatch,
                                                              capsys):
-    spectrum = varieties._LevelArith.spectrum
+    coset_spectrum = varieties._LevelArith.coset_spectrum
 
     def off_by_one(self, f):
-        a = spectrum(self, f)
+        a = coset_spectrum(self, f)
         a[1] += 1  # slot 0 of A_f(u) at u = 1
         return a
 
-    monkeypatch.setattr(varieties._LevelArith, "spectrum", off_by_one)
+    monkeypatch.setattr(varieties._LevelArith, "coset_spectrum", off_by_one)
     for p in (2, 3):
         with pytest.raises(ArithmeticError, match="character sum check"):
             count_points(build_tower(p, 1), VarietySpec("Ytilde", 1), 2)
@@ -79,14 +161,14 @@ def test_a_returned_spectrum_cannot_poison_the_cache():
     ctx = TowerContext(3, 1)  # not the shared tower: its cache starts cold
     ar = varieties._LevelArith(ctx, 2, 10 ** 9, 3)  # the w of Ytilde_2
     f = ar.dist_hermitian()
-    cold = ar.spectrum(f)
-    for a in (cold, ar.spectrum(f)):  # from a miss, then from a hit
+    cold = ar.coset_spectrum(f)
+    for a in (cold, ar.coset_spectrum(f)):  # from a miss, then from a hit
         a[1] += 1
         assert count_points(ctx, VarietySpec("Ytilde", 2), 2) == 3 ** 3 - 3
         a[1] -= 1
     spectra = ctx.table("spectra", dict)
     assert list(spectra[2, ar.w]) == [tuple(f)]  # the counts reused it
-    assert ar.spectrum(f) == cold
+    assert ar.coset_spectrum(f) == cold
 
 
 @pytest.mark.parametrize("p,e", TOWERS)

@@ -7,8 +7,10 @@ prints one JSON object {module file name: [line, ...]} and exits 0, or
 exits 1 if a call of the matrix gave another exit code than the one it
 is listed with.  The matrix is every subcommand and format at q = 2, 3,
 4 and 5, with an ell that divides q + 1 and one that does not (no odd
-ell divides 4), every variety kind at levels 1, 2 and 4, the torsor
-pair, an --output into OUTDIR, the usage errors, the blind scan of
+ell divides 4), every variety kind at levels 1, 2 and 4, a count at
+q = 4 and level 4, whose search for the degree-8 modulus rejects a
+candidate in each branch of fields._is_irreducible, the torsor pair,
+an --output into OUTDIR, the usage errors, the blind scan of
 scripts/fixed_point_grid.py, build_howe_tables.render and
 perfbench/libjob.run.  The scripts import their names from the package,
 so they run its lazy lookup (ffverify.__getattr__).  tests/test_hygiene.py
@@ -83,7 +85,8 @@ def cli_matrix(outdir: str) -> list:
         out.append((["count", "--p", "2", "--variety", *KINDS, "--n", "2",
                      "--level", str(level), "--format", "csv"], 0))
     out += [(["count", "--p", "3", "--variety", *KINDS, "--level", "1",
-              "--format", "json"], 0)]
+              "--format", "json"], 0),
+            (["count", "--p", "2", "--e", "2", "--level", "4"], 0)]
     out += [(["count", "--p", "3", "--torsor", "--n", "2", "--format", fmt], 0)
             for fmt in ("json", "csv", "md")]
     out += [
