@@ -14,12 +14,11 @@ import importlib.util
 import sys
 
 _EXPORTS = {
-    "fields": ("ArtinSchreierExtension", "FieldError", "TowerContext",
-               "build_tower"),
+    "fields": ("ArtinSchreierExtension", "BudgetExceededError", "FieldError",
+               "TowerContext", "build_tower"),
     "cyclotomic": ("AdditiveCharacter", "CycError", "CycNumber", "conductor",
-                   "gauss_sum", "nu_sign"),
-    "varieties": ("BudgetExceededError", "VarietySpec", "count_points",
-                  "count_points_naive"),
+                   "gauss_sum"),
+    "varieties": ("VarietySpec", "count_points"),
     "fixed_points": ("FixedPointReport", "GridCell", "blind_fixed_point_count",
                      "closed_form_fixed_count", "differential_vanishes",
                      "fixed_point_grid", "fixed_points_surface"),

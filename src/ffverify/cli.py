@@ -269,7 +269,7 @@ def main(argv=None) -> int:
         code, text = args.func(args)
         _emit(args, text)
         return code
-    except (varieties.BudgetExceededError, ValueError) as exc:
+    except (fields.BudgetExceededError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except Exception as exc:

@@ -275,17 +275,6 @@ class AdditiveCharacter:
         return self.a == 0
 
 
-def nu_sign(ctx: TowerContext, zeta: int) -> int:
-    """nu(zeta) = (-1)^mu_index(zeta), nu the character of order 2 of
-    mu_{q+1}, for p odd.  nu(h^i) = (-1)^i for a generator h, well
-    defined as q + 1 is even.  h = (g^(q-1))^j with j prime to the even
-    q + 1, so j is odd, and h^i = (g^(q-1))^(ij mod q+1) has an index of
-    the parity of i: any generator gives the same nu."""
-    if ctx.p == 2:
-        raise FieldError("the quadratic character of mu_{q+1} needs p odd")
-    return -1 if ctx.mu_index(zeta) % 2 else 1
-
-
 def gauss_sum(ctx: TowerContext, psi: AdditiveCharacter) -> CycNumber:
     """Quadratic Gauss sum sum_{x in F_q^*} (x | F_q) psi(x)."""
     if ctx.p == 2:

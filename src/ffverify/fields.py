@@ -11,7 +11,7 @@ the total order used everywhere a "least" or "sorted" choice is needed,
 such as the root of the modulus of F_q that defines that embedding.
 The Artin-Schreier extension K encodes its elements the same way, so
 that the encodings below q^2 are F_{q^2} itself.  Coefficient tuples
-stay inside Level and varieties.count_points_naive.
+stay inside Level.
 """
 
 from __future__ import annotations
@@ -21,6 +21,11 @@ from functools import lru_cache
 
 class FieldError(ValueError):
     """Invalid field construction or element usage."""
+
+
+class BudgetExceededError(RuntimeError):
+    """Raised when a requested count would exceed its budget: the
+    operation budget of a count, or the field size of a blind scan."""
 
 
 def is_prime(n: int) -> bool:
@@ -73,12 +78,6 @@ def _trim(c):
     while i > 0 and c[i - 1] == 0:
         i -= 1
     return tuple(c[:i])
-
-
-def poly_add(a, b, p):
-    n = max(len(a), len(b))
-    return _trim([((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % p
-                  for i in range(n)])
 
 
 def poly_sub(a, b, p):
@@ -286,12 +285,6 @@ class Level:
     def _pad(self, c):
         return tuple(c) + (0,) * (self.degree - len(c))
 
-    def add(self, a, b):
-        return self._pad(poly_add(a, b, self.p))
-
-    def sub(self, a, b):
-        return self._pad(poly_sub(a, b, self.p))
-
     def mul(self, a, b):
         p = self.p
         return self._pad(poly_mod(poly_mul(a, b, p), self.modulus, p))
@@ -410,14 +403,8 @@ class Level:
     def pow(self, a, n):
         return power(self.mul, self.one, a, n)
 
-    def encode(self, a) -> int:
-        return _undigits(a, self.p)
-
     def decode(self, k: int):
         return tuple(_digits(k, self.p, self.degree))
-
-    def elements(self):
-        return (self.decode(k) for k in range(self.size))
 
 
 # ---------------------------------------------------------------------------
@@ -540,6 +527,16 @@ class TowerContext:
         if w is None or w % (self.q - 1):
             raise FieldError("zeta must lie in mu_{q+1}")
         return w // (self.q - 1)
+
+    def nu(self, zeta: int) -> int:
+        """nu(zeta) = (-1)^mu_index(zeta), nu the character of order 2 of
+        mu_{q+1}, for p odd.  nu(h^i) = (-1)^i for a generator h, well
+        defined as q + 1 is even.  h = (g^(q-1))^j with j prime to the even
+        q + 1, so j is odd, and h^i = (g^(q-1))^(ij mod q+1) has an index of
+        the parity of i: any generator gives the same nu."""
+        if self.p == 2:
+            raise FieldError("the quadratic character of mu_{q+1} needs p odd")
+        return -1 if self.mu_index(zeta) % 2 else 1
 
     def legendre(self, k: int) -> int:
         """(k | F_q) for the level-1 encoding k: the squares of F_q^* are

@@ -22,9 +22,8 @@ from collections import defaultdict
 from math import comb
 from typing import NamedTuple
 
-from .fields import ArtinSchreierExtension, Level, TowerContext, embedding_table
-from .cyclotomic import nu_sign
-from .varieties import BudgetExceededError
+from .fields import (ArtinSchreierExtension, BudgetExceededError, Level,
+                     TowerContext, embedding_table)
 
 
 class FixedPointReport(NamedTuple):
@@ -191,7 +190,7 @@ def closed_form_fixed_count(ctx: TowerContext, eta: int, zeta: int,
         return q * q + q + 1
     if eta == 0 or ctx.p == 2:
         return q * q + q + 1
-    solvable = nu_sign(ctx, zeta) * ctx.legendre(ctx.levels[1].neg_enc(eta)) == 1
+    solvable = ctx.nu(zeta) * ctx.legendre(ctx.levels[1].neg_enc(eta)) == 1
     return (2 * q * q + q + 1) if solvable else (q + 1)
 
 

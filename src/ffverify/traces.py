@@ -16,8 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .fields import TowerContext, FieldError
-from .cyclotomic import (AdditiveCharacter, CycNumber, conductor,
-                         gauss_sum, nu_sign)
+from .cyclotomic import AdditiveCharacter, CycNumber, conductor, gauss_sum
 from .fixed_points import fixed_point_grid
 
 
@@ -48,7 +47,7 @@ def character_difference_at_unipotent(ctx: TowerContext, n: int,
     m = conductor(ctx)
     total = CycNumber.from_rational(m, 0)
     for zeta in ctx.enumerate_mu():
-        term = nu_sign(ctx, zeta) * sheaf_trace_A2(ctx, zeta, True, psi)
+        term = ctx.nu(zeta) * sheaf_trace_A2(ctx, zeta, True, psi)
         if n > 1:  # T^0 = 1: the plain trace is read only when it counts
             term = term * sheaf_trace_A2(ctx, zeta, False, psi) ** (n - 1)
         total = total + term

@@ -45,23 +45,19 @@ sum_u x^Tr(uk) is N x^0 at k = 0 and (N/p) sum_s x^s at k != 0.
   ArithmeticError if it is absent.
 
 Projective counts enumerate by the leading nonzero coordinate
-(normalized to 1).  count_points_naive shares none of this: it tests
-each equation on coefficient tuples with the level's polynomial
-arithmetic, and so is an independent route.
+(normalized to 1).  The tests' brute-force count, in
+tests/reference.py, shares none of this: it tests each equation on
+coefficient tuples with the level's polynomial arithmetic, and so is
+an independent route.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from math import gcd, prod
 from typing import NamedTuple
 
-from .fields import TowerContext, FieldError, power
-
-
-class BudgetExceededError(RuntimeError):
-    """Raised when a requested count would exceed the operation budget."""
+from .fields import BudgetExceededError, TowerContext, FieldError, power
 
 
 VARIETY_KINDS = (
@@ -338,68 +334,3 @@ def count_points(ctx: TowerContext, spec: VarietySpec, level: int,
     # The chart Z3 = 1: z^q - z = x y^q - x^q y.
     das = ar.linear_spectrum(ar.dist_artin_schreier(-1), -1)
     return boundary + ar.count([(ar.coset_spectrum(dpair), 1), (das, 1)])
-
-
-# ---------------------------------------------------------------------------
-# Naive enumerators, kept as an independent route for small cross-checks.
-
-def count_points_naive(ctx: TowerContext, spec: VarietySpec, level: int,
-                       budget: int = 2_000_000) -> int:
-    """Brute-force enumeration; only viable for tiny instances."""
-    lv = ctx.levels[level]
-    N = lv.size
-    q = ctx.q
-    n = spec.n
-    kind = spec.kind
-
-    def herm_sum(xs):
-        acc = lv.zero
-        for x in xs:
-            acc = lv.add(acc, lv.mul(x, lv.pow(x, q)))
-        return acc
-
-    def pair_sum(xs, ys):
-        acc = lv.zero
-        for x, y in zip(xs, ys):
-            acc = lv.add(acc, lv.sub(lv.mul(lv.pow(x, q), y),
-                                     lv.mul(x, lv.pow(y, q))))
-        return acc
-
-    if kind == "Ytilde":
-        if N ** n > budget:
-            raise BudgetExceededError("naive enumeration too large")
-        return sum(1 for xs in itertools.product(lv.elements(), repeat=n)
-                   if herm_sum(xs) == lv.one)
-    if kind == "X":
-        if N ** (n + 1) > budget:
-            raise BudgetExceededError("naive enumeration too large")
-        count = 0
-        for zs in lv.elements():
-            lhs = lv.add(lv.pow(zs, q), zs)
-            for xs in itertools.product(lv.elements(), repeat=n):
-                if herm_sum(xs) == lhs:
-                    count += 1
-        return count
-    if kind in ("S", "Y"):
-        if _proj_space_count(N, n - 1) * N > budget:
-            raise BudgetExceededError("naive enumeration too large")
-        count = 0
-        for j in range(n):
-            for xs in itertools.product(lv.elements(), repeat=n - 1 - j):
-                full = (lv.zero,) * j + (lv.one,) + xs
-                if herm_sum(full) == lv.zero:
-                    count += 1
-        if kind == "S":
-            return count
-        return _proj_space_count(N, n - 1) - count
-    if kind == "Ytildeprime":
-        if N ** (2 * n) > budget:
-            raise BudgetExceededError("naive enumeration too large")
-        count = 0
-        for xs in itertools.product(lv.elements(), repeat=n):
-            for ys in itertools.product(lv.elements(), repeat=n):
-                if pair_sum(xs, ys) == lv.one:
-                    count += 1
-        return count
-    raise ValueError(f"no naive enumerator for kind {kind!r}")
-

@@ -17,6 +17,7 @@ from ffverify.fields import (ArtinSchreierExtension, Level, TowerContext,
                              is_prime, least_irreducible, poly_mod, poly_mul,
                              poly_powmod, power, prime_factors, prime_power,
                              reduce_mod_p, row_reduce, solve_reduced)
+from reference import level_add, level_elements, level_encode, level_sub
 
 # (p, e) of every tower with q <= 16.
 TOWERS = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (5, 1), (7, 1),
@@ -217,7 +218,7 @@ def test_encoding_roundtrip(pe, k):
     for key in (1, 2, 4):
         lv = ctx.levels[key]
         n = k % lv.size
-        assert lv.encode(lv.decode(n)) == n
+        assert level_encode(lv, lv.decode(n)) == n
 
 
 @pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1)])
@@ -241,12 +242,12 @@ def _embedding_table_by_sums(root, lo, hi):
     for _ in range(lo.degree - 1):
         pows.append(hi.mul(pows[-1], root))
     table = []
-    for a in lo.elements():
+    for a in level_elements(lo):
         acc = hi.zero
         for c, rp in zip(a, pows):
             if c:
-                acc = hi.add(acc, tuple(c * x % hi.p for x in rp))
-        table.append(hi.encode(acc))
+                acc = level_add(hi, acc, tuple(c * x % hi.p for x in rp))
+        table.append(level_encode(hi, acc))
     return table
 
 
@@ -333,12 +334,12 @@ def test_mu_enumeration_and_discrete_log(p, e):
     norm = lv.power_map(q + 1)
     for z in mu:
         assert norm[z] == 1
-    g = next(a for a in lv.elements() if a != lv.zero and all(
+    g = next(a for a in level_elements(lv) if a != lv.zero and all(
         lv.pow(a, (lv.size - 1) // t) != lv.one
         for t in prime_factors(lv.size - 1)))
     h = lv.pow(g, q - 1)
     for k in range(q + 1):
-        assert ctx.mu_index(lv.encode(lv.pow(h, k))) == k
+        assert ctx.mu_index(level_encode(lv, lv.pow(h, k))) == k
     for z in range(lv.size):
         if z not in mu:
             with pytest.raises(FieldError, match="mu_"):
@@ -379,16 +380,17 @@ def _tuple_log_tables(lv):
     log_tables took before it walked exp on integers, kept here as the
     reference."""
     order = lv.size - 1
-    g = next(a for a in lv.elements() if a != lv.zero and all(
+    g = next(a for a in level_elements(lv) if a != lv.zero and all(
         lv.pow(a, order // t) != lv.one for t in prime_factors(order)))
     exp, cur = [], lv.one
     for _ in range(order):
-        exp.append(lv.encode(cur))
+        exp.append(level_encode(lv, cur))
         cur = lv.mul(g, cur)
     log = [None] * lv.size
     for w, k in enumerate(exp):
         log[k] = w
-    zech = [log[lv.encode(lv.add(lv.one, lv.decode(k)))] for k in exp]
+    zech = [log[level_encode(lv, level_add(lv, lv.one, lv.decode(k)))]
+            for k in exp]
     return exp, log, zech
 
 
@@ -408,12 +410,15 @@ def _check_encoding_arithmetic(lv, q, pairs):
     pairs = list(pairs)
     for i, j in pairs:
         a, b = els[i], els[j]
-        assert lv.add_enc(i, j) == lv.encode(lv.add(a, b)), (i, j)
-        assert lv.mul_enc(i, j) == lv.encode(lv.mul(a, b)), (i, j)
+        assert lv.add_enc(i, j) == level_encode(lv, level_add(lv, a, b)), (
+            i, j)
+        assert lv.mul_enc(i, j) == level_encode(lv, lv.mul(a, b)), (i, j)
     for k in {i for pair in pairs for i in pair}:
-        assert lv.neg_enc(k) == lv.encode(lv.sub(lv.zero, els[k])), k
+        assert lv.neg_enc(k) == level_encode(
+            lv, level_sub(lv, lv.zero, els[k])), k
     for n in (0, 1, q, q + 1):
-        assert lv.power_map(n) == [lv.encode(lv.pow(a, n)) for a in els], n
+        assert lv.power_map(n) == [level_encode(lv, lv.pow(a, n))
+                                   for a in els], n
 
 
 @pytest.mark.parametrize("p,e,key", [(p, e, key)
@@ -496,11 +501,43 @@ def test_legendre_rejected_in_characteristic_two():
         ctx.legendre(1)
 
 
+@pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (7, 1), (3, 2), (11, 1),
+                                 (13, 1)])
+def test_nu_is_the_quadratic_character_of_mu(p, e):
+    """At every odd q <= 13, nu is multiplicative, and nu(zeta) = 1
+    exactly when zeta is the square of an element of mu_{q+1}."""
+    ctx = build_tower(p, e)
+    mul = ctx.levels[2].mul_enc
+    mu = ctx.enumerate_mu()
+    squares = {mul(w, w) for w in mu}
+    values = []
+    for z in mu:
+        v = ctx.nu(z)
+        assert v == (1 if z in squares else -1)
+        values.append(v)
+        for w in mu:
+            assert ctx.nu(mul(z, w)) == v * ctx.nu(w)
+    assert sum(values) == 0
+    assert ctx.nu(1) == 1
+
+
+def test_nu_rejected_in_characteristic_two_and_outside_mu():
+    with pytest.raises(FieldError, match="needs p odd"):
+        build_tower(2, 1).nu(1)
+    ctx = build_tower(3, 1)
+    mu = ctx.enumerate_mu()
+    for z in range(ctx.levels[2].size):
+        if z not in mu:
+            with pytest.raises(FieldError, match="mu_"):
+                ctx.nu(z)
+
+
 # Each entry point that takes an element, with the level of that element.
 _ENTRY_POINTS = {
     "embed-1-2": (1, lambda ctx, k: ctx.embed(k)),
     "legendre": (1, lambda ctx, k: ctx.legendre(k)),
     "mu_index": (2, lambda ctx, k: ctx.mu_index(k)),
+    "nu": (2, lambda ctx, k: ctx.nu(k)),
     "trace_to_prime-1": (1, lambda ctx, k: ctx.trace_to_prime(k, 1)),
     "trace_to_prime-2": (2, lambda ctx, k: ctx.trace_to_prime(k, 2)),
     "AdditiveCharacter": (1, lambda ctx, k: AdditiveCharacter(ctx, 1)(k)),
@@ -651,11 +688,11 @@ def test_solve_mod_p_against_a_brute_scan(p, case):
 
 def _is_root(f, level, k):
     """f(a) == 0 for the element a of encoding k, by Horner's rule
-    through the tuple Level.add and Level.mul; a coefficient c < p
+    through the tuple level_add and Level.mul; a coefficient c < p
     decodes to the constant c."""
     a, acc = level.decode(k), level.zero
     for c in reversed(f):
-        acc = level.add(level.mul(acc, a), level.decode(c))
+        acc = level_add(level, level.mul(acc, a), level.decode(c))
     return acc == level.zero
 
 
@@ -829,7 +866,8 @@ def test_coset_is_the_kernel_of_the_map(p, e):
         pairs = K.coset(zeta)
         assert [a for a, _ in pairs] == sorted(
             a for a in range(base.size)
-            if base.encode(base.pow(base.decode(a), q)) == base.mul_enc(zeta, a))
+            if level_encode(base, base.pow(base.decode(a), q))
+            == base.mul_enc(zeta, a))
         assert all(fa == K.pow(a, q) for a, fa in pairs)
         assert sorted(K.solve_affine(zeta, 0)) == [a for a, _ in pairs]
 
@@ -864,7 +902,7 @@ def test_frobenius_matrix_is_the_q_power_on_a_sample(p, e):
 
 
 def _schoolbook_mul(K, a, b):
-    """Product in K from the tuple Level.mul and Level.add alone: the
+    """Product in K from the tuple Level.mul and level_add alone: the
     independent route.  Coefficient i of a is the level-2 encoding
     a // N^i % N, N = q^2."""
     base, p, N = K.base, K.p, K.base.size
@@ -874,11 +912,11 @@ def _schoolbook_mul(K, a, b):
     out = [base.zero] * (2 * p - 1)
     for i, x in enumerate(xs):
         for j, y in enumerate(ys):
-            out[i + j] = base.add(out[i + j], base.mul(x, y))
+            out[i + j] = level_add(base, out[i + j], base.mul(x, y))
     for k in range(2 * p - 2, p - 1, -1):  # t^k = t^(k-p+1) + c t^(k-p)
-        out[k - p + 1] = base.add(out[k - p + 1], out[k])
-        out[k - p] = base.add(out[k - p], base.mul(out[k], c))
-    return sum(base.encode(x) * N ** i for i, x in enumerate(out[:p]))
+        out[k - p + 1] = level_add(base, out[k - p + 1], out[k])
+        out[k - p] = level_add(base, out[k - p], base.mul(out[k], c))
+    return sum(level_encode(base, x) * N ** i for i, x in enumerate(out[:p]))
 
 
 def test_mul_matches_schoolbook_on_every_pair():
@@ -958,4 +996,4 @@ def test_frob_on_the_base_field_is_the_tuple_q_power(p, e):
     K = ArtinSchreierExtension(build_tower(p, e))
     base, q = K.base, K.tower.q
     for a in range(base.size):
-        assert K.frob(a) == base.encode(base.pow(base.decode(a), q))
+        assert K.frob(a) == level_encode(base, base.pow(base.decode(a), q))

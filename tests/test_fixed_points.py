@@ -7,7 +7,7 @@ from ffverify.cli import main
 from ffverify import (FieldError, blind_fixed_point_count,
                       build_tower, closed_form_fixed_count,
                       differential_vanishes, fixed_point_grid,
-                      fixed_points_surface, nu_sign)
+                      fixed_points_surface)
 from ffverify.fixed_points import (_apply_endo, _projectively_equal,
                                    _surface_holds, coordinate_extension)
 
@@ -153,7 +153,7 @@ def test_stratum_emptiness_pattern():
             rep = fixed_points_surface(ctx, eta, zeta, True)
             s1 = rep.sigma_counts.get("sigma1", 0)
             minus_eta = ctx.levels[1].neg_enc(eta)
-            solvable = nu_sign(ctx, zeta) * ctx.legendre(minus_eta) == 1
+            solvable = ctx.nu(zeta) * ctx.legendre(minus_eta) == 1
             assert (s1 > 0) == solvable
 
 

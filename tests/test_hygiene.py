@@ -3,7 +3,8 @@ every import sits at module level, one function holds the square-and-
 multiply loop, one function writes markdown table rows, one module
 holds the lazy loader, every division is exact, importing the command
 line tool loads no module it does not need, the package and each
-command compile only the layers their caller reaches, every public
+command compile only the layers their caller reaches, each layer
+imports only the layers of a written-out graph, every public
 function and class is reached from the package, its scripts or its
 benchmark, every statement runs in a small fixed matrix of the program,
 only the tower's constructor sets an attribute of a tower, and
@@ -371,8 +372,7 @@ def compiled_modules(code: str) -> list:
 @pytest.mark.parametrize("code,layers", [
     ("import ffverify", []),
     ("import ffverify; ffverify.build_tower(3, 1)", ["fields"]),
-    ("from ffverify import fixed_point_grid",
-     ["fields", "cyclotomic", "varieties", "fixed_points"]),
+    ("from ffverify import fixed_point_grid", ["fields", "fixed_points"]),
 ], ids=["import", "build_tower", "fixed_point_grid"])
 def test_the_package_loads_only_the_layers_a_caller_reaches(code, layers):
     """The package runs a layer when one of its names is first looked
@@ -392,8 +392,7 @@ _THETA = ["__init__", "characters", "cyclotomic", "fields", "howe"]
 
 @pytest.mark.parametrize("code,modules", [
     (_cli("count", "--p", "3", "--n", "2"), _CLI_BASE),
-    (_cli("fixed-points", "--p", "3"),
-     _CLI_BASE + ["cyclotomic", "fixed_points"]),
+    (_cli("fixed-points", "--p", "3"), _CLI_BASE + ["fixed_points"]),
     (_cli("gauss", "--p", "3"), _CLI_BASE + ["cyclotomic"]),
     (_cli("verify", "--p", "3", "--ell", "5"),
      [p.stem for p in SRC.glob("*.py")]),
@@ -411,6 +410,70 @@ def test_each_command_compiles_only_the_layers_it_reaches(code, modules):
     only howe.verify_all reads.  The parser reads
     varieties.VARIETY_KINDS, so every command compiles varieties."""
     assert compiled_modules(code) == sorted(modules)
+
+
+# The layer graph: each layer and the layers it imports.  A layer
+# compiles the layers it imports as soon as it reads a name from one,
+# so an edge added here is a layer more for every caller of it.
+_LAYER_GRAPH = {
+    "fields": [],
+    "cyclotomic": ["fields"],
+    "varieties": ["fields"],
+    "fixed_points": ["fields"],
+    "characters": ["cyclotomic", "fields"],
+    "traces": ["cyclotomic", "fields", "fixed_points"],
+    "howe": ["characters", "cyclotomic", "fields", "fixed_points", "traces",
+             "varieties"],
+    "cli": ["characters", "cyclotomic", "fields", "fixed_points", "howe",
+            "varieties"],
+}
+
+
+def layer_edges(sources: dict) -> dict:
+    """{layer: sorted layers it imports} for sources ({layer: source}),
+    read from its relative imports at any scope: `from .layer import x`
+    and `from . import layer`."""
+    graph = {}
+    for layer, source in sources.items():
+        found = set()
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                found |= ({node.module.split(".")[0]} if node.module
+                          else {a.name for a in node.names})
+        graph[layer] = sorted(found)
+    return graph
+
+
+def edge_changes(graph: dict, expected: dict) -> list[str]:
+    """The edges graph adds to expected ("a -> b") and those it drops
+    ("a -/-> b"), layer by layer in the order of graph."""
+    return [f"{layer} {arrow} {other}" for layer, imports in graph.items()
+            for arrow, others in (
+                ("->", sorted(set(imports) - set(expected.get(layer, ())))),
+                ("-/->", sorted(set(expected.get(layer, ())) - set(imports))))
+            for other in others]
+
+
+def test_an_added_layer_edge_is_found():
+    planted = {"fixed_points": ("from .fields import Level\n"
+                                "def nu(ctx, zeta):\n"
+                                "    from .cyclotomic import nu_sign\n"
+                                "    return nu_sign(ctx, zeta)\n"),
+               "cli": "from . import fields, varieties\n"}
+    graph = layer_edges(planted)
+    assert graph == {"fixed_points": ["cyclotomic", "fields"],
+                     "cli": ["fields", "varieties"]}
+    assert edge_changes(graph, _LAYER_GRAPH) == [
+        "fixed_points -> cyclotomic", "cli -/-> characters",
+        "cli -/-> cyclotomic", "cli -/-> fixed_points", "cli -/-> howe"]
+
+
+def test_the_layer_graph_is_pinned():
+    """fixed_points imports fields alone, so the grid compiles neither
+    the cyclotomic numbers nor the point counts."""
+    graph = layer_edges({p.stem: p.read_text() for p in MODULES})
+    assert sorted(graph) == sorted(_LAYER_GRAPH)
+    assert edge_changes(graph, _LAYER_GRAPH) == []
 
 
 def unreached_definitions(modules: dict, readers: list) -> list[str]:
@@ -456,30 +519,16 @@ def test_unreached_definitions_are_found():
         "m.dead", "m.Dead"]
 
 
-# The tests' independent routes: the tests check the program's own
-# routes against them, so they are kept although no run of the program
-# reaches them.
-_TEST_ONLY_ROUTES = {
-    "varieties.count_points_naive":
-        "the brute-force count that the structured counts are checked against",
-    "fields.poly_add": "the F_p sum behind Level.add",
-    "fields.Level.add": "the tuple sum that add_enc is checked against",
-    "fields.Level.sub": "the tuple difference that neg_enc is checked against",
-    "fields.Level.encode": "reads a tuple route's result as an encoding",
-    "fields.Level.elements": "the tuples that count_points_naive runs over",
-}
-
-
 def test_every_public_definition_is_reached():
     """No public function or class of the package is reached only by
     tests: src/ (but the re-exports of __init__.py), scripts/ and
-    perfbench/ read each one, or it is one of the tests' routes."""
+    perfbench/ read each one.  The tests' own routes live in
+    tests/reference.py."""
     readers = [path.read_text() for top in ("src", "scripts", "perfbench")
                for path in sorted((ROOT / top).rglob("*.py"))
                if path != SRC / "__init__.py"]
     modules = {path.stem: path.read_text() for path in MODULES}
-    assert [name for name in unreached_definitions(modules, readers)
-            if name not in _TEST_ONLY_ROUTES] == []
+    assert unreached_definitions(modules, readers) == []
 
 
 def statements(source: str) -> list:
@@ -603,12 +652,10 @@ def test_unrun_statements_are_found(tmp_path):
 
 
 # What no run of the program executes and is kept on purpose, besides
-# every raise and the tests' routes: the failure branches of the
-# program's own checks, the empty results of a solve, the mod-ell
-# dimensions that item 1 of ROADMAP.md leaves unread, __repr__ and the
-# entry point.
+# every raise: the failure branches of the program's own checks, the
+# empty results of a solve, the mod-ell dimensions that item 1 of
+# ROADMAP.md leaves unread, __repr__ and the entry point.
 _NOT_RUN = {
-    **_TEST_ONLY_ROUTES,
     'characters._reduction: return "restriction is not in the Brauer span"':
         "a failed Brauer solve, the reason brauer_decompose raises",
     'characters._reduction: return "non-integral Brauer multiplicity"':

@@ -21,12 +21,12 @@ PUBLIC = [
     "brauer_decompositions", "brauer_irreps", "build_tower",
     "character_difference_at_unipotent", "characters",
     "closed_form_fixed_count", "compare_semisimplifications", "conductor",
-    "conjugacy_classes", "count_points", "count_points_naive", "cyclotomic",
+    "conjugacy_classes", "count_points", "cyclotomic",
     "differential_vanishes", "dim_mod_ell_unitary", "dim_v_isotypic",
     "dim_w_isotypic", "ell_parts", "ell_regular_classes",
     "expected_character_difference", "fields", "fixed_point_grid",
     "fixed_points", "fixed_points_surface", "gauss_sum", "howe",
-    "markdown_table", "nu_sign", "o_minus_table", "ordinary_irreps",
+    "markdown_table", "o_minus_table", "ordinary_irreps",
     "report_to_markdown", "sheaf_trace_A2", "theta_mod_ell",
     "theta_ordinary", "traces", "varieties", "verify_all",
 ]
