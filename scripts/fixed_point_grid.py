@@ -4,12 +4,15 @@
 For every (eta, zeta) pair and both endomorphism variants the script
 reports the enumerated fixed point total, the stratum breakdown and the
 closed-form prediction.  With --blind it also re-counts each total by a
-brute scan over the absolute coordinate field (small q only).
+brute scan over the absolute coordinate field (small q only).  A p that
+is not prime, or q above the tower's bound, is a usage error: the
+message on stderr and exit 2, as the ffverify CLI gives.
 """
 
 import argparse
+import sys
 
-from ffverify import (BudgetExceededError, blind_fixed_point_count,
+from ffverify import (BudgetExceededError, FieldError, blind_fixed_point_count,
                       build_tower, fixed_point_grid)
 
 
@@ -21,7 +24,11 @@ def main():
                     help="also run the independent brute-force scan")
     args = ap.parse_args()
 
-    ctx = build_tower(args.p, args.e)
+    try:
+        ctx = build_tower(args.p, args.e)
+    except FieldError as exc:
+        sys.stderr.write(f"error: --p {args.p} --e {args.e}: {exc}\n")
+        sys.exit(2)
     q = ctx.q
     print(f"q = {q}, coordinate field degree = {2 * args.e * args.p} over F_{args.p}")
     header = "u     eta  zeta  total  strata                     closed  match"

@@ -449,11 +449,11 @@ class TowerContext:
         """The table kept on this tower under key, made by build() the
         first time key is asked for; a build that raises keeps nothing.
         Every table derived from a tower lives here: the Frobenius and
-        trace tables of each level, K and its reduction, coset and coset
-        pairs per zeta, the blind scan's model, the fixed point grids,
-        the counts' Artin-Schreier maps and spectra.  The log and Zech
-        tables stay on each Level, as the blind scan's model has no
-        tower."""
+        trace tables of each level, K, its reductions and root, coset and
+        coset pairs per zeta, the grids, their strata and their model for
+        the blind scan, the counts' Artin-Schreier maps and spectra.  The
+        log and Zech tables stay on each Level, as the blind scan's model
+        has no tower."""
         tables = self._tables
         if key not in tables:
             tables[key] = build()
@@ -723,8 +723,7 @@ class ArtinSchreierExtension:
         solve_reduced.  The map is F_p-linear with kernel coset(zeta);
         the F_p-coordinates of an element are the base-p digits of its
         encoding, and p^i is the i-th basis vector.  The map of each zeta
-        is reduced once and kept on the tower, at most q + 1 reductions
-        per tower."""
+        is reduced on its first solve and kept on the tower."""
         p, dim = self.p, self.dim
         if not 0 <= rhs < p ** dim:
             raise FieldError(f"{rhs} is not an encoding of F_{p ** dim}")

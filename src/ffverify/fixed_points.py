@@ -1,19 +1,33 @@
 """Fixed points of twisted endomorphisms of the quadric-like surface.
 
 The surface lives in P^3 with equation Z2^q Z3 - Z2 Z3^q = Z0 Z1^q - Z0^q Z1.
-Two q-power endomorphisms are considered, indexed by eta in F_q and
-zeta in mu_{q+1}:
+Two q-power endomorphisms f_{eta,zeta} are considered, indexed by eta in
+F_q and zeta in mu_{q+1}:
 
   with unipotent part:    [Z0:Z1:Z2:Z3] -> [(Z0+Z1)^q : Z1^q : zeta (Z2 + eta Z3)^q : zeta Z3^q]
   without unipotent part: [Z0:Z1:Z2:Z3] -> [Z0^q : Z1^q : zeta (Z2 + eta Z3)^q : zeta Z3^q]
 
 Fixed points in the affine chart Z3 = 1 satisfy x^{q^2} = x - 2y (with
 the unipotent part), hence x^{q^{2p}} = x: their coordinates live in
-F_{q^{2p}}, realized here as the Artin-Schreier extension of F_{q^2}.
-The solver enumerates the defining equation systems: each affine
-equation x^q - zeta x = r has one solution from an F_p-linear solve,
-plus its kernel, the coset {a in F_{q^2} : a^q = zeta a}.  Every
-reported point is re-verified by direct substitution.
+K = F_{q^{2p}}, realized here as the Artin-Schreier extension of F_{q^2}.
+The solver enumerates the defining equation systems.  The solutions of
+each affine equation x^q - zeta x = r are one particular solution plus
+the kernel, the coset {a in F_{q^2} : a^q = zeta a}.  Every particular
+solution is a closed form in one root c of c^q - c = 1, found once per
+tower (see _x_solutions and _z_solutions).
+
+What is checked: every reported point satisfies the surface equation
+and is fixed, each decided by an exact comparison of its two sides, but
+each side is computed once per factor, not once per point.  A chart
+stratum is a product: pairs (Z0, Z1) times values Z2, with Z3 = 1.
+There the surface equation reads L(Z2) = R(Z0, Z1), with L(z) = z^q - z
+and R = Z0 Z1^q - Z0^q Z1.  The image has last coordinate zeta, so with
+the pivot Z3 = 1 the point is fixed when the image's first three
+coordinates are zeta Z0, zeta Z1 and zeta Z2: the first two read (Z0, Z1)
+alone and the third, zeta (Z2 + eta)^q, reads Z2 alone.  On Z3 = 0 the
+map does not read eta, which only multiplies Z3: the boundary strata and
+their images are the same in the q cells of one zeta, so each boundary
+point is checked once per (zeta, variant), through all 2x2 minors.
 """
 
 from __future__ import annotations
@@ -47,46 +61,113 @@ def coordinate_extension(ctx: TowerContext) -> ArtinSchreierExtension:
     return ctx.table("K", lambda: ArtinSchreierExtension(ctx))
 
 
-class _FrobMemo(dict):
-    """K.frob, memoised by value: frob[a] is a^q.  The coordinates of one
-    cell's points come from a few small sets, so each x^q is computed
-    once per cell."""
-
-    def __init__(self, K: ArtinSchreierExtension):
-        super().__init__()
-        self.K = K
-
-    def __missing__(self, a):
-        fa = self[a] = self.K.frob(a)
-        return fa
+def _root(ctx: TowerContext, K: ArtinSchreierExtension) -> int:
+    """A c in K with c^q - c = 1, kept on the tower.  It exists by the
+    additive form of Hilbert 90: x -> x^q - x maps K onto the kernel of
+    Tr_{K/F_q}, and Tr_{K/F_q}(1) = [K : F_q] = 2p = 0."""
+    return ctx.table("root", lambda: K.solve_affine(1, 1)[0])
 
 
-def _surface_holds(K: ArtinSchreierExtension, frob, P) -> bool:
-    """Z2^q Z3 - Z2 Z3^q = Z0 Z1^q - Z0^q Z1, tested as a + d = c + b
-    for the equation a - b = c - d."""
-    z0, z1, z2, z3 = P
-    return (K.add(K.mul(frob[z2], z3), K.mul(frob[z0], z1))
-            == K.add(K.mul(z0, frob[z1]), K.mul(z2, frob[z3])))
+def _z_solutions(ctx: TowerContext, K: ArtinSchreierExtension, eta2: int):
+    """The z in K with z^q - z = -eta, eta a level-2 encoding of F_q:
+    z0 + a for a in coset(1), with z0 = -eta c, since eta^q = eta gives
+    (-eta c)^q + eta c = -eta (c^q - c) = -eta."""
+    z0 = K.neg(K.mul(eta2, _root(ctx, K)))
+    return [K.add(z0, a) for a, _ in K.coset(1)]
 
 
-def _apply_endo(K: ArtinSchreierExtension, frob, zeta_k, eta_k, with_u: bool, P):
-    z0, z1, z2, z3 = P
-    w0 = frob[K.add(z0, z1) if with_u else z0]
-    w1 = frob[z1]
-    w2 = K.mul(zeta_k, frob[K.add(z2, K.mul(eta_k, z3))])
-    w3 = K.mul(zeta_k, frob[z3])
-    return (w0, w1, w2, w3)
+def _x_solutions(ctx: TowerContext, K: ArtinSchreierExtension, zeta: int,
+                 y: int):
+    """The x in K with x^q - zeta x = -zeta y, for y^q = zeta y: x0 + a
+    for a in coset(zeta), with x0 = -c y, since
+    (-c y)^q + zeta c y = -c^q zeta y + zeta c y = -zeta y (c^q - c)."""
+    x0 = K.neg(K.mul(_root(ctx, K), y))
+    return [K.add(x0, a) for a, _ in K.coset(zeta)]
+
+
+def _z_sides(ctx: TowerContext, K: ArtinSchreierExtension, eta2: int):
+    """[(z, z^q - z, (z + eta)^q)] for each z of _z_solutions, kept on
+    the tower per eta: none of it reads zeta."""
+    return ctx.table(("z sides", eta2), lambda: [
+        (z, K.sub(K.frob(z), z), K.frob(K.add(z, eta2)))
+        for z in _z_solutions(ctx, K, eta2)])
+
+
+def _chart(K: ArtinSchreierExtension, zeta: int, with_u: bool, pairs,
+           z_sides):
+    """The points (x, y, z, 1) for (x, y) in pairs and z in z_sides, each
+    checked: R(x, y) = L(z), (x + y)^q (x^q untwisted) = zeta x,
+    y^q = zeta y and zeta (z + eta)^q = zeta z, with R and the first two
+    flags computed once per pair and L and the last once per z."""
+    frob, mul = K.frob, K.mul
+    pair_sides = []
+    for x, y in pairs:
+        fx, fy = frob(x), frob(y)
+        w0 = frob(K.add(x, y)) if with_u else fx
+        pair_sides.append((x, y, K.sub(mul(x, fy), mul(fx, y)),
+                           w0 == mul(zeta, x) and fy == mul(zeta, y)))
+    z_fixed = [(z, lz, mul(zeta, w2) == mul(zeta, z)) for z, lz, w2 in z_sides]
+    points = []
+    for x, y, r, xy_fixed in pair_sides:
+        for z, lz, fixed in z_fixed:
+            if lz != r:
+                raise ArithmeticError(
+                    "reported point violates the surface equation (sigma1)")
+            if not (xy_fixed and fixed):
+                raise ArithmeticError("reported point is not fixed (sigma1)")
+            points.append((x, y, z, 1))
+    return points
+
+
+def _boundary_strata(ctx: TowerContext, K: ArtinSchreierExtension, zeta: int,
+                     with_u: bool) -> dict:
+    """{name: points} of the strata on Z3 = 0, unchecked."""
+    coset = K.coset(zeta)
+    if with_u:
+        # Stratum 2: [z : 0 : 1 : 0] with z^q = zeta z, and [1 : 0 : 0 : 0].
+        return {"sigma2": [(z, 0, 1, 0) for z, _ in coset] + [(1, 0, 0, 0)]}
+    # Stratum 2: [x : y : 1 : 0] with x, y in the same coset.
+    # Stratum 3: the rational line [Z0 : Z1 : 0 : 0] over F_q.
+    return {"sigma2": [(x, y, 1, 0) for x, _ in coset for y, _ in coset],
+            "sigma3": ([(1, ctx.embed(a), 0, 0) for a in range(ctx.q)]
+                       + [(0, 1, 0, 0)])}
+
+
+def _boundary(ctx: TowerContext, K: ArtinSchreierExtension, zeta: int,
+              with_u: bool) -> dict:
+    """_boundary_strata with every point checked, kept on the tower per
+    (zeta, variant).  A point off Z3 = 0 is refused, since only there do
+    the image, [w0 : Z1^q : zeta Z2^q : 0] with w0 = (Z0 + Z1)^q (Z0^q
+    untwisted), and the surface equation, whose left side vanishes,
+    leave eta out."""
+    def build():
+        strata = _boundary_strata(ctx, K, zeta, with_u)
+        frob, mul = K.frob, K.mul
+        for name, pts in strata.items():
+            for P in pts:
+                z0, z1, z2, z3 = P
+                if z3 != 0:
+                    raise ArithmeticError(
+                        f"boundary point off Z3 = 0 ({name})")
+                f0, f1 = frob(z0), frob(z1)
+                if mul(z0, f1) != mul(f0, z1):
+                    raise ArithmeticError(
+                        f"reported point violates the surface equation ({name})")
+                image = (frob(K.add(z0, z1)) if with_u else f0, f1,
+                         mul(zeta, frob(z2)), 0)
+                if not _projectively_equal(K, P, image):
+                    raise ArithmeticError(
+                        f"reported point is not fixed ({name})")
+        return strata
+    return ctx.table(("boundary", zeta, with_u), build)
 
 
 def _projectively_equal(K: ArtinSchreierExtension, P, Q) -> bool:
     """All 2x2 minors of the 2x4 matrix (P; Q) vanish, for P != 0: every
-    quadruple that fixed_points_surface builds has a coordinate equal
-    to 1.
+    boundary point has a coordinate equal to 1.
 
     The three minors through any nonzero coordinate i of P suffice: they
-    give Q = (Q[i] / P[i]) P, and then every minor vanishes.  The last
-    one is taken: on the chart P[3] = 1 and Q[3] = zeta, so every
-    product has a factor in F_{q^2}, which K.mul takes by its shortcut.
+    give Q = (Q[i] / P[i]) P, and then every minor vanishes.
     """
     for i in (3, 2, 1, 0):
         if P[i]:
@@ -101,66 +182,32 @@ def fixed_points_surface(ctx: TowerContext, eta: int, zeta: int,
     """All fixed points of the chosen endomorphism, grouped by stratum.
 
     eta is a level-1 encoding and zeta a level-2 encoding.  Each point
-    is verified by substitution into both the surface equation and the
-    projective fixed-point condition.
+    is checked against both the surface equation and the projective
+    fixed-point condition (see the module docstring).
     """
-    ctx.levels[1].check_enc(eta)
+    eta2 = ctx.embed(eta)  # raises unless eta is a level-1 encoding
     ctx.mu_index(zeta)  # raises unless zeta is in mu_{q+1}
     K = coordinate_extension(ctx)
     lv2 = ctx.levels[2]
-    mul, neg = lv2.mul_enc, lv2.neg_enc
-    eta2 = ctx.embed(eta)
-
-    points = []
-    sigma_counts = {}
-
-    # In the chart Z3 = 1 both variants need z^q - z = -eta.
-    neg_eta = neg(eta2)
-    z_solutions = K.solve_affine(1, neg_eta)
-    # Both variants use the coset {a in F_{q^2} : a^q = zeta a}.
-    coset = K.coset(zeta)
-    if with_unipotent:
+    neg_eta = lv2.neg_enc(eta2)
+    with_u = bool(with_unipotent)
+    if with_u:
         # Stratum 1 (chart Z3 = 1): y^q = zeta y, zeta y^2 = -eta,
-        # x^q - zeta x = -zeta y.
-        s1 = []
-        for y, _ in coset:
-            if mul(zeta, mul(y, y)) != neg_eta:
-                continue
-            for x in K.solve_affine(zeta, neg(mul(zeta, y))):
-                for z in z_solutions:
-                    s1.append((x, y, z, 1))
-        # Stratum 2 (boundary): [z : 0 : 1 : 0] with z^q = zeta z,
-        # together with [1 : 0 : 0 : 0].
-        s2 = [(z, 0, 1, 0) for z, _ in coset]
-        s2.append((1, 0, 0, 0))
-        strata = {"sigma1": s1, "sigma2": s2}
+        # x^q - zeta x = -zeta y, z^q - z = -eta.
+        pairs = [(x, y) for y, _ in K.coset(zeta)
+                 if lv2.mul_enc(zeta, lv2.mul_enc(y, y)) == neg_eta
+                 for x in _x_solutions(ctx, K, zeta, y)]
     else:
         # Stratum 1 (chart Z3 = 1): x^q = zeta x, y^q = zeta y,
-        # x y^q - x^q y = -eta.
-        s1 = [(x, y, z, 1) for x, y in K.coset_pairs(zeta).get(neg_eta, ())
-              for z in z_solutions]
-        # Stratum 2: [x : y : 1 : 0] with x, y in the same coset.
-        s2 = [(x, y, 1, 0) for x, _ in coset for y, _ in coset]
-        # Stratum 3: the rational line [Z0 : Z1 : 0 : 0] over F_q.
-        s3 = [(1, ctx.embed(a), 0, 0) for a in range(ctx.q)]
-        s3.append((0, 1, 0, 0))
-        strata = {"sigma1": s1, "sigma2": s2, "sigma3": s3}
-
-    frob = _FrobMemo(K)
-    for name, pts in strata.items():
-        for P in pts:
-            if not _surface_holds(K, frob, P):
-                raise ArithmeticError(
-                    f"reported point violates the surface equation ({name})")
-            img = _apply_endo(K, frob, zeta, eta2, with_unipotent, P)
-            if not _projectively_equal(K, P, img):
-                raise ArithmeticError(f"reported point is not fixed ({name})")
-        sigma_counts[name] = len(pts)
-        points.extend(pts)
-
+        # x y^q - x^q y = -eta, z^q - z = -eta.
+        pairs = K.coset_pairs(zeta).get(neg_eta, ())
+    strata = {"sigma1": (_chart(K, zeta, with_u, pairs, _z_sides(ctx, K, eta2))
+                         if pairs else []),
+              **_boundary(ctx, K, zeta, with_u)}
+    points = [P for pts in strata.values() for P in pts]
     return FixedPointReport(
         total=len(points),
-        sigma_counts=sigma_counts,
+        sigma_counts={name: len(pts) for name, pts in strata.items()},
         points=points,
     )
 
@@ -198,8 +245,8 @@ def fixed_point_grid(ctx: TowerContext, with_unipotent: bool) -> dict:
     """{(eta encoding, zeta encoding): GridCell} over all eta in F_q and
     zeta in mu_{q+1}, zeta-major and eta-minor.
 
-    The only enumerator of the grid: each cell is solved (and its
-    points re-verified) once per tower, then kept on the tower.
+    The only enumerator of the grid: each cell is solved, and its
+    points checked, once per tower, then kept on the tower.
     """
     key = bool(with_unipotent)
 

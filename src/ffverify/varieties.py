@@ -231,15 +231,21 @@ class _LevelArith:
 
     def count(self, factors, c: int = 0) -> int:
         """The number of tuples that sum to c, drawing n values from the
-        distribution with spectrum A for each (A, n) in factors.  B is
-        summed by class of (A_1(u), ..., A_k(u), Tr(uc)), one power per
-        class and factor; the budget is charged N per product, as if
-        each ran for every u."""
+        distribution with spectrum A for each (A, n) in factors."""
+        return self.counts([a for a, _ in factors],
+                           [[n for _, n in factors]], c)[0]
+
+    def counts(self, spectra, exponents, c: int = 0) -> list[int]:
+        """count(list(zip(spectra, ns)), c) for each row ns of exponents.
+        B is summed by class of (A_1(u), ..., A_k(u), Tr(uc)), grouped
+        once for every row, with one power per class, factor and row;
+        each row is charged N per product, as if it ran for every u."""
         N, p, w = self.N, self.level.p, self.w
-        if N * prod(a[0] ** n for a, n in factors) >> w:  # A(0) is the mass
-            raise ArithmeticError(f"{w}-bit slots are too narrow")
-        self._spend(N * sum(n.bit_length() - 1 + n.bit_count()
-                            for _, n in factors if n))
+        for ns in exponents:  # A(0) is the mass
+            if N * prod(a[0] ** n for a, n in zip(spectra, ns)) >> w:
+                raise ArithmeticError(f"{w}-bit slots are too narrow")
+            self._spend(N * sum(n.bit_length() - 1 + n.bit_count()
+                                for n in ns if n))
         if c:  # Tr(uc) for every u, read along the logs of u
             exp, log = self.level.log_tables()
             tr = self.ctx.traces(self.key)
@@ -247,26 +253,30 @@ class _LevelArith:
             dots = [0, *map(by_log.__getitem__, log[1:])]
         else:
             dots = [0] * N
+        classes = Counter(zip(*spectra, dots)).items()
         pw = w * p
         mask = (1 << pw) - 1
 
         def mul(x, y):  # the ring product, folded onto p slots
             v = x * y
             return (v & mask) + (v >> pw)
-        by_dot = [0] * p
-        for cls, m in Counter(zip(*(a for a, _ in factors), dots)).items():
-            acc = 1
-            for a, (_, n) in zip(cls, factors):
-                acc = power(mul, acc, a, n)
-            by_dot[cls[-1]] += m * acc
         low = (1 << w) - 1  # B_s collects slot s + r of the terms x^-r
-        B = [sum(by_dot[r] >> w * ((s + r) % p) & low for r in range(p))
-             for s in range(p)]
-        if len(set(B[1:])) != 1 or (B[0] - B[1]) % N:
-            raise ArithmeticError(
-                f"character sum check failed at level q^{self.key}: "
-                f"slots {B} for target {c}")
-        return (B[0] - B[1]) // N
+        out = []
+        for ns in exponents:
+            by_dot = [0] * p
+            for cls, m in classes:
+                acc = 1
+                for a, n in zip(cls, ns):
+                    acc = power(mul, acc, a, n)
+                by_dot[cls[-1]] += m * acc
+            B = [sum(by_dot[r] >> w * ((s + r) % p) & low for r in range(p))
+                 for s in range(p)]
+            if len(set(B[1:])) != 1 or (B[0] - B[1]) % N:
+                raise ArithmeticError(
+                    f"character sum check failed at level q^{self.key}: "
+                    f"slots {B} for target {c}")
+            out.append((B[0] - B[1]) // N)
+        return out
 
 
 def _proj_space_count(N: int, dim: int) -> int:
@@ -295,7 +305,8 @@ def count_points(ctx: TowerContext, spec: VarietySpec, level: int,
         # S_n: leading coordinate j (0-based), x_j = 1, earlier zero, so
         # the n - 1 - j later terms sum to -1.
         minus_one = ar.level.neg_enc(1)
-        total = sum(ar.count([(dh, n - 1 - j)], minus_one) for j in range(n))
+        total = sum(ar.counts([dh], [[n - 1 - j] for j in range(n)],
+                              minus_one))
         if kind == "S":
             return total
         return _proj_space_count(N, n - 1) - total  # Y
@@ -316,8 +327,8 @@ def count_points(ctx: TowerContext, spec: VarietySpec, level: int,
             return ar.count([(dpair, n), (das, 1)])
         # S'_{2n} projective, coordinates x_1..x_n, y_1..y_n.  Leading
         # x_{j+1} = 1: its pair gives y - y^q; y_1..y_j are free.
-        total = sum(ar.count([(dpair, n - 1 - j), (das, 1)]) * N ** j
-                    for j in range(n))
+        total = sum(count * N ** j for j, count in enumerate(
+            ar.counts([dpair, das], [[n - 1 - j, 1] for j in range(n)])))
         # leading coordinate among the y's: all x_i = 0, form vanishes.
         total += _proj_space_count(N, n - 1)
         if kind == "Sprime":

@@ -193,6 +193,65 @@ def test_brauer_irreps_match_the_explicit_enumeration():
     assert cases == 185
 
 
+def _dihedral_classes_by_brute_force(m):
+    """{class: order of its elements} of the dihedral group of order 2m,
+    each class a frozenset of its elements (f, k) = s^f r^k, with
+    s r s = r^-1, found by conjugating every element by every other."""
+    group = [(f, k) for f in (0, 1) for k in range(m)]
+
+    def mul(a, b):  # s^f r^k s^g r^l = s^(f+g) r^((-1)^g k + l)
+        return (a[0] + b[0]) % 2, ((-1) ** b[0] * a[1] + b[1]) % m
+
+    def inverse(a):
+        return next(b for b in group if mul(a, b) == (0, 0))
+
+    def order(a):
+        n, x = 1, a
+        while x != (0, 0):
+            x, n = mul(x, a), n + 1
+        return n
+
+    classes = {frozenset(mul(mul(g, x), inverse(g)) for g in group)
+               for x in group}
+    return {cls: order(min(cls)) for cls in classes}
+
+
+def test_conjugacy_classes_match_the_dihedral_group_by_brute_force():
+    """Every class of every prime power q <= 32: its representative, its
+    size and the order of its elements, against the group itself; and
+    the ell-regular classes of each odd prime ell dividing q + 1, some
+    with r = (q + 1) / ell-part >= 3, eight in all (ell = 3 at q = 11,
+    23, 29 and 32, ell = 5 at 19 and 29, ell = 7 at 27, ell = 11 at 32)."""
+    cases = 0
+    for q in PRIME_POWERS_TO_32:
+        brute = _dihedral_classes_by_brute_force(q + 1)
+        classes = conjugacy_classes(q)
+        found = []
+        for c in classes:
+            rep = (0 if c.kind == "rot" else 1, c.rep)
+            cls = next(k for k in brute if rep in k)
+            assert (c.size, c.element_order) == (len(cls), brute[cls]), (q, c)
+            found.append(cls)
+        assert len(found) == len(set(found)) == len(brute), q
+        for ell in range(3, q + 2, 2):
+            if is_prime(ell) and (q + 1) % ell == 0:
+                regular = {k for k, order in brute.items() if order % ell}
+                got = [next(k for k in brute
+                            if (0 if c.kind == "rot" else 1, c.rep) in k)
+                       for c in ell_regular_classes(q, ell)]
+                assert sorted(map(sorted, got)) == sorted(map(sorted, regular))
+                cases += ell_parts(q, ell)[1] >= 3
+    assert cases == 8
+
+
+@pytest.mark.parametrize("q,ell", [(5, 3), (13, 7), (4, 3)])
+def test_a_table_records_its_ell(q, ell):
+    """A mod-ell table keeps the ell it was built for, and an ordinary
+    table none."""
+    assert o_minus_table(q, "mod-ell", ell).ell == ell
+    assert o_minus_table(q, "ordinary").ell is None
+
+
 def test_brauer_irreps_reject_bad_ell():
     with pytest.raises(CharacterError):
         brauer_irreps(3, 2)

@@ -105,6 +105,18 @@ def test_fixed_point_grid_script_matches_golden(name, argv):
     assert proc.stdout == (GOLDEN / name).read_text()
 
 
+@pytest.mark.parametrize("argv", [["--p", "4"], ["--p", "2", "--e", "5"]],
+                         ids=["p-not-prime", "q-above-bound"])
+def test_fixed_point_grid_script_rejects_bad_input_as_the_cli_does(argv,
+                                                                    capsys):
+    """A p that is not prime or a q above the bound: no traceback, the
+    CLI's usage error on stderr and exit 2."""
+    proc = run_script("fixed_point_grid.py", argv, code=2)
+    assert main(["fixed-points", *argv]) == 2
+    assert (proc.stdout, proc.stderr) == ("", capsys.readouterr().err)
+    assert proc.stderr.startswith("error: --p ")
+
+
 def test_build_howe_tables_default_files_match_golden(tmp_path):
     """The script's default parameter set, file by file."""
     run_script("build_howe_tables.py", ["--outdir", str(tmp_path)])
@@ -115,13 +127,13 @@ def test_build_howe_tables_default_files_match_golden(tmp_path):
                 == (GOLDEN / "howe_tables" / name).read_text()), name
 
 
-def run_script(name, argv):
-    """Run scripts/<name> with src/ on the path; it must exit 0."""
+def run_script(name, argv, code=0):
+    """Run scripts/<name> with src/ on the path; it must exit with code."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name)] + argv,
         capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == code, proc.stderr
     return proc

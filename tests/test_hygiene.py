@@ -673,7 +673,7 @@ _NOT_RUN = {
     "fields.solve_reduced: return None":
         "an inconsistent system, which solve_affine reads as no solution",
     "fields.ArtinSchreierExtension.solve_affine: return []":
-        "no solution; each rhs that the grid builds has one",
+        "no solution; the grid's one solve, c^q - c = 1, has one",
     "characters.dim_mod_ell_unitary: s = (-1) ** n":
         "ell divides q + 1: verify reads these dimensions only where it "
         "does not (ROADMAP.md, item 1)",
