@@ -224,39 +224,6 @@ def row_reduce(rows, ncols, inverse, reduce):
     return pivots
 
 
-def reduce_mod_p(p: int, cols, m: int):
-    """One Gauss-Jordan reduction of the m x n matrix A with columns cols
-    over F_p, kept for solve_reduced so that every right-hand side
-    reuses it.
-
-    Returns (ops, pivots).  ops[i] is column i of the m x m matrix T of
-    row operations, T A in reduced form: it is read off the identity
-    columns that row_reduce carries along.  pivots are the pivot columns.
-    """
-    n = len(cols)
-    rows = [[c[i] % p for c in cols] + [int(i == j) for j in range(m)]
-            for i in range(m)]
-    pivots = row_reduce(rows, n, lambda a: pow(a, p - 2, p), lambda a: a % p)
-    return [[row[n + i] for row in rows] for i in range(m)], pivots
-
-
-def solve_reduced(p: int, reduction, rhs, n: int) -> list[int] | None:
-    """The solution x in F_p^n of A x = rhs with every free variable 0,
-    for the reduction of A by reduce_mod_p; None if the system is
-    inconsistent."""
-    ops, pivots = reduction
-    b = [0] * len(ops)
-    for op, bi in zip(ops, rhs):  # b = T rhs, over the nonzero entries
-        if bi % p:
-            b = [x + bi * t for x, t in zip(b, op)]
-    if any(x % p for x in b[len(pivots):]):
-        return None
-    x = [0] * n
-    for bi, col in zip(b, pivots):
-        x[col] = bi % p
-    return x
-
-
 # ---------------------------------------------------------------------------
 # A single level of the tower.
 
@@ -449,11 +416,11 @@ class TowerContext:
         """The table kept on this tower under key, made by build() the
         first time key is asked for; a build that raises keeps nothing.
         Every table derived from a tower lives here: the Frobenius and
-        trace tables of each level, K, its reductions and root, coset and
-        coset pairs per zeta, the grids, their strata and their model for
-        the blind scan, the counts' Artin-Schreier maps and spectra.  The
-        log and Zech tables stay on each Level, as the blind scan's model
-        has no tower."""
+        trace tables of each level, K and its root, coset and coset pairs
+        per zeta, the grids, their strata and their model for the blind
+        scan, the counts' Artin-Schreier maps and spectra.  The log and
+        Zech tables stay on each Level, as the blind scan's model has no
+        tower."""
         tables = self._tables
         if key not in tables:
             tables[key] = build()
@@ -719,23 +686,25 @@ class ArtinSchreierExtension:
     def solve_affine(self, zeta, rhs):
         """Every x in K with x^q - zeta x = rhs, for zeta in mu_{q+1} a
         level-2 encoding (empty if there are none): x0 + a for a in
-        coset(zeta), in the order of a, with x0 the solution of
-        solve_reduced.  The map is F_p-linear with kernel coset(zeta);
-        the F_p-coordinates of an element are the base-p digits of its
-        encoding, and p^i is the i-th basis vector.  The map of each zeta
-        is reduced on its first solve and kept on the tower."""
+        coset(zeta), in the order of a.  The map is F_p-linear with
+        kernel coset(zeta); the F_p-coordinates of an element are the
+        base-p digits of its encoding, and p^i is the i-th basis vector.
+        The rows [A | rhs] of the map A are row-reduced once over F_p,
+        and x0 is the solution with every free variable 0."""
         p, dim = self.p, self.dim
         if not 0 <= rhs < p ** dim:
             raise FieldError(f"{rhs} is not an encoding of F_{p ** dim}")
-
-        def build():
-            self.tower.mu_index(zeta)
-            cols = [_digits(self.sub(self.frob(p ** i), self.mul(zeta, p ** i)),
-                            p, dim) for i in range(dim)]
-            return reduce_mod_p(p, cols, dim)
-        reduction = self.tower.table(("reduction", zeta), build)
-        x0 = solve_reduced(p, reduction, _digits(rhs, p, dim), dim)
-        if x0 is None:
+        self.tower.mu_index(zeta)
+        cols = [_digits(self.sub(self.frob(p ** i), self.mul(zeta, p ** i)),
+                        p, dim) for i in range(dim)]
+        rows = [[c[i] for c in cols] + [b]
+                for i, b in enumerate(_digits(rhs, p, dim))]
+        pivots = row_reduce(rows, dim, lambda a: pow(a, p - 2, p),
+                            lambda a: a % p)
+        if any(row[dim] for row in rows[len(pivots):]):
             return []
+        x0 = [0] * dim
+        for row, col in zip(rows, pivots):
+            x0[col] = row[dim]
         x0 = _undigits(x0, p)
         return [self.add(x0, a) for a, _ in self.coset(zeta)]

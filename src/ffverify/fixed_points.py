@@ -14,7 +14,7 @@ The solver enumerates the defining equation systems.  The solutions of
 each affine equation x^q - zeta x = r are one particular solution plus
 the kernel, the coset {a in F_{q^2} : a^q = zeta a}.  Every particular
 solution is a closed form in one root c of c^q - c = 1, found once per
-tower (see _x_solutions and _z_solutions).
+tower (see _x_solutions).
 
 What is checked: every reported point satisfies the surface equation
 and is fixed, each decided by an exact comparison of its two sides, but
@@ -68,29 +68,23 @@ def _root(ctx: TowerContext, K: ArtinSchreierExtension) -> int:
     return ctx.table("root", lambda: K.solve_affine(1, 1)[0])
 
 
-def _z_solutions(ctx: TowerContext, K: ArtinSchreierExtension, eta2: int):
-    """The z in K with z^q - z = -eta, eta a level-2 encoding of F_q:
-    z0 + a for a in coset(1), with z0 = -eta c, since eta^q = eta gives
-    (-eta c)^q + eta c = -eta (c^q - c) = -eta."""
-    z0 = K.neg(K.mul(eta2, _root(ctx, K)))
-    return [K.add(z0, a) for a, _ in K.coset(1)]
-
-
 def _x_solutions(ctx: TowerContext, K: ArtinSchreierExtension, zeta: int,
                  y: int):
     """The x in K with x^q - zeta x = -zeta y, for y^q = zeta y: x0 + a
     for a in coset(zeta), with x0 = -c y, since
-    (-c y)^q + zeta c y = -c^q zeta y + zeta c y = -zeta y (c^q - c)."""
+    (-c y)^q + zeta c y = -c^q zeta y + zeta c y = -zeta y (c^q - c).
+    At zeta = 1 and y = eta in F_q, eta^q = eta, these are the z in K
+    with z^q - z = -eta."""
     x0 = K.neg(K.mul(_root(ctx, K), y))
     return [K.add(x0, a) for a, _ in K.coset(zeta)]
 
 
 def _z_sides(ctx: TowerContext, K: ArtinSchreierExtension, eta2: int):
-    """[(z, z^q - z, (z + eta)^q)] for each z of _z_solutions, kept on
-    the tower per eta: none of it reads zeta."""
+    """[(z, z^q - z, (z + eta)^q)] for each z in K with z^q - z = -eta,
+    kept on the tower per eta: none of it reads zeta."""
     return ctx.table(("z sides", eta2), lambda: [
         (z, K.sub(K.frob(z), z), K.frob(K.add(z, eta2)))
-        for z in _z_solutions(ctx, K, eta2)])
+        for z in _x_solutions(ctx, K, 1, eta2)])
 
 
 def _chart(K: ArtinSchreierExtension, zeta: int, with_u: bool, pairs,
@@ -293,7 +287,7 @@ def differential_vanishes(ctx: TowerContext) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Blind cross-check at q = 2, 3 and 4: enumerate the surface over an
+# Blind cross-check at q = 2, 3, 4 and 8: enumerate the surface over an
 # absolute model of F_{q^{2p}}, F_p[x]/(lex-least irreducible of degree
 # 2ep), built independently of the Artin-Schreier extension, and test
 # each point for fixedness directly.
@@ -317,7 +311,8 @@ def blind_fixed_point_count(ctx: TowerContext, eta: int, zeta: int,
 
     eta is a level-1 encoding and zeta a level-2 encoding.  Only
     feasible for tiny q (the field has q^{2p} elements); intended as a
-    cross-check of the structured solver at q = 2, 3 and 4.
+    cross-check of the structured solver at q = 2, 3, 4 and 8, where
+    q^{2p} is at most BLIND_MAX_FIELD_SIZE.
     """
     ctx.levels[1].check_enc(eta)
     ctx.mu_index(zeta)  # raises unless zeta is in mu_{q+1}

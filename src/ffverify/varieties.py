@@ -96,17 +96,16 @@ class _LevelArith:
     A distribution is a list of N non-negative masses indexed by
     encoding (the field's 1 has encoding 1).  Every count made here
     ranges over at most N^dim tuples, which fixes the slot width w.  The
-    budget is charged N per distribution, N d p per spectrum and N per
-    product of spectra, as if each product ran for every u: the charges
-    of the radix-p transform and the per-u products that the counts
-    once made.  They over-count the work now, and a budget accepts the
-    same counts as before.
+    budget is charged by the shape of a count, not by the work it does:
+    N per distribution, N d p per spectrum and N per product of spectra,
+    as if each product ran for every u.  A budget must not depend on
+    what is cached, or a count would pass or fail by what was counted
+    before it in the process; so a spectrum read from the cache is
+    charged as if computed.
 
     The tower's table "spectra", {(level key, w): {masses: spectrum}},
     keeps the spectra of one (level, w) at a time, so that the counts of
-    a kind list share them.  A spectrum taken from there is charged as
-    if computed, so the budget a count spends does not depend on what
-    was counted before.  The counts draw from four distributions at
+    a kind list share them.  The counts draw from four distributions at
     most, so the cache stays bounded however many counts run.
     """
 

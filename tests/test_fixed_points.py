@@ -10,7 +10,8 @@ from ffverify import (FieldError, blind_fixed_point_count,
                       build_tower, closed_form_fixed_count,
                       differential_vanishes, fixed_point_grid,
                       fixed_points_surface)
-from ffverify.fixed_points import _projectively_equal, coordinate_extension
+from ffverify.fixed_points import (BLIND_MAX_FIELD_SIZE, _projectively_equal,
+                                   coordinate_extension)
 
 
 def test_report_is_internally_consistent():
@@ -52,8 +53,8 @@ def test_one_reduction_per_map_and_a_fresh_solver_cache_per_tower(monkeypatch,
                                                                   kept):
     """Both grids at q = 5 row-reduce one map, x -> x^q - x, once, for
     the root of c^q - c = 1 that every particular solution is built
-    from, and keep it on the tower; a tower built after cache_clear
-    starts with no kept reduction."""
+    from, and keep the root on the tower; a tower built after
+    cache_clear starts with no kept root."""
     build_tower.cache_clear()
     ctx = build_tower(5, 1)
     calls = 0
@@ -67,21 +68,55 @@ def test_one_reduction_per_map_and_a_fresh_solver_cache_per_tower(monkeypatch,
     monkeypatch.setattr(fields, "row_reduce", counting)
     for with_u in (True, False):
         assert all(cell.matches for cell in fixed_point_grid(ctx, with_u).values())
-    assert calls == 1 and kept(ctx, ("reduction", 1))
-    mu = ctx.enumerate_mu()
-    assert sum(kept(ctx, ("reduction", zeta)) for zeta in mu) == calls
+    assert calls == 1 and kept(ctx, "root")
     build_tower.cache_clear()
     fresh = build_tower(5, 1)
     assert fresh is not ctx
-    assert not any(kept(fresh, ("reduction", zeta)) for zeta in mu)
+    assert not kept(fresh, "root")
 
 
-def _shifted_by_t(real):
-    """real, with t (the encoding N = q^2) added to each solution it
-    returns: t lies outside F_{q^2}, so t^q - t and t^q - zeta t are not
-    0, and every shifted solution is wrong."""
-    def planted(ctx, K, *args):
-        return [K.add(a, K.base.size) for a in real(ctx, K, *args)]
+def test_a_wrong_root_is_an_internal_error(capsys):
+    """c + t, planted as the tower's root before the grid runs: t lies
+    outside F_{q^2}, so d = (c + t)^q - (c + t) = 1 + t^q - t is not 1.
+    In a twisted cell with eta != 0 and a nonempty chart, x = -(c + t) y
+    and z = -eta (c + t) give x y^q - x^q y = -eta d = z^q - z, on the
+    surface, but z^q - z is not -eta: the point is not fixed."""
+    message = "reported point is not fixed (sigma1)"
+
+    def planted():
+        ctx = build_tower(3, 1)
+        K = coordinate_extension(ctx)
+        wrong = K.add(K.solve_affine(1, 1)[0], K.base.size)
+        assert ctx.table("root", lambda: wrong) == wrong
+        return ctx
+
+    build_tower.cache_clear()
+    ctx = planted()
+    minus_one = ctx.levels[1].neg_enc(1)
+    zeta = next(z for z in ctx.enumerate_mu()
+                if ctx.nu(z) * ctx.legendre(minus_one) == 1)
+    with pytest.raises(ArithmeticError, match=re.escape(message)):
+        fixed_points_surface(ctx, 1, zeta, True)
+    build_tower.cache_clear()
+    planted()
+    assert main(["fixed-points", "--p", "3"]) == 3
+    assert capsys.readouterr() == ("", f"internal error: {message}\n")
+    build_tower.cache_clear()
+
+
+def _shifted_by_t(at_one):
+    """_x_solutions, with t (the encoding N = q^2) added to each solution
+    it returns at zeta = 1 (the z of every cell, and the x of zeta = 1)
+    if at_one, and at zeta != 1 (the x of the other cells) if not: t
+    lies outside F_{q^2}, so t^q - zeta t is not 0, and every shifted
+    solution is wrong."""
+    real = fixed_points._x_solutions
+
+    def planted(ctx, K, zeta, y):
+        sols = real(ctx, K, zeta, y)
+        if (zeta == 1) != at_one:
+            return sols
+        return [K.add(a, K.base.size) for a in sols]
     return planted
 
 
@@ -96,33 +131,36 @@ def _with_point(P):
     return planted
 
 
-@pytest.mark.parametrize("helper,plant,message", [
-    ("_z_solutions", _shifted_by_t(fixed_points._z_solutions),
+@pytest.mark.parametrize("helper,plant,zeta_at,message", [
+    ("_x_solutions", _shifted_by_t(True), 0,
      "reported point violates the surface equation (sigma1)"),
-    ("_x_solutions", _shifted_by_t(fixed_points._x_solutions),
+    ("_x_solutions", _shifted_by_t(False), 1,
      "reported point is not fixed (sigma1)"),
-    ("_boundary_strata", _with_point(lambda K: (K.base.size, 0, 1, 0)),
+    ("_boundary_strata", _with_point(lambda K: (K.base.size, 0, 1, 0)), 0,
      "reported point is not fixed (sigma2)"),
-    ("_boundary_strata", _with_point(lambda K: (K.base.size, 1, 0, 0)),
+    ("_boundary_strata", _with_point(lambda K: (K.base.size, 1, 0, 0)), 0,
      "reported point violates the surface equation (sigma2)"),
-    ("_boundary_strata", _with_point(lambda K: (0, 0, 0, 1)),
+    ("_boundary_strata", _with_point(lambda K: (0, 0, 0, 1)), 0,
      "boundary point off Z3 = 0 (sigma2)"),
 ], ids=["surface", "fixed", "boundary", "boundary-surface",
         "boundary-off-z3"])
 def test_a_point_that_fails_its_check_is_an_internal_error(
-        monkeypatch, capsys, helper, plant, message):
+        monkeypatch, capsys, helper, plant, zeta_at, message):
     """A wrong point, planted where the solver builds it, is caught by
-    the check of its own stratum: a wrong chart z (its z^q - z is not
-    -eta) fails the surface equation, a wrong x (x^q - zeta x is not
-    -zeta y) fails fixedness; on the boundary [t : 0 : 1 : 0] fails
+    the check of its own stratum in the cell (0, zeta), zeta the
+    zeta_at-th element of mu_{q+1} (1 first): a wrong chart z (its
+    z^q - z is not -eta) fails the surface equation, a wrong x (x^q -
+    zeta x is not -zeta y, here at zeta != 1 so that z stays right)
+    fails fixedness; on the boundary [t : 0 : 1 : 0] fails
     fixedness and [t : 1 : 0 : 0] the surface equation (t^q != t), and
     [0 : 0 : 0 : 1], a fixed point of the eta = 0 cells alone, is
     refused from the points that every eta shares.  It is a fault of
     the program, not of its input: ArithmeticError, and exit 3."""
     build_tower.cache_clear()  # a kept grid or stratum would skip the checks
     monkeypatch.setattr(fixed_points, helper, plant)
+    ctx = build_tower(3, 1)
     with pytest.raises(ArithmeticError, match=re.escape(message)):
-        fixed_points_surface(build_tower(3, 1), 0, 1, True)
+        fixed_points_surface(ctx, 0, ctx.enumerate_mu()[zeta_at], True)
     build_tower.cache_clear()
     assert main(["fixed-points", "--p", "3"]) == 3
     assert capsys.readouterr() == ("", f"internal error: {message}\n")
@@ -289,6 +327,18 @@ def test_blind_scan_agrees_with_structured_solver(p, e, cells):
                 assert blind == rep.total
                 checked += 1
     assert checked == cells
+
+
+@pytest.mark.parametrize("with_u,eta,total", [(True, 1, 73), (False, 0, 585)])
+def test_blind_scan_at_its_largest_field(with_u, eta, total):
+    """q = 8, the largest q whose F_{q^{2p}} the blind scan admits
+    (2^12 = BLIND_MAX_FIELD_SIZE elements): one cell of each variant
+    against the structured solver."""
+    ctx = build_tower(2, 3)
+    assert ctx.p ** (2 * ctx.e * ctx.p) == BLIND_MAX_FIELD_SIZE
+    zeta = ctx.enumerate_mu()[1]
+    rep = fixed_points_surface(ctx, eta, zeta, with_u)
+    assert blind_fixed_point_count(ctx, eta, zeta, with_u) == rep.total == total
 
 
 def test_blind_scan_budget():

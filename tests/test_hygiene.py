@@ -670,8 +670,6 @@ _NOT_RUN = {
         "a reported point that is not fixed, which fails the grid",
     'cli.main: sys.stderr.write(f"internal error: {exc}\\n")':
         "exit 3, for an exception the tool does not expect",
-    "fields.solve_reduced: return None":
-        "an inconsistent system, which solve_affine reads as no solution",
     "fields.ArtinSchreierExtension.solve_affine: return []":
         "no solution; the grid's one solve, c^q - c = 1, has one",
     "characters.dim_mod_ell_unitary: s = (-1) ** n":
