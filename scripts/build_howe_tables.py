@@ -11,8 +11,9 @@ import argparse
 import os
 import sys
 
-from ffverify import (compare_semisimplifications, markdown_table,
-                      theta_mod_ell, theta_ordinary)
+from ffverify import (compare_semisimplifications, theta_mod_ell,
+                      theta_ordinary)
+from ffverify.cli import markdown, markdown_table, theta_blocks
 
 DEFAULT_PARAMS = [(2, 2, 3), (2, 3, 5), (2, 4, 5), (3, 2, 3)]
 
@@ -30,15 +31,15 @@ def render(n, q, ell):
     """The markdown of one (n, q, ell), and whether every deficit of the
     comparison matches its prediction."""
     rows = compare_semisimplifications(n, q, ell)
-    parts = [theta_ordinary(n, q).to_markdown(),
-             theta_mod_ell(n, q, ell).to_markdown()]
-    lines = ["# Semisimplification comparison", ""] + markdown_table(
-        ("pi", "dim Theta(pi)", "reduction", "dim Theta(ss)", "deficit",
-         "exceptional"),
-        [(r["pi"], r["dim_theta_pi"], *_reduction_cells(r),
-          "yes" if r["exceptional"] else "no") for r in rows])
-    parts.append("\n".join(lines) + "\n")
-    return "\n".join(parts), all(r["deficit_matches"] for r in rows)
+    text = markdown(
+        *theta_blocks(theta_ordinary(n, q)),
+        *theta_blocks(theta_mod_ell(n, q, ell)),
+        ["# Semisimplification comparison"], markdown_table(
+            ("pi", "dim Theta(pi)", "reduction", "dim Theta(ss)", "deficit",
+             "exceptional"),
+            [(r["pi"], r["dim_theta_pi"], *_reduction_cells(r),
+              "yes" if r["exceptional"] else "no") for r in rows]))
+    return text, all(r["deficit_matches"] for r in rows)
 
 
 def main():

@@ -31,8 +31,7 @@ _EXPORTS = {
                    "dim_v_isotypic", "dim_w_isotypic", "ell_parts",
                    "ell_regular_classes", "o_minus_table", "ordinary_irreps"),
     "howe": ("HoweEntry", "HoweTable", "compare_semisimplifications",
-             "markdown_table", "report_to_markdown", "theta_mod_ell",
-             "theta_ordinary", "verify_all"),
+             "theta_mod_ell", "theta_ordinary", "verify_all"),
 }
 # Each public name of a layer to its layer.
 _HOME = {name: layer for layer, names in _EXPORTS.items() for name in names}

@@ -79,9 +79,8 @@ def dim_w_isotypic(n: int, q: int, label: IsotypicLabel) -> int:
         if k == 0:
             s = 1 if label.kappa == "+" else -1
             return _exact_div((q ** n + s) * (q ** n + s * q), 2 * m)
-        # the order-2 character; only exists for q odd
-        if char_of(q) == 2:
-            raise CharacterError("no order-2 character when q + 1 is odd")
+        # the order-2 character; only exists for q odd, as 2k = 0 and
+        # k != 0 mod q + 1 make q + 1 even
         return _exact_div(q ** (2 * n) - 1, 2 * m)
     if label.kappa is not None:
         raise CharacterError("kappa only applies to inversion-stable characters")

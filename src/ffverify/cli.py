@@ -93,6 +93,50 @@ def _csv(header, rows) -> str:
                      + [",".join(map(str, row)) for row in rows]) + "\n"
 
 
+def markdown_table(header, rows) -> list[str]:
+    """The lines of a markdown table: the header, the rule and one line
+    per row, each cell the str of its value.  The package's one writer
+    of markdown table rows."""
+    return (["| " + " | ".join(header) + " |",
+             "| " + " | ".join(["---"] * len(header)) + " |"]
+            + ["| " + " | ".join(map(str, row)) + " |" for row in rows])
+
+
+def markdown(*blocks) -> str:
+    """Markdown text: the blocks, each a list of lines, one blank line
+    between two blocks, ending in a newline.  The package's one writer
+    of markdown text."""
+    return "\n\n".join("\n".join(block) for block in blocks) + "\n"
+
+
+def _checks_markdown(checks) -> list[str]:
+    """The lines of the markdown table of checks."""
+    return markdown_table(("check", "expected", "actual", "pass"), [
+        (c["name"], c["expected"], c["actual"], "yes" if c["pass"] else "no")
+        for c in checks])
+
+
+def report_to_markdown(report: dict) -> str:
+    """The markdown of a howe.verify_all report."""
+    return markdown(["# Verification report"],
+                    [f"Parameters: {json.dumps(report['params'])}"],
+                    _checks_markdown(report["checks"]),
+                    [f"All passed: {'yes' if report['all_passed'] else 'no'}"])
+
+
+def theta_blocks(table) -> tuple:
+    """The markdown blocks of a howe.HoweTable: its title, its rows and
+    its checks."""
+    title = f"Theta table: n={table.n}, q={table.q}, mode={table.mode}"
+    if table.ell is not None:
+        title += f", ell={table.ell}"
+    return ([f"# {title}"], markdown_table(
+        ("tau", "dim(tau)", "dim(Theta(tau))", "status", "constituents"),
+        [(e.tau.label(), e.tau.dim, e.dim, e.status,
+          "; ".join(f"{lab} ({d})" for d, lab in e.constituents) or "-")
+         for e in table.entries]), _checks_markdown(table.checks))
+
+
 def cmd_count(args):
     if args.torsor and args.level != 2:
         raise UsageError("--torsor checks the count ratio q+1, which "
@@ -111,7 +155,7 @@ def cmd_count(args):
     if args.torsor:
         base, cover = rows[0][3], rows[1][3]
         ok = base * (ctx.q + 1) == cover
-        ratio = f"ratio = {cover}/{base} (q+1 = {ctx.q + 1})\n"
+        ratio = f"ratio = {cover}/{base} (q+1 = {ctx.q + 1})"
     if args.format == "json":
         out = [dict(zip(header, r)) for r in rows]
         if args.torsor:
@@ -122,10 +166,10 @@ def cmd_count(args):
         text = _json_dumps(out)
     elif args.format == "md":
         # the ratio line is plain text: "# ratio" would be a heading
-        text = ("\n".join(howe.markdown_table(header, rows)) + "\n"
-                + ("\n" + ratio if args.torsor else ""))
+        text = markdown(markdown_table(header, rows),
+                        *([[ratio]] if args.torsor else []))
     else:
-        text = _csv(header, rows) + ("# " + ratio if args.torsor else "")
+        text = _csv(header, rows) + (f"# {ratio}\n" if args.torsor else "")
     return (0 if ok else 1), text
 
 
@@ -136,7 +180,7 @@ def cmd_verify(args):
     _check_n(args.n, q, 2 * args.n)
     _theta_n(args)
     report = howe.verify_all(args.n, args.p, args.e, args.ell)
-    text = (howe.report_to_markdown(report) if args.format == "md"
+    text = (report_to_markdown(report) if args.format == "md"
             else _json_dumps(report))
     return (0 if report["all_passed"] else 1), text
 
@@ -149,7 +193,7 @@ def cmd_howe(args):
     _theta_n(args)
     table = (howe.theta_ordinary(args.n, q) if args.ell is None
              else howe.theta_mod_ell(args.n, q, args.ell))
-    text = (table.to_markdown() if args.format == "md"
+    text = (markdown(*theta_blocks(table)) if args.format == "md"
             else _json_dumps(table.to_json()))
     return (0 if all(c["pass"] for c in table.checks) else 1), text
 
@@ -167,11 +211,10 @@ def cmd_gauss(args):
                      "square_identity": g * g == expected_sq})
     ok = all(row["square_identity"] for row in sums)
     if args.format == "md":
-        lines = [f"# Gauss sums, q = {ctx.q}", ""] + howe.markdown_table(
+        text = markdown([f"# Gauss sums, q = {ctx.q}"], markdown_table(
             ("a", "G(psi_a)^2 = (-1|F_q) q"),
             [(row["a"], "yes" if row["square_identity"] else "no")
-             for row in sums])
-        text = "\n".join(lines) + "\n"
+             for row in sums]))
     else:
         text = _json_dumps({"q": ctx.q, "conductor": m, "sums": sums,
                             "identity_holds": ok})
@@ -198,11 +241,10 @@ def cmd_fixed_points(args):
                   "match")
         text = _csv(header, [[r[k] for k in header] for r in rows])
     elif args.format == "md":
-        lines = [f"# Fixed point grid, q = {q}", ""] + howe.markdown_table(
+        text = markdown([f"# Fixed point grid, q = {q}"], markdown_table(
             ("u", "eta", "zeta", "total", "closed form", "match"),
             [(r["with_unipotent"], r["eta"], r["zeta"], r["total"],
-              r["closed_form"], "yes" if r["match"] else "no") for r in rows])
-        text = "\n".join(lines) + "\n"
+              r["closed_form"], "yes" if r["match"] else "no") for r in rows]))
     else:
         text = _json_dumps({"q": q, "rows": rows, "all_match": all_ok})
     return (0 if all_ok else 1), text
@@ -227,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
                     default=["Ytilde"])
     pc.add_argument("--n", type=int, default=1)
     pc.add_argument("--level", type=int, choices=(1, 2, 4), default=2)
-    pc.add_argument("--budget", type=int, default=50_000_000,
+    pc.add_argument("--budget", type=int, default=varieties.DEFAULT_BUDGET,
                     help="operation budget; with N = q^level = p^d a count "
                          "costs N per value distribution, N*d*p per "
                          "spectrum and N per product of spectra")

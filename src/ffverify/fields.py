@@ -416,10 +416,10 @@ class TowerContext:
         """The table kept on this tower under key, made by build() the
         first time key is asked for; a build that raises keeps nothing.
         Every table derived from a tower lives here: the Frobenius and
-        trace tables of each level, K and its root, coset and coset pairs
-        per zeta, the grids, their strata and their model for the blind
-        scan, the counts' Artin-Schreier maps and spectra.  The log and
-        Zech tables stay on each Level, as the blind scan's model has no
+        trace tables of each level, K and its root, the coset per zeta,
+        the grids, their strata and their model for the blind scan, the
+        counts' Artin-Schreier maps and spectra.  The log and Zech
+        tables stay on each Level, as the blind scan's model has no
         tower."""
         tables = self._tables
         if key not in tables:
@@ -668,20 +668,6 @@ class ArtinSchreierExtension:
             return [(a, fa) for a, fa in enumerate(self._frob_base)
                     if fa == mul(zeta, a)]
         return self.tower.table(("coset", zeta), build)
-
-    def coset_pairs(self, zeta):
-        """{v: [(x, y), ...]}, the pairs x, y of coset(zeta) grouped by
-        v = x y^q - x^q y, each group in the encoding order of (x, y);
-        kept on the tower per zeta, so each value is computed once."""
-        def build():
-            coset, lv = self.coset(zeta), self.base
-            groups = {}
-            for x, x_q in coset:
-                for y, y_q in coset:
-                    v = lv.add_enc(lv.mul_enc(x, y_q), lv.neg_enc(lv.mul_enc(x_q, y)))
-                    groups.setdefault(v, []).append((x, y))
-            return groups
-        return self.tower.table(("coset pairs", zeta), build)
 
     def solve_affine(self, zeta, rhs):
         """Every x in K with x^q - zeta x = rhs, for zeta in mu_{q+1} a

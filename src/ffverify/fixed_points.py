@@ -182,19 +182,26 @@ def fixed_points_surface(ctx: TowerContext, eta: int, zeta: int,
     eta2 = ctx.embed(eta)  # raises unless eta is a level-1 encoding
     ctx.mu_index(zeta)  # raises unless zeta is in mu_{q+1}
     K = coordinate_extension(ctx)
-    lv2 = ctx.levels[2]
-    neg_eta = lv2.neg_enc(eta2)
     with_u = bool(with_unipotent)
     if with_u:
         # Stratum 1 (chart Z3 = 1): y^q = zeta y, zeta y^2 = -eta,
         # x^q - zeta x = -zeta y, z^q - z = -eta.
+        lv2 = ctx.levels[2]
+        neg_eta = lv2.neg_enc(eta2)
         pairs = [(x, y) for y, _ in K.coset(zeta)
                  if lv2.mul_enc(zeta, lv2.mul_enc(y, y)) == neg_eta
                  for x in _x_solutions(ctx, K, zeta, y)]
     else:
         # Stratum 1 (chart Z3 = 1): x^q = zeta x, y^q = zeta y,
-        # x y^q - x^q y = -eta, z^q - z = -eta.
-        pairs = K.coset_pairs(zeta).get(neg_eta, ())
+        # x y^q - x^q y = -eta, z^q - z = -eta.  For x, y in coset(zeta),
+        # x y^q - x^q y = zeta x y - zeta x y = 0: the pairs are all of
+        # coset(zeta)^2 when eta = 0, and none otherwise.  _chart still
+        # checks R(x, y) = L(z) = 0 at each point of the eta = 0 cell;
+        # the pairs and zeta are the same in the eta != 0 cells, so that
+        # check also shows their sigma1 empty.
+        coset = K.coset(zeta)
+        pairs = ([(x, y) for x, _ in coset for y, _ in coset] if eta == 0
+                 else ())
     strata = {"sigma1": (_chart(K, zeta, with_u, pairs, _z_sides(ctx, K, eta2))
                          if pairs else []),
               **_boundary(ctx, K, zeta, with_u)}

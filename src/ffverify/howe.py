@@ -10,7 +10,6 @@ semisimplification comparison are computed.
 
 from __future__ import annotations
 
-import json
 from typing import NamedTuple
 
 from .characters import (CharacterError, DihedralIrrep, IsotypicLabel,
@@ -62,17 +61,6 @@ class HoweTable(NamedTuple):
             "entries": [e.to_json() for e in self.entries],
             "checks": self.checks,
         }
-
-    def to_markdown(self) -> str:
-        title = f"Theta table: n={self.n}, q={self.q}, mode={self.mode}"
-        if self.ell is not None:
-            title += f", ell={self.ell}"
-        lines = [f"# {title}", ""] + markdown_table(
-            ("tau", "dim(tau)", "dim(Theta(tau))", "status", "constituents"),
-            [(e.tau.label(), e.tau.dim, e.dim, e.status,
-              "; ".join(f"{lab} ({d})" for d, lab in e.constituents) or "-")
-             for e in self.entries])
-        return "\n".join(lines + [""] + _checks_markdown(self.checks) + [""])
 
 
 def _check(name, expected, actual) -> dict:
@@ -251,30 +239,3 @@ def verify_all(n: int, p: int, e: int, ell: int) -> dict:
                     "actual": str(c["actual"])} for c in checks],
         "all_passed": all(c["pass"] for c in checks),
     }
-
-
-# ---------------------------------------------------------------------------
-# Markdown.
-
-def markdown_table(header, rows) -> list[str]:
-    """The lines of a markdown table: the header, the rule and one line
-    per row, each cell the str of its value.  The package's one writer
-    of markdown table rows."""
-    return (["| " + " | ".join(header) + " |",
-             "| " + " | ".join(["---"] * len(header)) + " |"]
-            + ["| " + " | ".join(map(str, row)) + " |" for row in rows])
-
-
-def _checks_markdown(checks) -> list[str]:
-    """The lines of the markdown table of checks."""
-    return markdown_table(("check", "expected", "actual", "pass"), [
-        (c["name"], c["expected"], c["actual"], "yes" if c["pass"] else "no")
-        for c in checks])
-
-
-def report_to_markdown(report: dict) -> str:
-    lines = ["# Verification report", "",
-             f"Parameters: {json.dumps(report['params'])}", ""]
-    lines += _checks_markdown(report["checks"])
-    lines += ["", f"All passed: {'yes' if report['all_passed'] else 'no'}", ""]
-    return "\n".join(lines)

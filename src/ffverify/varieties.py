@@ -66,6 +66,10 @@ VARIETY_KINDS = (
     "Xbar", "D", "Zprime", "Zprime0", "Uprime",
 )
 
+# The operation budget of one count unless its caller gives one; the
+# charges are those of _LevelArith.
+DEFAULT_BUDGET = 50_000_000
+
 _PAIR_KINDS = {"Sprime", "Yprime", "Ytildeprime", "Xprime",
                "Zprime", "Zprime0", "Uprime"}
 _SURFACE_KINDS = {"Xbar", "D"}
@@ -283,7 +287,7 @@ def _proj_space_count(N: int, dim: int) -> int:
 
 
 def count_points(ctx: TowerContext, spec: VarietySpec, level: int,
-                 budget: int = 50_000_000) -> int:
+                 budget: int = DEFAULT_BUDGET) -> int:
     """Number of rational points of spec over the tower level (1, 2, 4)."""
     if level not in ctx.levels:
         raise FieldError(f"level must be one of {tuple(ctx.levels)}")

@@ -227,6 +227,12 @@ def test_howe_mod_ell_markdown(capsys):
     assert "nontrivial-extension" in out
 
 
+def test_count_budget_default_is_the_library_default():
+    args = cli.build_parser().parse_args(["count", "--p", "3"])
+    assert args.budget == varieties.DEFAULT_BUDGET
+    assert varieties.count_points.__defaults__ == (varieties.DEFAULT_BUDGET,)
+
+
 def test_howe_bad_n_exits_2(capsys):
     code, _, _ = run(capsys, ["howe", "--p", "3", "--n", "1"])
     assert code == 2

@@ -174,7 +174,7 @@ def test_a_chart_point_of_another_cell_fails_its_z_condition():
     ctx = build_tower(3, 1)
     K = coordinate_extension(ctx)
     zeta, one = ctx.enumerate_mu()[0], ctx.embed(1)
-    pairs = K.coset_pairs(zeta)[0]
+    pairs = [(x, y) for x, _ in K.coset(zeta) for y, _ in K.coset(zeta)]
     z_sides = [(z, lz, K.frob(K.add(z, one)))
                for z, lz, _ in fixed_points._z_sides(ctx, K, 0)]
     with pytest.raises(ArithmeticError,
@@ -208,11 +208,12 @@ def test_the_grid_multiplies_once_per_factor(monkeypatch):
 
 
 def test_untwisted_pair_values_once_per_zeta(monkeypatch, kept):
-    """The untwisted grid at q = 5 takes x y^q - x^q y once per pair of
-    each coset, not once per pair in every eta cell.  Each value costs
-    two level-2 products, so per cell that is at least 2 (q + 1) q^3 =
-    1500 products (2467 in all before the grouping); per zeta it is
-    2 (q + 1) q^2 = 300, and the grid stays under (q + 1) q^3 = 750."""
+    """The untwisted grid at q = 5 takes no value x y^q - x^q y ahead of
+    its chart check: for x, y in coset(zeta) it is 0, so the pairs of a
+    cell are all of coset(zeta)^2 at eta = 0 and none elsewhere.  Its
+    only level-2 products build each coset, q^2 per zeta: (q + 1) q^2 =
+    150 in all, where the values alone would take 2 a pair, 2 (q + 1) q^2
+    = 300 more."""
     build_tower.cache_clear()
     ctx = build_tower(5, 1)
     lv2, q = ctx.levels[2], ctx.q
@@ -225,15 +226,12 @@ def test_untwisted_pair_values_once_per_zeta(monkeypatch, kept):
         return mul_enc(i, j)
 
     monkeypatch.setattr(lv2, "mul_enc", counting)
-    assert all(cell.matches for cell in fixed_point_grid(ctx, False).values())
-    assert 0 < calls < (q + 1) * q ** 3
-    K = coordinate_extension(ctx)
-    for zeta in ctx.enumerate_mu():
-        assert kept(ctx, ("coset pairs", zeta))
-        groups = K.coset_pairs(zeta)
-        pairs = [(x, y) for x, _ in K.coset(zeta) for y, _ in K.coset(zeta)]
-        assert sorted(p for ps in groups.values() for p in ps) == pairs
-        assert all(ps == sorted(ps) for ps in groups.values())
+    grid = fixed_point_grid(ctx, False)
+    assert all(cell.matches for cell in grid.values())
+    assert 0 < calls <= (q + 1) * q ** 2
+    for (eta, zeta), cell in grid.items():
+        assert kept(ctx, ("coset", zeta))
+        assert cell.sigma_counts["sigma1"] == (q ** 3 if eta == 0 else 0)
     build_tower.cache_clear()
 
 

@@ -11,8 +11,8 @@ import pytest
 
 from ffverify import (CharacterError, brauer_irreps, characters, cli,
                       compare_semisimplifications, ell_regular_classes,
-                      ordinary_irreps, report_to_markdown, theta_mod_ell,
-                      theta_ordinary, verify_all)
+                      ordinary_irreps, theta_mod_ell, theta_ordinary,
+                      verify_all)
 from ffverify.characters import DihedralIrrep, ell_parts
 
 
@@ -108,7 +108,7 @@ def test_table_serialization():
     assert blob["params"] == {"n": 2, "q": 2, "mode": "mod-ell", "ell": 3}
     assert {"tau", "dim", "status", "constituents", "lusztig_note",
             "provenance"} <= set(blob["entries"][0])
-    md = table.to_markdown()
+    md = cli.markdown(*cli.theta_blocks(table))
     assert md.startswith("# Theta table:")
     assert "| tau |" in md
     assert "nontrivial-extension" in md
@@ -304,6 +304,6 @@ def test_verifier_passes_characteristic_two():
 
 def test_report_markdown():
     report = verify_all(2, 2, 1, 3)
-    md = report_to_markdown(report)
+    md = cli.report_to_markdown(report)
     assert md.startswith("# Verification report")
     assert "All passed: yes" in md

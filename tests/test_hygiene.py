@@ -272,14 +272,14 @@ def test_table_row_strings_are_found():
 
 
 def test_one_markdown_table_writer():
-    """howe.markdown_table writes every markdown table of the package
+    """cli.markdown_table writes every markdown table of the package
     and its scripts; no other code spells a table row."""
     found = {path.relative_to(ROOT).as_posix(): [
         f.split(" ")[0] for f in table_row_strings(path.read_text())]
         for top in ("src", "scripts") for path in sorted(
             (ROOT / top).rglob("*.py"))}
     assert {name: sorted(set(f)) for name, f in found.items() if f} == {
-        "src/ffverify/howe.py": ["markdown_table"]}
+        "src/ffverify/cli.py": ["markdown_table"]}
 
 
 def inexact_divisions(source: str) -> list[str]:
@@ -386,7 +386,7 @@ def _cli(*argv) -> str:
 
 
 _CLI_BASE = ["__init__", "cli", "fields", "varieties"]
-# what a theta table runs; --format md reads howe.markdown_table
+# what a theta table runs
 _THETA = ["__init__", "characters", "cyclotomic", "fields", "howe"]
 
 
@@ -397,18 +397,22 @@ _THETA = ["__init__", "characters", "cyclotomic", "fields", "howe"]
     (_cli("verify", "--p", "3", "--ell", "5"),
      [p.stem for p in SRC.glob("*.py")]),
     (_cli("howe", "--p", "3"), _THETA + ["cli", "varieties"]),
-    (_cli("count", "--p", "3", "--n", "2", "--format", "md"),
-     _THETA + ["cli", "varieties"]),
+    # cli.markdown_table writes every --format md table: no theta layer
+    (_cli("count", "--p", "3", "--n", "2", "--format", "md"), _CLI_BASE),
+    (_cli("gauss", "--p", "3", "--format", "md"), _CLI_BASE + ["cyclotomic"]),
+    (_cli("fixed-points", "--p", "3", "--format", "md"),
+     _CLI_BASE + ["fixed_points"]),
     # the library path of the benchmark's lib job
     ("from ffverify import howe\nhowe.theta_mod_ell(2, 13, 7)", _THETA),
 ], ids=["count", "fixed-points", "gauss", "verify", "howe", "count-md",
-        "theta_mod_ell"])
+        "gauss-md", "fixed-points-md", "theta_mod_ell"])
 def test_each_command_compiles_only_the_layers_it_reaches(code, modules):
     """`import ffverify` registers every layer without running it, so a
     count compiles neither the character tables nor the theta layer, and
     a theta table neither the fixed-point grid nor the traces, which
     only howe.verify_all reads.  The parser reads
-    varieties.VARIETY_KINDS, so every command compiles varieties."""
+    varieties.VARIETY_KINDS and varieties.DEFAULT_BUDGET, so every
+    command compiles varieties."""
     assert compiled_modules(code) == sorted(modules)
 
 

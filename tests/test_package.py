@@ -26,9 +26,8 @@ PUBLIC = [
     "dim_w_isotypic", "ell_parts", "ell_regular_classes",
     "expected_character_difference", "fields", "fixed_point_grid",
     "fixed_points", "fixed_points_surface", "gauss_sum", "howe",
-    "markdown_table", "o_minus_table", "ordinary_irreps",
-    "report_to_markdown", "sheaf_trace_A2", "theta_mod_ell",
-    "theta_ordinary", "traces", "varieties", "verify_all",
+    "o_minus_table", "ordinary_irreps", "sheaf_trace_A2",
+    "theta_mod_ell", "theta_ordinary", "traces", "varieties", "verify_all",
 ]
 LAYERS = ("characters", "cyclotomic", "fields", "fixed_points", "howe",
           "traces", "varieties")
