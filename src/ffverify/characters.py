@@ -16,7 +16,7 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from .cyclotomic import CycNumber, _dot
-from .fields import is_prime, prime_factors, row_reduce
+from .fields import prime_factors, row_reduce
 
 
 class CharacterError(ValueError):
@@ -91,7 +91,7 @@ def ell_parts(q: int, ell: int) -> tuple[int, int]:
     """(l^a, r) with q + 1 = l^a r and l coprime to r.  The one check of
     ell: an odd prime that does not divide q.  ell matters only through
     ell | q + 1, so it is bounded below 2^32 before the trial division."""
-    if not 2 < ell < 2 ** 32 or q % ell == 0 or not is_prime(ell):
+    if not 2 < ell < 2 ** 32 or q % ell == 0 or prime_factors(ell) != [ell]:
         raise CharacterError(f"ell = {ell} must be an odd prime below 2^32 "
                              f"that does not divide q = {q}")
     m = q + 1

@@ -265,17 +265,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     pc = sub.add_parser("count", help="point counts over tower levels")
     common(pc, ("json", "csv", "md"))
-    pc.add_argument("--variety", nargs="+", choices=varieties.VARIETY_KINDS,
-                    default=["Ytilde"])
+    kinds = pc.add_mutually_exclusive_group()
+    kinds.add_argument("--variety", nargs="+",
+                       choices=varieties.VARIETY_KINDS, default=["Ytilde"])
     pc.add_argument("--n", type=int, default=1)
     pc.add_argument("--level", type=int, choices=(1, 2, 4), default=2)
     pc.add_argument("--budget", type=int, default=varieties.DEFAULT_BUDGET,
                     help="operation budget; with N = q^level = p^d a count "
                          "costs N per value distribution, N*d*p per "
                          "spectrum and N per product of spectra")
-    pc.add_argument("--torsor", action="store_true",
-                    help="count the torsor pair (Y, Ytilde) and check the "
-                         "ratio q+1")
+    kinds.add_argument("--torsor", action="store_true",
+                       help="count the torsor pair (Y, Ytilde) and check "
+                            "the ratio q+1")
     pc.set_defaults(func=cmd_count)
 
     pv = sub.add_parser("verify", help="run all identity checks")

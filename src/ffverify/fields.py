@@ -28,21 +28,6 @@ class BudgetExceededError(RuntimeError):
     operation budget of a count, or the field size of a blind scan."""
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
-
-
 def prime_power(p: int, e: int, bound: int) -> int:
     """q = p^e for a prime p and e >= 1, if q <= bound.  p^e >= 2^e, so a
     large e is rejected before the power is built, and q is bounded
@@ -51,12 +36,14 @@ def prime_power(p: int, e: int, bound: int) -> int:
         raise FieldError("exponent must be positive")
     if p > 1 and (e >= bound.bit_length() or p ** e > bound):
         raise FieldError(f"q = {p}^{e} exceeds the bound {bound}")
-    if not is_prime(p):
+    if prime_factors(p) != [p]:
         raise FieldError(f"p = {p} is not prime")
     return p ** e
 
 
 def prime_factors(n: int) -> list[int]:
+    """The distinct primes that divide n, in increasing order; [] if
+    n < 2, so prime_factors(n) == [n] says that n is prime."""
     out = []
     d = 2
     while d * d <= n:

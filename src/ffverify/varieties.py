@@ -44,11 +44,16 @@ sum_u x^Tr(uk) is N x^0 at k = 0 and (N/p) sum_s x^s at k != 0.
   spectrum route checks the structure it assumes, and raises
   ArithmeticError if it is absent.
 
-Projective counts enumerate by the leading nonzero coordinate
-(normalized to 1).  The tests' brute-force count, in
-tests/reference.py, shares none of this: it tests each equation on
-coefficient tuples with the level's polynomial arithmetic, and so is
-an independent route.
+Projective counts are read off affine cones.  The forms
+sum x_i^{q+1} and sum (x_i^q y_i - x_i y_i^q) are homogeneous of degree
+q + 1, so F_N^* acts freely on their nonzero zeros, and its orbits are
+the lines through the origin less the origin: a projective zero set
+has (A - 1)/(N - 1) points when its cone has A affine zeros.  Each such
+count checks that N - 1 divides A - 1, and raises ArithmeticError if
+not.  The tests' brute-force count, in tests/reference.py, shares none
+of this: it enumerates projective points by the leading nonzero
+coordinate and tests each equation on coefficient tuples with the
+level's polynomial arithmetic, and so is an independent route.
 """
 
 from __future__ import annotations
@@ -234,21 +239,15 @@ class _LevelArith:
 
     def count(self, factors, c: int = 0) -> int:
         """The number of tuples that sum to c, drawing n values from the
-        distribution with spectrum A for each (A, n) in factors."""
-        return self.counts([a for a, _ in factors],
-                           [[n for _, n in factors]], c)[0]
-
-    def counts(self, spectra, exponents, c: int = 0) -> list[int]:
-        """count(list(zip(spectra, ns)), c) for each row ns of exponents.
-        B is summed by class of (A_1(u), ..., A_k(u), Tr(uc)), grouped
-        once for every row, with one power per class, factor and row;
-        each row is charged N per product, as if it ran for every u."""
+        distribution with spectrum A for each (A, n) in factors.  B is
+        summed by class of (A_1(u), ..., A_k(u), Tr(uc)), with one power
+        per class and factor, and charged N per product, as if it ran for
+        every u."""
         N, p, w = self.N, self.level.p, self.w
-        for ns in exponents:  # A(0) is the mass
-            if N * prod(a[0] ** n for a, n in zip(spectra, ns)) >> w:
-                raise ArithmeticError(f"{w}-bit slots are too narrow")
-            self._spend(N * sum(n.bit_length() - 1 + n.bit_count()
-                                for n in ns if n))
+        if N * prod(a[0] ** n for a, n in factors) >> w:  # A(0) is the mass
+            raise ArithmeticError(f"{w}-bit slots are too narrow")
+        self._spend(N * sum(n.bit_length() - 1 + n.bit_count()
+                            for _, n in factors if n))
         if c:  # Tr(uc) for every u, read along the logs of u
             exp, log = self.level.log_tables()
             tr = self.ctx.traces(self.key)
@@ -256,30 +255,37 @@ class _LevelArith:
             dots = [0, *map(by_log.__getitem__, log[1:])]
         else:
             dots = [0] * N
-        classes = Counter(zip(*spectra, dots)).items()
         pw = w * p
         mask = (1 << pw) - 1
 
         def mul(x, y):  # the ring product, folded onto p slots
             v = x * y
             return (v & mask) + (v >> pw)
+        by_dot = [0] * p
+        for cls, m in Counter(zip(*(a for a, _ in factors), dots)).items():
+            acc = 1
+            for a, (_, n) in zip(cls, factors):
+                acc = power(mul, acc, a, n)
+            by_dot[cls[-1]] += m * acc
         low = (1 << w) - 1  # B_s collects slot s + r of the terms x^-r
-        out = []
-        for ns in exponents:
-            by_dot = [0] * p
-            for cls, m in classes:
-                acc = 1
-                for a, n in zip(cls, ns):
-                    acc = power(mul, acc, a, n)
-                by_dot[cls[-1]] += m * acc
-            B = [sum(by_dot[r] >> w * ((s + r) % p) & low for r in range(p))
-                 for s in range(p)]
-            if len(set(B[1:])) != 1 or (B[0] - B[1]) % N:
-                raise ArithmeticError(
-                    f"character sum check failed at level q^{self.key}: "
-                    f"slots {B} for target {c}")
-            out.append((B[0] - B[1]) // N)
-        return out
+        B = [sum(by_dot[r] >> w * ((s + r) % p) & low for r in range(p))
+             for s in range(p)]
+        if len(set(B[1:])) != 1 or (B[0] - B[1]) % N:
+            raise ArithmeticError(
+                f"character sum check failed at level q^{self.key}: "
+                f"slots {B} for target {c}")
+        return (B[0] - B[1]) // N
+
+    def lines(self, zeros: int) -> int:
+        """The points of a projective zero set whose affine cone has
+        zeros points, (zeros - 1)/(N - 1) as the module docstring
+        derives; ArithmeticError unless N - 1 divides zeros - 1."""
+        points, rest = divmod(zeros - 1, self.N - 1)
+        if rest:
+            raise ArithmeticError(
+                f"cone check failed at level q^{self.key}: {zeros} - 1 "
+                f"affine zeros is not a multiple of {self.N} - 1")
+        return points
 
 
 def _proj_space_count(N: int, dim: int) -> int:
@@ -305,11 +311,7 @@ def count_points(ctx: TowerContext, spec: VarietySpec, level: int,
         if kind == "X":  # sum x_i^{q+1} = z^q + z
             das = ar.linear_spectrum(ar.dist_artin_schreier(+1), +1)
             return ar.count([(dh, n), (das, 1)])
-        # S_n: leading coordinate j (0-based), x_j = 1, earlier zero, so
-        # the n - 1 - j later terms sum to -1.
-        minus_one = ar.level.neg_enc(1)
-        total = sum(ar.counts([dh], [[n - 1 - j] for j in range(n)],
-                              minus_one))
+        total = ar.lines(ar.count([(dh, n)]))  # S_n, from its cone
         if kind == "S":
             return total
         return _proj_space_count(N, n - 1) - total  # Y
@@ -318,22 +320,17 @@ def count_points(ctx: TowerContext, spec: VarietySpec, level: int,
         dpair = ar.coset_spectrum(ar.dist_pair())  # x^q y - x y^q
         if kind == "Ytildeprime":
             return ar.count([(dpair, n)], 1)
-        if kind in ("Zprime", "Zprime0", "Uprime"):
-            zero = ar.count([(dpair, n)])
-            if kind == "Zprime":
-                return zero
-            if kind == "Zprime0":
-                return zero - 1  # remove the origin
-            return N ** (2 * n) - zero  # Uprime: nonzero fiber values
-        das = ar.linear_spectrum(ar.dist_artin_schreier(-1), -1)  # z^q - z
         if kind == "Xprime":  # z^q - z = sum (x_i y_i^q - x_i^q y_i)
+            das = ar.linear_spectrum(ar.dist_artin_schreier(-1), -1)
             return ar.count([(dpair, n), (das, 1)])
-        # S'_{2n} projective, coordinates x_1..x_n, y_1..y_n.  Leading
-        # x_{j+1} = 1: its pair gives y - y^q; y_1..y_j are free.
-        total = sum(count * N ** j for j, count in enumerate(
-            ar.counts([dpair, das], [[n - 1 - j, 1] for j in range(n)])))
-        # leading coordinate among the y's: all x_i = 0, form vanishes.
-        total += _proj_space_count(N, n - 1)
+        zero = ar.count([(dpair, n)])  # the cone of S'_{2n}
+        if kind == "Zprime":
+            return zero
+        if kind == "Zprime0":
+            return zero - 1  # remove the origin
+        if kind == "Uprime":
+            return N ** (2 * n) - zero  # nonzero fiber values
+        total = ar.lines(zero)
         if kind == "Sprime":
             return total
         return _proj_space_count(N, 2 * n - 1) - total  # Yprime

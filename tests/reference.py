@@ -1,21 +1,29 @@
-"""The tests' reference routes: arithmetic on coefficient tuples and a
-brute-force point count, each an independent route that the program's
-own routes are checked against.  No run of the program reaches them.
+"""The tests' reference routes: a primality test, arithmetic on
+coefficient tuples and a brute-force point count, each an independent
+route that the program's own routes are checked against.  No run of the
+program reaches them.
 
 A level's element here is its tuple of coefficients over F_p, low degree
 first, as Level.decode returns it.  level_add and level_sub are the F_p
 polynomial sum and difference padded to the level's degree, level_encode
 reads a tuple as its encoding and level_elements lists the tuples in
 encoding order; products and powers are Level.mul and Level.pow.
-count_points_naive tests each equation with that arithmetic, and sizes
-projective space itself, so it shares nothing with ffverify.varieties.
+count_points_naive tests each equation with that arithmetic, sizes
+projective space itself and enumerates a projective point by its
+leading nonzero coordinate, normalized to 1, so it shares nothing with
+ffverify.varieties, which counts the affine cone instead.
 """
 
 from __future__ import annotations
 
 import itertools
+from math import isqrt
 
 from ffverify.fields import BudgetExceededError, _trim, _undigits, poly_sub
+
+
+def is_prime(n: int) -> bool:
+    return n > 1 and all(n % d for d in range(2, isqrt(n) + 1))
 
 
 def poly_add(a, b, p):
@@ -99,6 +107,20 @@ def count_points_naive(ctx, spec, level: int, budget: int = 2_000_000) -> int:
         if kind == "S":
             return count
         return _proj_space_count(N, n - 1) - count
+    if kind in ("Sprime", "Yprime"):
+        # P^{2n-1} with coordinates x_1..x_n, y_1..y_n in that order
+        if _proj_space_count(N, 2 * n - 1) * N > budget:
+            raise BudgetExceededError("naive enumeration too large")
+        count = 0
+        for j in range(2 * n):
+            for rest in itertools.product(level_elements(lv),
+                                          repeat=2 * n - 1 - j):
+                full = (lv.zero,) * j + (lv.one,) + rest
+                if pair_sum(full[:n], full[n:]) == lv.zero:
+                    count += 1
+        if kind == "Sprime":
+            return count
+        return _proj_space_count(N, 2 * n - 1) - count
     if kind == "Ytildeprime":
         if N ** (2 * n) > budget:
             raise BudgetExceededError("naive enumeration too large")

@@ -10,7 +10,7 @@ from ffverify import (CharacterError, IsotypicLabel, brauer_decompose,
                       dim_w_isotypic, ell_parts, ell_regular_classes,
                       o_minus_table, ordinary_irreps)
 from ffverify.characters import DihedralIrrep, irrep_value
-from ffverify.fields import is_prime
+from reference import is_prime
 
 
 QS = (2, 3, 4, 5, 7, 8, 9)

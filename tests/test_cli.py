@@ -11,8 +11,9 @@ from hypothesis import assume, event, given, settings, strategies as st
 
 from ffverify import cli, varieties
 from ffverify.cli import main
-from ffverify.fields import build_tower, is_prime
+from ffverify.fields import build_tower
 from ffverify.varieties import VARIETY_KINDS
+from reference import is_prime
 
 
 def run(capsys, argv):
@@ -101,6 +102,16 @@ def test_format_lists_only_what_the_command_renders(capsys, command):
     assert code == 2
     assert out == ""
     assert "error: argument --format" in err
+
+
+@pytest.mark.parametrize("variety", [["X"], ["Y", "Ytilde"]])
+def test_count_torsor_takes_no_variety(capsys, variety):
+    """--torsor counts its own pair, so --variety beside it is a usage
+    error rather than a list it would ignore."""
+    code, out, err = run(capsys, ["count", "--p", "3", "--level", "2",
+                                  "--torsor", "--variety", *variety])
+    assert code == 2 and out == ""
+    assert "not allowed with argument --torsor" in err
 
 
 @pytest.mark.parametrize("level", ["1", "4"])

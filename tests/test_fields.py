@@ -14,10 +14,11 @@ from ffverify import (AdditiveCharacter, FieldError, blind_fixed_point_count,
 from ffverify.fixed_points import _root, coordinate_extension
 from ffverify.fields import (ArtinSchreierExtension, Level, TowerContext,
                              _digits, _is_irreducible, embedding_table,
-                             is_prime, least_irreducible, poly_mod, poly_mul,
+                             least_irreducible, poly_mod, poly_mul,
                              poly_powmod, power, prime_factors, prime_power,
                              row_reduce)
-from reference import level_add, level_elements, level_encode, level_sub
+from reference import (is_prime, level_add, level_elements, level_encode,
+                       level_sub)
 
 # (p, e) of every tower with q <= 16.
 TOWERS = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (5, 1), (7, 1),
@@ -25,9 +26,11 @@ TOWERS = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (5, 1), (7, 1),
 
 
 def test_is_prime_small():
+    """prime_factors(n) == [n], the package's primality test, and the
+    tests' reference is_prime both hold exactly at the primes."""
     primes = {2, 3, 5, 7, 11, 13, 17, 19, 23}
-    for n in range(25):
-        assert is_prime(n) == (n in primes)
+    for n in range(-3, 25):
+        assert (prime_factors(n) == [n]) == is_prime(n) == (n in primes)
 
 
 def test_power_counts_its_multiplications():

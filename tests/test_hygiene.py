@@ -185,12 +185,12 @@ def test_one_lazy_loader():
         "__init__.py": ["<module>", "_register"]}
 
 
-# The trial divisions of fields, and the one function of each module
-# that may read them: each bounds its argument first.  prime_power,
+# The trial division of fields, and the functions of each module that
+# may read it: each bounds its argument first.  prime_power,
 # char_of and ell_parts check an input (q = p^e, q and ell);
 # _is_irreducible factors a degree of at most 4e and Level.log_tables
 # the order of a level of a tower that prime_power has bounded.
-_TRIAL_DIVISIONS = ("is_prime", "prime_factors")
+_TRIAL_DIVISIONS = ("prime_factors",)
 _TRIAL_DIVISION_READERS = {
     "src/ffverify/characters.py": ["char_of", "ell_parts"],
     "src/ffverify/fields.py": ["Level.log_tables", "_is_irreducible",
@@ -198,9 +198,9 @@ _TRIAL_DIVISION_READERS = {
 
 
 def trial_division_reads(source: str) -> list[str]:
-    """The reads of is_prime and prime_factors, bare or as an attribute
-    and called or not, as scoped_nodes names them; imports and the def
-    statements are not reads."""
+    """The reads of prime_factors, bare or as an attribute and called
+    or not, as scoped_nodes names them; imports and the def statements
+    are not reads."""
     return scoped_nodes(source, lambda node: (
         isinstance(node, ast.Name) and node.id in _TRIAL_DIVISIONS
         or isinstance(node, ast.Attribute)
@@ -208,27 +208,27 @@ def trial_division_reads(source: str) -> list[str]:
 
 
 def test_trial_division_reads_are_found():
-    source = ("from .fields import is_prime, prime_factors\n"
-              "def is_prime(n):\n"
-              "    return n > 1\n"
+    source = ("from .fields import prime_factors\n"
+              "def prime_factors(n):\n"
+              "    return [n]\n"
               "def ell_parts(q, ell):\n"
-              "    if ell < 2 ** 32 and is_prime(ell):\n"
+              "    if ell < 2 ** 32 and prime_factors(ell) == [ell]:\n"
               "        return q\n"
               "class Table:\n"
               "    def order(self, q):\n"
               "        return fields.prime_factors(q)\n"
-              "check = is_prime\n"
-              "odd = list(filter(is_prime, range(9)))\n")
+              "check = prime_factors\n"
+              "odd = list(map(prime_factors, range(9)))\n")
     assert trial_division_reads(source) == [
         "ell_parts (line 5)", "Table.order (line 9)", "<module> (line 10)",
         "<module> (line 11)"]
 
 
 def test_every_trial_division_sits_behind_a_bound():
-    """is_prime and prime_factors divide up to the square root of their
-    argument, so an unbounded input would run for hours: only the
-    functions of _TRIAL_DIVISION_READERS, which bound it, read them, in
-    the package and its scripts."""
+    """prime_factors divides up to the square root of its argument, so
+    an unbounded input would run for hours: only the functions of
+    _TRIAL_DIVISION_READERS, which bound it, read it, in the package and
+    its scripts."""
     found = {path.relative_to(ROOT).as_posix(): sorted(set(
         f.split(" ")[0] for f in trial_division_reads(path.read_text())))
         for top in ("src", "scripts") for path in sorted(

@@ -236,6 +236,67 @@ def test_x1_over_f4():
 
 
 @pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2)])
+@pytest.mark.parametrize("kind", ["Sprime", "Yprime"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_primed_projective_counts_match_naive(p, e, kind, n):
+    """S'_{2n} and Y'_{2n} from the affine cone against the leading
+    coordinate enumeration of tests/reference.py."""
+    ctx = build_tower(p, e)
+    for level in (1, 2):
+        assert count_points(ctx, VarietySpec(kind, n), level) == \
+            count_points_naive(ctx, VarietySpec(kind, n), level)
+
+
+@pytest.mark.parametrize("p,e", TOWERS)
+def test_xbar_is_sprime_4(p, e):
+    """With (x1, y1) = (Z3, Z2) and (x2, y2) = (Z1, Z0) the surface
+    equation Z2^q Z3 - Z2 Z3^q = Z0 Z1^q - Z0^q Z1 is the S'_4 equation,
+    so Xbar, a chart and its boundary, counts what the cone of S'_4
+    counts."""
+    ctx = build_tower(p, e)
+    for level in (1, 2, 4) if p ** e <= 5 else (1, 2):
+        assert count_points(ctx, VarietySpec("Xbar"), level) == \
+            count_points(ctx, VarietySpec("Sprime", 2), level)
+
+
+def test_a_wrong_cone_count_fails_the_cone_check(monkeypatch, capsys):
+    """One zero more on the cone of S_2 over F_9 is not 1 plus a
+    multiple of N - 1 = 8: the count raises, and the command exits 3
+    with nothing on stdout."""
+    count = varieties._LevelArith.count
+    monkeypatch.setattr(varieties._LevelArith, "count",
+                        lambda self, factors, c=0: count(self, factors, c) + 1)
+    with pytest.raises(ArithmeticError, match="cone check"):
+        count_points(build_tower(3, 1), VarietySpec("S", 2), 2)
+    code = main(["count", "--p", "3", "--variety", "S", "--n", "2"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("internal error: cone check")
+
+
+@pytest.mark.parametrize("kind", ["S", "Y", "Sprime", "Yprime"])
+def test_a_projective_count_is_one_count_of_its_cone(monkeypatch, kind):
+    """Each projective kind makes one character sum, over its whole
+    cone, and the primed ones take no Artin-Schreier spectrum."""
+    calls = []
+    count = varieties._LevelArith.count
+    linear_spectrum = varieties._LevelArith.linear_spectrum
+
+    def counted(self, factors, c=0):
+        calls.append(("count", [n for _, n in factors], c))
+        return count(self, factors, c)
+
+    def linear(self, f, sign):
+        calls.append(("linear_spectrum", sign))
+        return linear_spectrum(self, f, sign)
+
+    monkeypatch.setattr(varieties._LevelArith, "count", counted)
+    monkeypatch.setattr(varieties._LevelArith, "linear_spectrum", linear)
+    count_points(build_tower(3, 1), VarietySpec(kind, 3), 2)
+    assert calls == [("count", [3], 0)]
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2)])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_torsor_ratio_over_quadratic_level(p, e, n):
     ctx = build_tower(p, e)
@@ -325,6 +386,20 @@ def test_budget_spent_is_pinned():
         count_points(ctx, VarietySpec("Xprime", 5), 2)
     with pytest.raises(BudgetExceededError):
         count_points(ctx, VarietySpec("Xprime", 5), 2, budget=188)
+
+
+@pytest.mark.parametrize("kind,spent", [("S", 108), ("Sprime", 117)])
+def test_cone_budget_spent_is_pinned(kind, spent):
+    """S_5 and S'_10 over F_9 are one count each, of exponent 5 (36
+    units), after a distribution and a spectrum: N = 9 to start, the
+    Hermitian distribution 9, or the pair distribution 18, and the
+    spectrum N d p = 54."""
+    ctx = build_tower(3, 1)
+    spec = VarietySpec(kind, 5)
+    assert count_points(ctx, spec, 2, budget=spent) == \
+        count_points(ctx, spec, 2)
+    with pytest.raises(BudgetExceededError):
+        count_points(ctx, spec, 2, budget=spent - 1)
 
 
 def test_budget_spent_does_not_depend_on_the_cache(capsys):
