@@ -5,15 +5,17 @@ comparison for a set of (n, q, ell) parameters.
 Writes one markdown file per parameter triple into the output directory
 (default: howe_tables/).  Exits 1 if a dimension deficit of any
 comparison does not match its prediction, as where a Brauer solve
-failed."""
+failed.  A triple that the theta tables reject is a usage error: the
+message on stderr and exit 2, before any file is written."""
 
 import argparse
 import os
 import sys
 
-from ffverify import (compare_semisimplifications, theta_mod_ell,
+from ffverify import (compare_semisimplifications, ell_parts, theta_mod_ell,
                       theta_ordinary)
 from ffverify.cli import markdown, markdown_table, theta_blocks
+from ffverify.howe import check_theta
 
 DEFAULT_PARAMS = [(2, 2, 3), (2, 3, 5), (2, 4, 5), (3, 2, 3)]
 
@@ -25,6 +27,18 @@ def _reduction_cells(row):
         return "-", "-", "-"
     return (" + ".join(f"{m} x {lab}" for lab, m in row["reduction"]),
             row["dim_theta_ss"], row["deficit"])
+
+
+def parse_triple(text):
+    """The (n, q, ell) of one --params value, through the library's
+    checks of a theta table and of ell; ValueError if it is not one."""
+    try:
+        n, q, ell = map(int, text.split(","))
+    except ValueError:
+        raise ValueError("expected three integers n,q,ell") from None
+    check_theta(n, q)
+    ell_parts(q, ell)
+    return n, q, ell
 
 
 def render(n, q, ell):
@@ -49,9 +63,14 @@ def main():
                     help="triples like 2,3,5 (default: the built-in set)")
     args = ap.parse_args()
 
-    params = DEFAULT_PARAMS
-    if args.params:
-        params = [tuple(int(x) for x in t.split(",")) for t in args.params]
+    params = []
+    for text in args.params or ():
+        try:
+            params.append(parse_triple(text))
+        except ValueError as exc:
+            print(f"error: --params {text}: {exc}", file=sys.stderr)
+            return 2
+    params = params or DEFAULT_PARAMS
 
     os.makedirs(args.outdir, exist_ok=True)
     code = 0

@@ -4,9 +4,11 @@
 For every (eta, zeta) pair and both endomorphism variants the script
 reports the enumerated fixed point total, the stratum breakdown and the
 closed-form prediction.  With --blind it also re-counts each total by a
-brute scan over the absolute coordinate field (small q only).  A p that
-is not prime, or q above the tower's bound, is a usage error: the
-message on stderr and exit 2, as the ffverify CLI gives.
+brute scan over the absolute coordinate field (small q only).  Exits 1
+if a total differs from its closed form or from its blind count, as
+the ffverify CLI does.  A p that is not prime, or q above the tower's
+bound, is a usage error: the message on stderr and exit 2, as the CLI
+gives.
 """
 
 import argparse
@@ -34,8 +36,10 @@ def main():
     header = "u     eta  zeta  total  strata                     closed  match"
     print(header)
     print("-" * len(header))
+    ok = True
     for with_u in (True, False):
         for (eta, zeta), cell in fixed_point_grid(ctx, with_u).items():
+            ok = ok and cell.matches
             match = "ok" if cell.matches else "MISMATCH"
             strata = ",".join(f"{k}={v}" for k, v in
                               sorted(cell.sigma_counts.items()))
@@ -44,11 +48,13 @@ def main():
             if args.blind:
                 try:
                     blind = blind_fixed_point_count(ctx, eta, zeta, with_u)
+                    ok = ok and blind == cell.total
                     tag = "ok" if blind == cell.total else "MISMATCH"
                     print(f"      blind scan: {blind}  {tag}")
                 except BudgetExceededError:
                     print("      blind scan: skipped (field too large)")
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

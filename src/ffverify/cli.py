@@ -272,8 +272,9 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--level", type=int, choices=(1, 2, 4), default=2)
     pc.add_argument("--budget", type=int, default=varieties.DEFAULT_BUDGET,
                     help="operation budget; with N = q^level = p^d a count "
-                         "costs N per value distribution, N*d*p per "
-                         "spectrum and N per product of spectra")
+                         "costs N to start, N per value distribution (2N "
+                         "for the pairing one), N*d*p per spectrum and N "
+                         "per product of spectra")
     kinds.add_argument("--torsor", action="store_true",
                        help="count the torsor pair (Y, Ytilde) and check "
                             "the ratio q+1")

@@ -129,17 +129,13 @@ def _is_irreducible(f, p):
     return True
 
 
-@lru_cache(maxsize=None)
 def least_irreducible(p: int, d: int):
     """Lex-least monic irreducible of degree d over F_p.
 
     Candidates are ordered by the base-p integer encoding of the
-    low-degree coefficient vector (c_0, ..., c_{d-1}).  A process-wide
-    cache is right: the result is an immutable tuple fixed by (p, d),
-    and each Level of that degree, in any tower or the blind scan's
-    model, would otherwise repeat the search.  A candidate of degree
-    d > 1 with a root in F_p has a linear factor, so it is skipped
-    before the Rabin test; the least irreducible is the same.
+    low-degree coefficient vector (c_0, ..., c_{d-1}).  A candidate of
+    degree d > 1 with a root in F_p has a linear factor, so it is
+    skipped before the Rabin test; the least irreducible is the same.
     """
     for k in range(p ** d):
         f = tuple(_digits(k, p, d)) + (1,)
@@ -402,12 +398,13 @@ class TowerContext:
     def table(self, key, build):
         """The table kept on this tower under key, made by build() the
         first time key is asked for; a build that raises keeps nothing.
-        Every table derived from a tower lives here: the Frobenius and
-        trace tables of each level, K and its root, the coset per zeta,
-        the grids, their strata and their model for the blind scan, the
-        counts' Artin-Schreier maps and spectra.  The log and Zech
-        tables stay on each Level, as the blind scan's model has no
-        tower."""
+        Every table derived from a tower lives here, and each is one that
+        a run reads again: the Frobenius and trace tables of each level,
+        K and its root, the coset per zeta, the grids, their strata and
+        their model for the blind scan, the counts' Artin-Schreier maps
+        and their distributions per level.  A key is a str, or a tuple of
+        a str and ints.  The log and Zech tables stay on each Level, as
+        the blind scan's model has no tower."""
         tables = self._tables
         if key not in tables:
             tables[key] = build()
@@ -645,39 +642,35 @@ class ArtinSchreierExtension:
         return _undigits(out, self.base.size)
 
     def coset(self, zeta):
-        """The pairs (a, a^q) with a^q = zeta a, for zeta in mu_{q+1}, in
-        the encoding order of a.  They are the kernel of x -> x^q - zeta x
-        on K, which lies in F_{q^2} (a^{q^2} = zeta^{q+1} a = a), read
-        off the table of x -> x^q on F_{q^2}; kept on the tower per zeta."""
+        """The a with a^q = zeta a, for zeta in mu_{q+1}, in encoding
+        order.  They are the kernel of x -> x^q - zeta x on K, which lies
+        in F_{q^2} (a^{q^2} = zeta^{q+1} a = a), read off the table of
+        x -> x^q on F_{q^2}; kept on the tower per zeta."""
         def build():
             self.tower.mu_index(zeta)
             mul = self.base.mul_enc
-            return [(a, fa) for a, fa in enumerate(self._frob_base)
+            return [a for a, fa in enumerate(self._frob_base)
                     if fa == mul(zeta, a)]
         return self.tower.table(("coset", zeta), build)
 
-    def solve_affine(self, zeta, rhs):
-        """Every x in K with x^q - zeta x = rhs, for zeta in mu_{q+1} a
-        level-2 encoding (empty if there are none): x0 + a for a in
-        coset(zeta), in the order of a.  The map is F_p-linear with
-        kernel coset(zeta); the F_p-coordinates of an element are the
-        base-p digits of its encoding, and p^i is the i-th basis vector.
-        The rows [A | rhs] of the map A are row-reduced once over F_p,
-        and x0 is the solution with every free variable 0."""
+    def solve_affine(self, rhs):
+        """The x in K with x^q - x = rhs whose free variables are 0;
+        ArithmeticError if there is none.  The map is F_p-linear; the
+        F_p-coordinates of an element are the base-p digits of its
+        encoding, and p^i is the i-th basis vector.  The rows [A | rhs]
+        of the map A are row-reduced once over F_p."""
         p, dim = self.p, self.dim
         if not 0 <= rhs < p ** dim:
             raise FieldError(f"{rhs} is not an encoding of F_{p ** dim}")
-        self.tower.mu_index(zeta)
-        cols = [_digits(self.sub(self.frob(p ** i), self.mul(zeta, p ** i)),
-                        p, dim) for i in range(dim)]
+        cols = [_digits(self.sub(self.frob(p ** i), p ** i), p, dim)
+                for i in range(dim)]
         rows = [[c[i] for c in cols] + [b]
                 for i, b in enumerate(_digits(rhs, p, dim))]
         pivots = row_reduce(rows, dim, lambda a: pow(a, p - 2, p),
                             lambda a: a % p)
         if any(row[dim] for row in rows[len(pivots):]):
-            return []
+            raise ArithmeticError(f"x^q - x = {rhs} has no solution in K")
         x0 = [0] * dim
         for row, col in zip(rows, pivots):
             x0[col] = row[dim]
-        x0 = _undigits(x0, p)
-        return [self.add(x0, a) for a, _ in self.coset(zeta)]
+        return _undigits(x0, p)

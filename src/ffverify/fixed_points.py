@@ -65,7 +65,7 @@ def _root(ctx: TowerContext, K: ArtinSchreierExtension) -> int:
     """A c in K with c^q - c = 1, kept on the tower.  It exists by the
     additive form of Hilbert 90: x -> x^q - x maps K onto the kernel of
     Tr_{K/F_q}, and Tr_{K/F_q}(1) = [K : F_q] = 2p = 0."""
-    return ctx.table("root", lambda: K.solve_affine(1, 1)[0])
+    return ctx.table("root", lambda: K.solve_affine(1))
 
 
 def _x_solutions(ctx: TowerContext, K: ArtinSchreierExtension, zeta: int,
@@ -76,7 +76,7 @@ def _x_solutions(ctx: TowerContext, K: ArtinSchreierExtension, zeta: int,
     At zeta = 1 and y = eta in F_q, eta^q = eta, these are the z in K
     with z^q - z = -eta."""
     x0 = K.neg(K.mul(_root(ctx, K), y))
-    return [K.add(x0, a) for a, _ in K.coset(zeta)]
+    return [K.add(x0, a) for a in K.coset(zeta)]
 
 
 def _z_sides(ctx: TowerContext, K: ArtinSchreierExtension, eta2: int):
@@ -119,10 +119,10 @@ def _boundary_strata(ctx: TowerContext, K: ArtinSchreierExtension, zeta: int,
     coset = K.coset(zeta)
     if with_u:
         # Stratum 2: [z : 0 : 1 : 0] with z^q = zeta z, and [1 : 0 : 0 : 0].
-        return {"sigma2": [(z, 0, 1, 0) for z, _ in coset] + [(1, 0, 0, 0)]}
+        return {"sigma2": [(z, 0, 1, 0) for z in coset] + [(1, 0, 0, 0)]}
     # Stratum 2: [x : y : 1 : 0] with x, y in the same coset.
     # Stratum 3: the rational line [Z0 : Z1 : 0 : 0] over F_q.
-    return {"sigma2": [(x, y, 1, 0) for x, _ in coset for y, _ in coset],
+    return {"sigma2": [(x, y, 1, 0) for x in coset for y in coset],
             "sigma3": ([(1, ctx.embed(a), 0, 0) for a in range(ctx.q)]
                        + [(0, 1, 0, 0)])}
 
@@ -188,7 +188,7 @@ def fixed_points_surface(ctx: TowerContext, eta: int, zeta: int,
         # x^q - zeta x = -zeta y, z^q - z = -eta.
         lv2 = ctx.levels[2]
         neg_eta = lv2.neg_enc(eta2)
-        pairs = [(x, y) for y, _ in K.coset(zeta)
+        pairs = [(x, y) for y in K.coset(zeta)
                  if lv2.mul_enc(zeta, lv2.mul_enc(y, y)) == neg_eta
                  for x in _x_solutions(ctx, K, zeta, y)]
     else:
@@ -200,7 +200,7 @@ def fixed_points_surface(ctx: TowerContext, eta: int, zeta: int,
         # the pairs and zeta are the same in the eta != 0 cells, so that
         # check also shows their sigma1 empty.
         coset = K.coset(zeta)
-        pairs = ([(x, y) for x, _ in coset for y, _ in coset] if eta == 0
+        pairs = ([(x, y) for x in coset for y in coset] if eta == 0
                  else ())
     strata = {"sigma1": (_chart(K, zeta, with_u, pairs, _z_sides(ctx, K, eta2))
                          if pairs else []),

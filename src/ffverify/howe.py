@@ -88,7 +88,7 @@ def _entry(n: int, q: int, tau: DihedralIrrep, extension: bool) -> HoweEntry:
                      {"dim": "computed", "status": "asserted-by-paper"})
 
 
-def _check_theta(n: int, q: int) -> None:
+def check_theta(n: int, q: int) -> None:
     """The checks of a theta table, before any irreducible is listed:
     n >= 2 and q a prime power at most HOWE_MAX_Q."""
     check_theta_n(n)
@@ -99,7 +99,7 @@ def _check_theta(n: int, q: int) -> None:
 
 def theta_ordinary(n: int, q: int) -> HoweTable:
     """Ordinary-coefficient table; n >= 2."""
-    _check_theta(n, q)
+    check_theta(n, q)
     entries = [_entry(n, q, tau, False) for tau in ordinary_irreps(q)]
     total = sum(e.dim * e.tau.dim for e in entries)
     return HoweTable(n, q, "ordinary", None, entries,
@@ -108,7 +108,7 @@ def theta_ordinary(n: int, q: int) -> HoweTable:
 
 def theta_mod_ell(n: int, q: int, ell: int) -> HoweTable:
     """Mod-l table over the Brauer parametrization; n >= 2."""
-    _check_theta(n, q)
+    check_theta(n, q)
     la = ell_parts(q, ell)[0]
     irreps = brauer_irreps(q, ell)
     entries = [_entry(n, q, tau, la > 1 and tau == DihedralIrrep("one", 0, "+"))

@@ -106,16 +106,18 @@ class _LevelArith:
     encoding (the field's 1 has encoding 1).  Every count made here
     ranges over at most N^dim tuples, which fixes the slot width w.  The
     budget is charged by the shape of a count, not by the work it does:
-    N per distribution, N d p per spectrum and N per product of spectra,
-    as if each product ran for every u.  A budget must not depend on
-    what is cached, or a count would pass or fail by what was counted
-    before it in the process; so a spectrum read from the cache is
-    charged as if computed.
+    N when the count starts, N per distribution (2N for the pair one,
+    read off an Artin-Schreier one), N d p per spectrum and N per
+    product of spectra, as if each product ran for every u.  A budget
+    must not depend on what is kept, or a count would pass or fail by
+    what was counted before it in the process; so a distribution read
+    from the tower is charged as if computed.
 
-    The tower's table "spectra", {(level key, w): {masses: spectrum}},
-    keeps the spectra of one (level, w) at a time, so that the counts of
-    a kind list share them.  The counts draw from four distributions at
-    most, so the cache stays bounded however many counts run.
+    The distributions are kept on the tower per level, under
+    ("dist hermitian", key), ("dist pair", key) and
+    ("dist artin-schreier", key, sign), and each is handed out as a new
+    list.  A spectrum is computed from its distribution on every call,
+    and so checks the structure it assumes on every count.
     """
 
     def __init__(self, ctx: TowerContext, key: int, budget: int, dim: int):
@@ -135,8 +137,15 @@ class _LevelArith:
             raise BudgetExceededError(
                 f"operation budget {self.budget} exceeded at level q^{self.key}")
 
-    def _dist(self, values) -> list[int]:
+    def _kept(self, build, name: str, *ints) -> list[int]:
+        """The distribution kept on the tower under (name, level key,
+        *ints), made by build() the first time, as a new list: the kept
+        one stays intact whatever the caller does.  Charged N, as if
+        computed."""
         self._spend(self.N)
+        return list(self.ctx.table((name, self.key, *ints), build))
+
+    def _histogram(self, values) -> list[int]:
         f = [0] * self.N
         for v in values:
             f[v] += 1
@@ -144,7 +153,8 @@ class _LevelArith:
 
     def dist_hermitian(self) -> list[int]:
         """Distribution of x -> x^{q+1}."""
-        return self._dist(self.level.power_map(self.ctx.q + 1))
+        return self._kept(lambda: self._histogram(
+            self.level.power_map(self.ctx.q + 1)), "dist hermitian")
 
     def artin_schreier(self, sign: int) -> list[int]:
         """L(z) = z^q + sign * z at every encoding z, in encoding order,
@@ -157,10 +167,12 @@ class _LevelArith:
     def dist_artin_schreier(self, sign: int) -> list[int]:
         """Distribution of z -> z^q + sign * z.  Like every distribution
         here it is invariant under negation: substitute -z for z."""
-        return self._dist(self.artin_schreier(sign))
+        return self._kept(lambda: self._histogram(self.artin_schreier(sign)),
+                          "dist artin-schreier", sign)
 
     def dist_pair(self) -> list[int]:
-        """Distribution of (x, y) -> x^q y - x y^q, from linearity.
+        """Distribution of (x, y) -> x^q y - x y^q, from linearity, kept
+        on the tower per level.
 
         x = 0 gives 0, N times.  For x != 0 put y = x t: the value is
         x^{q+1} (t - t^q), and t -> t - t^q is F_p-linear with kernel
@@ -173,52 +185,38 @@ class _LevelArith:
         is invariant under negation.
         """
         das = self.dist_artin_schreier(-1)  # that of t - t^q, by t -> -t
-        log = self.level.log_tables()[1]
-        N, g = self.N, gcd(self.ctx.q + 1, self.N - 1)
-        self._spend(N)
-        cosets = [0] * g
-        for w in range(1, N):
-            cosets[log[w] % g] += das[w]
-        return [N + (N - 1) * das[0]] + [g * cosets[log[v] % g]
-                                         for v in range(1, N)]
 
-    def _spectrum(self, f: list[int], build) -> list[int]:
-        """The packed A_f(u) for every u, in encoding order, as a new
-        list: the cached one stays intact whatever the caller does.
-        build() computes it on a miss; a build that raises keeps
-        nothing."""
-        self._spend(self.N * self.level.degree * self.level.p)
-        spectra = self.ctx.table("spectra", dict)
-        if (self.key, self.w) not in spectra:
-            spectra.clear()
-        known = spectra.setdefault((self.key, self.w), {})
-        masses = tuple(f)
-        if masses not in known:
-            known[masses] = build()
-        return list(known[masses])
+        def build():
+            log = self.level.log_tables()[1]
+            N, g = self.N, gcd(self.ctx.q + 1, self.N - 1)
+            cosets = [0] * g
+            for w in range(1, N):
+                cosets[log[w] % g] += das[w]
+            return [N + (N - 1) * das[0]] + [g * cosets[log[v] % g]
+                                             for v in range(1, N)]
+        return self._kept(build, "dist pair")
 
     def coset_spectrum(self, f: list[int]) -> list[int]:
         """The spectrum of f = dist_hermitian() or dist_pair(), read off
         its values F[r] on the cosets gamma^r <gamma^g> of F_N^* as the
         module docstring derives; ArithmeticError unless f is constant on
         each coset."""
-        def build():
-            exp, log = self.level.log_tables()
-            tr, w = self.ctx.traces(self.key), self.w
-            g = gcd(self.ctx.q + 1, self.N - 1)
-            F = [f[k] for k in exp[:g]]
-            if any(set(map(f.__getitem__, exp[s::g])) != {F[s]}
-                   for s in range(g)):
-                raise ArithmeticError(
-                    f"a distribution at level q^{self.key} is not constant "
-                    f"on the cosets of the index-{g} subgroup")
-            hist = [sum(m << w * t for t, m in
-                        Counter(map(tr.__getitem__, exp[s::g])).items())
-                    for s in range(g)]
-            by_coset = [f[0] + sum(F[r] * hist[(a + r) % g] for r in range(g))
-                        for a in range(g)]
-            return [sum(f)] + [by_coset[a % g] for a in log[1:]]
-        return self._spectrum(f, build)
+        self._spend(self.N * self.level.degree * self.level.p)
+        exp, log = self.level.log_tables()
+        tr, w = self.ctx.traces(self.key), self.w
+        g = gcd(self.ctx.q + 1, self.N - 1)
+        F = [f[k] for k in exp[:g]]
+        if any(set(map(f.__getitem__, exp[s::g])) != {F[s]}
+               for s in range(g)):
+            raise ArithmeticError(
+                f"a distribution at level q^{self.key} is not constant "
+                f"on the cosets of the index-{g} subgroup")
+        hist = [sum(m << w * t for t, m in
+                    Counter(map(tr.__getitem__, exp[s::g])).items())
+                for s in range(g)]
+        by_coset = [f[0] + sum(F[r] * hist[(a + r) % g] for r in range(g))
+                    for a in range(g)]
+        return [sum(f)] + [by_coset[a % g] for a in log[1:]]
 
     def linear_spectrum(self, f: list[int], sign: int) -> list[int]:
         """The spectrum of f = dist_artin_schreier(sign): N x^0 on ker L
@@ -226,16 +224,15 @@ class _LevelArith:
         module docstring derives; ArithmeticError unless f is
         |ker L| 1_{im L}, that is f(L(z)) = |ker L| for every z and f
         has mass N."""
-        def build():
-            N, p, images = self.N, self.level.p, self.artin_schreier(sign)
-            kernel = images.count(0)
-            if sum(f) != N or any(f[v] != kernel for v in images):
-                raise ArithmeticError(
-                    f"a distribution at level q^{self.key} is not "
-                    f"|ker L| 1_(im L) for L(z) = z^q + ({sign}) z")
-            flat = N // p * sum(1 << self.w * s for s in range(p))
-            return [flat if v else N for v in images]
-        return self._spectrum(f, build)
+        self._spend(self.N * self.level.degree * self.level.p)
+        N, p, images = self.N, self.level.p, self.artin_schreier(sign)
+        kernel = images.count(0)
+        if sum(f) != N or any(f[v] != kernel for v in images):
+            raise ArithmeticError(
+                f"a distribution at level q^{self.key} is not "
+                f"|ker L| 1_(im L) for L(z) = z^q + ({sign}) z")
+        flat = N // p * sum(1 << self.w * s for s in range(p))
+        return [flat if v else N for v in images]
 
     def count(self, factors, c: int = 0) -> int:
         """The number of tuples that sum to c, drawing n values from the

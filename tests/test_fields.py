@@ -552,8 +552,8 @@ _ENTRY_POINTS = {
         (1, lambda ctx, k: closed_form_fixed_count(ctx, k, 1, True)),
     "closed_form_fixed_count-zeta":
         (2, lambda ctx, k: closed_form_fixed_count(ctx, 0, k, True)),
-    "solve_affine-zeta":
-        (2, lambda ctx, k: coordinate_extension(ctx).solve_affine(k, 0)),
+    "coset-zeta":
+        (2, lambda ctx, k: coordinate_extension(ctx).coset(k)),
     "blind_fixed_point_count-eta":
         (1, lambda ctx, k: blind_fixed_point_count(ctx, k, 1, True)),
     "blind_fixed_point_count-zeta":
@@ -784,33 +784,35 @@ def test_artin_schreier_solve_affine(p, e):
     def art(x):
         return K.sub(K.pow(x, q), x)
 
-    # the map x -> x^q - x is F_p-linear with kernel F_q
-    sols = K.solve_affine(1, 0)
-    assert len(sols) == q
+    # the map x -> x^q - x is F_p-linear with kernel F_q = coset(1)
+    assert len(K.coset(1)) == q
+    assert K.solve_affine(0) == 0
     probe = 3  # an element of F_{q^2}
     rhs = art(probe)
-    sols = K.solve_affine(1, rhs)
-    assert probe in sols
-    assert len(sols) == q
-    for s in sols:
-        assert art(s) == rhs
+    x = K.solve_affine(rhs)
+    assert art(x) == rhs
+    assert K.sub(x, probe) in K.coset(1)
 
 
 @pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1),
                                  (2, 3), (3, 2)])
 def test_solve_affine_matches_solve_mod_p_on_the_map_columns(p, e):
-    """For every zeta in mu_{q+1} at q <= 9, one solution plus coset(zeta)
-    against the kernel-offset reference _solve_mod_p on the columns of
-    x -> x^q - zeta x, built here from K.pow: the same solutions, for
-    right-hand sides in the image and outside it.  Each solution is
-    substituted back."""
+    """At q <= 9, against the kernel-offset reference _solve_mod_p on
+    the columns of x -> x^q - zeta x, built here from K.pow: coset(zeta)
+    is the kernel for every zeta in mu_{q+1}, and at zeta = 1
+    solve_affine gives the reference's solution with every free
+    variable 0, for right-hand sides in the image, and raises for those
+    outside it.  Each solution is substituted back."""
     ctx = build_tower(p, e)
     K = ArtinSchreierExtension(ctx)
-    q, dim = ctx.q, K.dim
+    q, dim, N = ctx.q, K.dim, K.base.size
     rnd = random.Random(q)
 
     def digits(a):
         return [a // p ** i % p for i in range(dim)]
+
+    def encode(vec):
+        return sum(x * p ** i for i, x in enumerate(vec))
 
     inconsistent = 0
     for zeta in ctx.enumerate_mu():
@@ -818,29 +820,61 @@ def test_solve_affine_matches_solve_mod_p_on_the_map_columns(p, e):
             return K.sub(K.pow(x, q), K.mul(zeta, x))
 
         cols = [digits(f(p ** i)) for i in range(dim)]
-        rhss = [0, f(K.base.size), f(rnd.randrange(p ** dim)),
+        assert K.coset(zeta) == sorted(
+            map(encode, _solve_mod_p(p, cols, [0] * dim)))
+        if zeta != 1:
+            continue
+        rhss = [0, f(N), f(rnd.randrange(p ** dim)),
                 rnd.randrange(p ** dim), rnd.randrange(p ** dim),
-                K.add(f(rnd.randrange(p ** dim)), 1)]
+                K.add(f(rnd.randrange(p ** dim)), 1),
+                # a t^(p-1), a in F_{q^2}, of nonzero trace: an element
+                # with no t^(p-1) term has trace 0
+                next(x for x in range(N ** (p - 1), N ** p, N ** (p - 1))
+                     if _trace_to_fq(K, x))]
         for rhs in rhss:
-            expected = [sum(x * p ** i for i, x in enumerate(vec))
-                        for vec in _solve_mod_p(p, cols, digits(rhs))]
-            sols = K.solve_affine(zeta, rhs)
-            assert sorted(sols) == sorted(expected)
-            assert len(sols) in (0, q)
-            inconsistent += not sols
-            for x in sols:
-                assert f(x) == rhs
+            expected = _solve_mod_p(p, cols, digits(rhs))
+            if not expected:
+                with pytest.raises(ArithmeticError, match="no solution"):
+                    K.solve_affine(rhs)
+                inconsistent += 1
+                continue
+            x = K.solve_affine(rhs)
+            assert x == encode(expected[0])
+            assert f(x) == rhs
     assert inconsistent > 0
 
 
-def test_solve_affine_rejects_zeta_outside_mu(kept):
+def _trace_to_fq(K, x):
+    """Tr_{K/F_q}(x), the sum of x^(q^i) for i < [K : F_q] = 2p."""
+    acc = 0
+    for _ in range(2 * K.p):
+        acc, x = K.add(acc, x), K.frob(x)
+    return acc
+
+
+def test_solve_affine_raises_on_an_rhs_of_nonzero_trace():
+    """At q = 3 the image of x -> x^q - x is the kernel of Tr_{K/F_q}
+    (the additive Hilbert 90): on a sample, an rhs of nonzero trace
+    raises ArithmeticError and one of trace 0 is solved."""
+    K = ArtinSchreierExtension(build_tower(3, 1))
+    raised = 0
+    for rhs in _sample_elements(K, 30) + [3 ** 6 - 1]:
+        if _trace_to_fq(K, rhs):
+            with pytest.raises(ArithmeticError, match="no solution"):
+                K.solve_affine(rhs)
+            raised += 1
+        else:
+            x = K.solve_affine(rhs)
+            assert K.sub(K.frob(x), x) == rhs
+    assert raised > 0
+
+
+def test_coset_rejects_zeta_outside_mu(kept):
     ctx = build_tower(3, 1)
     K = ArtinSchreierExtension(ctx)
     fourth = ctx.levels[2].power_map(4)
     for zeta in range(ctx.levels[2].size):
         if fourth[zeta] != 1:
-            with pytest.raises(FieldError, match="mu_"):
-                K.solve_affine(zeta, 0)
             with pytest.raises(FieldError, match="mu_"):
                 K.coset(zeta)
             assert not kept(ctx, ("coset", zeta))
@@ -848,29 +882,30 @@ def test_solve_affine_rejects_zeta_outside_mu(kept):
 
 def test_solve_affine_rejects_rhs_outside_k():
     """rhs = 3^6, one past the last encoding of K at q = 3, would read
-    as 0 from its low digits, and a negative rhs as digits p - 1."""
+    as 0 from its low digits, and a negative rhs as digits p - 1.  The
+    last encoding is an rhs, of nonzero trace: no solution."""
     K = ArtinSchreierExtension(build_tower(3, 1))
-    assert K.solve_affine(1, 3 ** 6 - 1) is not None  # the last encoding
+    with pytest.raises(ArithmeticError, match="no solution"):
+        K.solve_affine(3 ** 6 - 1)
     for rhs in (3 ** 6, -1):
         with pytest.raises(FieldError, match="is not an encoding"):
-            K.solve_affine(1, rhs)
+            K.solve_affine(rhs)
 
 
 @pytest.mark.parametrize("p,e", TOWERS)
 def test_coset_is_the_kernel_of_the_map(p, e):
     """coset(zeta) lists the a of F_{q^2} with a^q = zeta a in encoding
-    order, with a^q; as a set it is solve_affine(zeta, 0)."""
+    order, by the level's tuple arithmetic and by K.pow."""
     ctx = build_tower(p, e)
     K = ArtinSchreierExtension(ctx)
     base, q = K.base, ctx.q
     for zeta in ctx.enumerate_mu():
-        pairs = K.coset(zeta)
-        assert [a for a, _ in pairs] == sorted(
+        coset = K.coset(zeta)
+        assert coset == sorted(
             a for a in range(base.size)
             if level_encode(base, base.pow(base.decode(a), q))
             == base.mul_enc(zeta, a))
-        assert all(fa == K.pow(a, q) for a, fa in pairs)
-        assert sorted(K.solve_affine(zeta, 0)) == [a for a, _ in pairs]
+        assert all(K.pow(a, q) == K.mul(zeta, a) for a in coset)
 
 
 @pytest.mark.parametrize("p,e", TOWERS)

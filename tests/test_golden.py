@@ -7,12 +7,14 @@ here.
 """
 
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from ffverify import build_tower, fixed_points
 from ffverify.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -98,6 +100,33 @@ def test_cli_stdout_matches_golden(name, argv, capsys):
     assert out == (GOLDEN / name).read_text()
 
 
+def test_tower_table_keys_are_names_and_ints(capsys):
+    """After the golden count and fixed-points argvs, every key of a
+    tower's tables is a str, or a tuple of a str and ints: no table is
+    keyed by data.  The names are those of the tables listed in
+    TowerContext.table that the CLI reaches."""
+    build_tower.cache_clear()
+    towers = set()
+    try:
+        for _, argv in CLI_CASES:
+            if argv[0] in ("count", "fixed-points"):
+                assert main(argv) == 0
+                e = int(argv[argv.index("--e") + 1]) if "--e" in argv else 1
+                towers.add((int(argv[argv.index("--p") + 1]), e))
+        keys = [key for p, e in sorted(towers)
+                for key in build_tower(p, e)._tables]
+    finally:
+        build_tower.cache_clear()
+    capsys.readouterr()
+    assert all(isinstance(key, str) or (
+        isinstance(key, tuple) and isinstance(key[0], str)
+        and all(isinstance(k, int) for k in key[1:])) for key in keys), keys
+    assert {key if isinstance(key, str) else key[0] for key in keys} == {
+        "frobenius", "traces", "K", "root", "coset", "z sides", "boundary",
+        "grid", "artin-schreier", "dist hermitian", "dist pair",
+        "dist artin-schreier"}
+
+
 @pytest.mark.parametrize("name,argv", SCRIPT_CASES,
                          ids=[c[0] for c in SCRIPT_CASES])
 def test_fixed_point_grid_script_matches_golden(name, argv):
@@ -115,6 +144,44 @@ def test_fixed_point_grid_script_rejects_bad_input_as_the_cli_does(argv,
     assert main(["fixed-points", *argv]) == 2
     assert (proc.stdout, proc.stderr) == ("", capsys.readouterr().err)
     assert proc.stderr.startswith("error: --p ")
+
+
+@pytest.mark.parametrize("planted,argv", [
+    ("closed_form_fixed_count", ["--p", "2"]),
+    ("blind_fixed_point_count", ["--p", "2", "--blind"])],
+    ids=["closed-form", "blind"])
+def test_fixed_point_grid_script_exits_1_on_a_mismatch(planted, argv,
+                                                       monkeypatch, capsys):
+    """The closed form, or the blind count, planted one too high at
+    q = 2: each of the 12 cells prints MISMATCH, and the script exits
+    1."""
+    real = getattr(fixed_points, planted)
+    monkeypatch.setattr(fixed_points, planted,
+                        lambda *args: real(*args) + 1)
+    monkeypatch.setattr(sys, "argv", ["fixed_point_grid.py", *argv])
+    build_tower.cache_clear()  # the grid and its closed forms are kept
+    try:
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_path(str(ROOT / "scripts" / "fixed_point_grid.py"),
+                           run_name="__main__")
+    finally:
+        build_tower.cache_clear()
+    assert exc.value.code == 1
+    assert capsys.readouterr().out.count("MISMATCH") == 12
+
+
+@pytest.mark.parametrize("triple", ["2,6,5", "1,3,5", "2,3,3", "2,3", "2,3,x"])
+def test_build_howe_tables_rejects_a_bad_triple_before_any_file(triple,
+                                                                tmp_path):
+    """A q that is not a prime power, n < 2, ell dividing q, two values
+    or a value that is no int, after a good triple: one line on stderr,
+    no traceback, exit 2 and no file written."""
+    proc = run_script("build_howe_tables.py", [
+        "--outdir", str(tmp_path), "--params", "2,3,5", triple], code=2)
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(f"error: --params {triple}: ")
+    assert proc.stderr.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_build_howe_tables_default_files_match_golden(tmp_path):

@@ -657,8 +657,8 @@ def test_unrun_statements_are_found(tmp_path):
 
 # What no run of the program executes and is kept on purpose, besides
 # every raise: the failure branches of the program's own checks, the
-# empty results of a solve, the mod-ell dimensions that item 1 of
-# ROADMAP.md leaves unread, __repr__ and the entry point.
+# results of a failed Brauer solve, the mod-ell dimensions that item 1
+# of ROADMAP.md leaves unread, __repr__ and the entry point.
 _NOT_RUN = {
     'characters._reduction: return "restriction is not in the Brauer span"':
         "a failed Brauer solve, the reason brauer_decompose raises",
@@ -674,8 +674,6 @@ _NOT_RUN = {
         "a reported point that is not fixed, which fails the grid",
     'cli.main: sys.stderr.write(f"internal error: {exc}\\n")':
         "exit 3, for an exception the tool does not expect",
-    "fields.ArtinSchreierExtension.solve_affine: return []":
-        "no solution; the grid's one solve, c^q - c = 1, has one",
     "characters.dim_mod_ell_unitary: s = (-1) ** n":
         "ell divides q + 1: verify reads these dimensions only where it "
         "does not (ROADMAP.md, item 1)",
@@ -790,7 +788,7 @@ def test_only_the_tower_constructor_sets_a_tower_attribute():
 # exists, and returns an immutable result.
 _LRU_CACHED = {"characters.py": ["brauer_decompositions"],
                "cyclotomic.py": ["_power_table", "cyclotomic_coeffs"],
-               "fields.py": ["build_tower", "least_irreducible"]}
+               "fields.py": ["build_tower"]}
 _CACHE_NAMES = ("lru_cache", "cache", "cached_property")
 
 
@@ -838,5 +836,5 @@ def test_cache_uses_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_lru_cache_only_where_no_tower_exists(path):
     """A table derived from a tower is kept by TowerContext.table; the
-    process-wide caches are the five functions of _LRU_CACHED."""
+    process-wide caches are the four functions of _LRU_CACHED."""
     assert sorted(cache_uses(path.read_text())) == _LRU_CACHED.get(path.name, [])

@@ -71,7 +71,7 @@ def test_structured_spectra_match_the_definition(p, e, level):
 
 
 def test_each_route_rejects_a_distribution_without_its_structure():
-    ctx = TowerContext(3, 1)  # not the shared tower: nothing is cached
+    ctx = TowerContext(3, 1)  # not the shared tower: nothing is kept
     ar = varieties._LevelArith(ctx, 2, 10 ** 9, 3)
     exp, _ = ar.level.log_tables()
     f = ar.dist_hermitian()  # mass 4 on the fourth powers, g = 4
@@ -85,7 +85,34 @@ def test_each_route_rejects_a_distribution_without_its_structure():
         f[exp[1]] += 1
         with pytest.raises(ArithmeticError, match="is not [|]ker L[|]"):
             ar.linear_spectrum(f, sign)
-    assert ctx.table("spectra", dict) == {(2, ar.w): {}}
+    # the changed lists were copies: the kept distributions pass
+    assert ar.coset_spectrum(ar.dist_hermitian())
+    for sign in (1, -1):
+        assert ar.linear_spectrum(ar.dist_artin_schreier(sign), sign)
+
+
+def test_a_second_count_checks_its_kept_distribution(capsys):
+    """The Hermitian distribution kept on the tower, corrupted after a
+    first count: the next Ytilde count raises, as its spectrum checks
+    the coset structure on every call, and the CLI exits 3."""
+    message = "not constant on the cosets"
+    build_tower.cache_clear()
+    try:
+        ctx = build_tower(3, 1)  # main's tower
+        spec = VarietySpec("Ytilde", 2)
+        assert count_points(ctx, spec, 2) == 3 ** 3 - 3
+        kept_f = ctx.table(("dist hermitian", 2), list)
+        exp, _ = ctx.levels[2].log_tables()
+        kept_f[exp[0]] -= 1
+        kept_f[exp[1]] += 1
+        with pytest.raises(ArithmeticError, match=message):
+            count_points(ctx, spec, 2)
+        code = main(["count", "--p", "3", "--variety", "Ytilde", "--n", "2"])
+    finally:
+        build_tower.cache_clear()
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert message in captured.err
 
 
 @pytest.mark.parametrize("p,e,level", SMALL_LEVELS)
@@ -159,18 +186,22 @@ def test_a_wrong_spectrum_slot_fails_the_character_sum_check(monkeypatch,
     assert captured.err.startswith("internal error: character sum check")
 
 
-def test_a_returned_spectrum_cannot_poison_the_cache():
-    ctx = TowerContext(3, 1)  # not the shared tower: its cache starts cold
-    ar = varieties._LevelArith(ctx, 2, 10 ** 9, 3)  # the w of Ytilde_2
-    f = ar.dist_hermitian()
-    cold = ar.coset_spectrum(f)
-    for a in (cold, ar.coset_spectrum(f)):  # from a miss, then from a hit
-        a[1] += 1
-        assert count_points(ctx, VarietySpec("Ytilde", 2), 2) == 3 ** 3 - 3
-        a[1] -= 1
-    spectra = ctx.table("spectra", dict)
-    assert list(spectra[2, ar.w]) == [tuple(f)]  # the counts reused it
-    assert ar.coset_spectrum(f) == cold
+def test_a_returned_distribution_cannot_change_a_later_count(kept):
+    """Each distribution a count draws from, changed by its caller
+    after it is built and again after it is read from the tower: the
+    next counts are unchanged.  Ytilde draws the Hermitian one, X' the
+    pair one and the Artin-Schreier one of sign -1."""
+    specs = [VarietySpec("Ytilde", 2), VarietySpec("Xprime", 2)]
+    expected = [count_points(build_tower(3, 1), spec, 2) for spec in specs]
+    ctx = TowerContext(3, 1)  # not the shared tower: its tables start cold
+    ar = varieties._LevelArith(ctx, 2, 10 ** 9, 5)
+    for _ in ("built", "kept"):
+        for f in (ar.dist_hermitian(), ar.dist_pair(),
+                  ar.dist_artin_schreier(-1)):
+            f[1] += 1
+        assert [count_points(ctx, spec, 2) for spec in specs] == expected
+    assert all(kept(ctx, key) for key in (
+        ("dist hermitian", 2), ("dist pair", 2), ("dist artin-schreier", 2, -1)))
 
 
 @pytest.mark.parametrize("p,e", TOWERS)
@@ -402,14 +433,16 @@ def test_cone_budget_spent_is_pinned(kind, spent):
         count_points(ctx, spec, 2, budget=spent - 1)
 
 
-def test_budget_spent_does_not_depend_on_the_cache(capsys):
+def test_budget_spent_does_not_depend_on_the_cache(capsys, kept):
     """The 189 units of test_budget_spent_is_pinned are spent whether
-    the tower already holds the count's spectra or not."""
+    the tower already holds the count's distributions or not."""
     spec = VarietySpec("Xprime", 5)
     expected = count_points(build_tower(3, 1), spec, 2)
     ctx = TowerContext(3, 1)
+    assert not kept(ctx, ("dist pair", 2))
     assert count_points(ctx, spec, 2, budget=189) == expected  # cold
-    assert ctx.table("spectra", dict)
+    assert kept(ctx, ("dist pair", 2))
+    assert kept(ctx, ("dist artin-schreier", 2, -1))
     assert count_points(ctx, spec, 2, budget=189) == expected  # warm
     with pytest.raises(BudgetExceededError):
         count_points(ctx, spec, 2, budget=188)

@@ -130,6 +130,10 @@ def run_matrix(outdir: str) -> list:
         try:
             runpy.run_path(str(ROOT / "scripts" / "fixed_point_grid.py"),
                            run_name="__main__")
+        except SystemExit as exc:
+            if exc.code:
+                wrong.append(f"fixed_point_grid.py --p 2 --blind: "
+                             f"exit {exc.code}")
         finally:
             sys.argv = argv
         render = runpy.run_path(str(ROOT / "scripts" / "build_howe_tables.py"))
